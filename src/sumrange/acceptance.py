@@ -34,9 +34,6 @@ from .schedules import (
     run_trace,
     schedule_divergent,
     schedule_point,
-    schedule_sigma,
-    schedule_tau,
-    schedule_three_point,
 )
 from .verify import verify_family
 
@@ -100,7 +97,7 @@ def _two_point_schedules() -> tuple[bool, str]:
     fam = build_kadets(8)
     problems: list[str] = []
     rows = 0
-    for sch in (schedule_sigma(fam), schedule_tau(fam)):
+    for sch in (schedule_point(fam, "sigma"), schedule_point(fam, "tau")):
         rows += _blocks_telescope(fam, run_trace(fam, sch), problems)
     if problems:
         return False, "; ".join(problems[:3])
@@ -113,7 +110,7 @@ def _three_point_schedules() -> tuple[bool, str]:
     problems: list[str] = []
     rows = 0
     for name in ("p00", "p10", "p11"):
-        trace = run_trace(fam, schedule_three_point(fam, name))
+        trace = run_trace(fam, schedule_point(fam, name))
         rows += _blocks_telescope(fam, trace, problems)
     if problems:
         return False, "; ".join(problems[:3])
@@ -150,12 +147,12 @@ def _divergent_obstruction() -> tuple[bool, str]:
 
 def _higher_moments() -> tuple[bool, str]:
     runs = [
-        (build_kadets(8), schedule_sigma),
-        (build_three_kadets(4), lambda f: schedule_three_point(f, "p00")),
+        (build_kadets(8), "sigma"),
+        (build_three_kadets(4), "p00"),
     ]
     compared = 0
-    for fam, make in runs:
-        sch = make(fam)
+    for fam, name in runs:
+        sch = schedule_point(fam, name)
         first = run_trace(fam, sch, p=1)
         for p in (2, 3):
             higher = run_trace(fam, sch, p=p)
@@ -222,7 +219,7 @@ def _affine_transforms() -> tuple[bool, str]:
     for name, spec in matrices:
         fam = apply_transform(base, spec)
         for index, label in enumerate(("p00", "p10", "p11")):
-            sch = schedule_three_point(fam, label)
+            sch = schedule_point(fam, label)
             y = point_to_y(3, base_points[index])
             shifted = tuple(a + b for a, b in zip(y, spec.apply(y)))
             if sch.target != y_to_point(3, shifted):
@@ -238,7 +235,7 @@ def _affine_transforms() -> tuple[bool, str]:
 
 def _compact_running_sums() -> tuple[bool, str]:
     fam = build_kadets(8)
-    trace = run_trace(fam, schedule_sigma(fam))
+    trace = run_trace(fam, schedule_point(fam, "sigma"))
     peak = 0
     for row in trace.rows:
         if row.level is None:

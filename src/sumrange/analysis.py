@@ -486,11 +486,11 @@ def run_near_constancy_battery() -> SuiteReport:
 
 def run_drift_battery(horizon: int = 64) -> SuiteReport:
     from .families import build_kadets
-    from .schedules import schedule_sigma
+    from .schedules import schedule_point
 
     depth = 6
     fam = build_kadets(depth)
-    ids = list(schedule_sigma(fam).term_ids())[:horizon]
+    ids = list(schedule_point(fam, "sigma").term_ids())[:horizon]
     if len(ids) < horizon:
         raise ConfigError(f"depth {depth} family has too few terms for {horizon}")
     fns = [fam.fn(tid) for tid in ids]

@@ -33,8 +33,6 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .stepfn import Box, Interval, StepFunction, cell, cube_constants, equal_cells
 
-_CACHE_LIMIT = 100_000
-
 
 class ConfigError(ValueError):
     """Invalid build parameters (depth, sizes, matrix dimensions)."""
@@ -176,8 +174,6 @@ class Family:
         self._transform = transform
         self._structure = structure
         self._flat_sizes: dict[tuple[int, int], int] = {}
-        self._cache: dict[TermId, StepFunction] | None = (
-            {} if self.term_count() <= _CACHE_LIMIT else None)
 
     # --- structure ---
 
@@ -244,9 +240,6 @@ class Family:
     def index_tuples(self, g: int, n: int) -> Iterator[tuple[int, ...]]:
         ranges = [range(1, top + 1) for top in self.index_ranges(g, n)]
         return itertools.product(*ranges)
-
-    def level_count(self, g: int, n: int) -> int:
-        return self.flat_size(g, n)
 
     def term_count(self) -> int:
         return sum(self.flat_size(g, n)
@@ -317,18 +310,10 @@ class Family:
                 return self._table[tid]
             except KeyError:
                 raise KeyError(f"term {tid} missing from the loaded table") from None
-        if self._cache is not None:
-            got = self._cache.get(tid)
-            if got is not None:
-                return got
         g = self._validate_id(tid)
         if self._base is not None:
-            out = _transformed_fn(self, self._base.fn(tid))
-        else:
-            out = self._formula_fn(g, tid.level, tid.index)
-        if self._cache is not None:
-            self._cache[tid] = out
-        return out
+            return _transformed_fn(self, self._base.fn(tid))
+        return self._formula_fn(g, tid.level, tid.index)
 
     def reference_fn(self, g: int, n: int, index: tuple[int, ...]) -> StepFunction:
         """Formula value for any level, including beyond the truncation depth."""
@@ -386,17 +371,6 @@ def build_multipoint(points: int, depth: int,
     if points == 3:
         return build_three_kadets(depth, sizes)
     return Family("multipoint", points, depth, _as_sizes(sizes))
-
-
-def extend_multipoint(fam: Family, depth: int | None = None) -> Family:
-    """One more generation: the last two kinds keep their role as the
-    product pair on the last cube, the new kind closes rows beneath them."""
-    if fam.structure not in ("kadets", "three-kadets", "multipoint"):
-        raise StructuralError(f"cannot extend flavor {fam.flavor!r}")
-    if fam.flavor == "transformed":
-        raise StructuralError("extend the base family before applying a transform")
-    return build_multipoint(fam.points + 1, depth if depth is not None else fam.depth,
-                            fam.sizes)
 
 
 def _as_sizes(sizes) -> IndexSizes | None:

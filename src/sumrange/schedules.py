@@ -70,14 +70,35 @@ def _as_target(fam: Family, values: Sequence[Rational]) -> tuple[Fraction, ...]:
 # --- the convergent point schedules -----------------------------------------
 
 
-def schedule_point(fam: Family, point: int) -> Schedule:
-    """Blocks that converge to limit point number `point`.
+# Named limit points: the name of a point schedule on one structure.
+POINT_NAMES = {
+    "sigma": ("kadets", 0),
+    "tau": ("kadets", 1),
+    "p00": ("three-kadets", 0),
+    "p10": ("three-kadets", 1),
+    "p11": ("three-kadets", 2),
+}
+
+
+def schedule_point(fam: Family, point: int | str) -> Schedule:
+    """Blocks that converge to limit point number `point`, or to the
+    point a name in `POINT_NAMES` stands for (the schedule then carries
+    that name as its label).
 
     The ramp collects generation e at levels up to point-e; afterwards
     the block of head m at level n climbs through columns up to
     generation `point` and then sweeps the whole subtree below the
     matching group, so each block sums to zero on every cube.
     """
+    label = f"point{point}"
+    if isinstance(point, str):
+        if point not in POINT_NAMES:
+            raise ConfigError(f"unknown point name {point!r}; "
+                              f"expected one of {sorted(POINT_NAMES)}")
+        label, (structure, point) = point, POINT_NAMES[point]
+        if fam.structure != structure:
+            raise StructuralError(f"{label!r} needs the {structure} structure, "
+                                  f"got {fam.structure!r}")
     r = fam.points
     if not 0 <= point <= r - 1:
         raise ConfigError(f"point must lie in 0..{r - 1}, got {point}")
@@ -105,7 +126,7 @@ def schedule_point(fam: Family, point: int) -> Schedule:
     count += sum(fam.flat_size(g, lev)
                  for g in range(point + 1, r)
                  for lev in range(1, fam.depth - point + 1))
-    return Schedule(f"point{point}", fam, target, blocks, count)
+    return Schedule(label, fam, target, blocks, count)
 
 
 def _point_block(fam: Family, point: int, n: int, m: int) -> tuple[TermId, ...]:
@@ -124,39 +145,6 @@ def _point_block(fam: Family, point: int, n: int, m: int) -> tuple[TermId, ...]:
             out.extend(TermId(kinds[g], lev, group + suffix)
                        for suffix in product(*(range(1, s + 1) for s in tails)))
     return tuple(out)
-
-
-def schedule_sigma(fam: Family) -> Schedule:
-    if fam.structure != "kadets":
-        raise StructuralError(f"sigma needs the two-kind structure, got {fam.structure!r}")
-    sch = schedule_point(fam, 0)
-    sch.label = "sigma"
-    return sch
-
-
-def schedule_tau(fam: Family) -> Schedule:
-    if fam.structure != "kadets":
-        raise StructuralError(f"tau needs the two-kind structure, got {fam.structure!r}")
-    sch = schedule_point(fam, 1)
-    sch.label = "tau"
-    return sch
-
-
-_THREE_POINTS = {"p00": 0, "p10": 1, "p11": 2}
-
-
-def schedule_three_point(fam: Family, name: str) -> Schedule:
-    if fam.structure != "three-kadets":
-        raise StructuralError(
-            f"{name!r} needs the three-kind structure, got {fam.structure!r}")
-    try:
-        point = _THREE_POINTS[name]
-    except KeyError:
-        raise ConfigError(f"unknown point name {name!r}; "
-                          f"expected one of {sorted(_THREE_POINTS)}") from None
-    sch = schedule_point(fam, point)
-    sch.label = name
-    return sch
 
 
 # --- the divergent schedule -------------------------------------------------

@@ -365,10 +365,6 @@ class StepFunction:
     def is_integer_valued(self) -> bool:
         return all(v.denominator == 1 for _, v in self._terms)
 
-    def canonical_equals(self, other: "StepFunction") -> bool:
-        self._check_domain(other)
-        return self._terms == other._terms
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, StepFunction):
             return NotImplemented

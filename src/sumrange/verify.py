@@ -1,19 +1,15 @@
 """Exact verification of every structural identity a family promises.
 
-Checks are grouped by role.  For each pair of consecutive generations
-(e, e+1) there is a "product pair" living on one cube (cube 1 for e = 0,
-cube 2e+1 otherwise): heads partition the cube into 0/1 cells of equal
-measure, tails are negated products of consecutive-level heads, rows of
-tails cancel their head, columns cancel the next-level head, and the full
-level sums to the constant -1.  For each middle generation e there is a
-"bridge" onto cubes 2e and 2e+1: level sums are the constants 1 and -1,
-each term plus its children vanishes there, columns at one level couple
-against rows one level up, row sums are 0/1 valued, integrals agree on
-the paired cubes, and per-cube norms are the advertised reciprocals.
+Each pair of consecutive generations (e, e+1) lives on one cube, where
+heads partition the cube into equal 0/1 cells and tails are negated
+products of consecutive-level heads that cancel their head by rows and
+the next-level head by columns.  The bridge cubes 2e below the pair and
+2e+2 above it carry the scaled pieces that couple one level to the next.
 
-Every comparison is exact rational equality.  Failures carry a short
-witness built from the offending difference; nothing is ever compared
-with a tolerance.
+`CHECKS` lists every identity as one ordered table.  One runner walks
+each (pair, level) unit once, fetching each of its terms once and
+feeding the per-term checks and the row, column, level and coupling sums
+together.  Every comparison is exact rational equality, never a tolerance.
 """
 
 from __future__ import annotations
@@ -25,9 +21,8 @@ from .families import Family, StructuralError, TermId, cube_label
 from .stepfn import ChunkedSum, StepFunction, cube_constants, sum_functions
 
 _FAIL_CAP = 25
-
-F0 = Fraction(0)
-F1 = Fraction(1)
+# Columns are summed side by side, one small running sum each.
+_COLUMN_CHUNK = 32
 
 
 class AxiomCheck(NamedTuple):
@@ -40,9 +35,19 @@ class AxiomCheck(NamedTuple):
 class AxiomReport:
     """All recorded checks, with failure listing capped per check id."""
 
-    def __init__(self, checks: list[AxiomCheck], suppressed: dict[str, int]):
-        self.checks = checks
-        self.suppressed = suppressed
+    def __init__(self):
+        self.checks: list[AxiomCheck] = []
+        self.suppressed: dict[str, int] = {}
+        self._fail_counts: dict[str, int] = {}
+
+    def record(self, check: str, scope: str, passed: bool, witness: str | None = None):
+        if not passed:
+            seen = self._fail_counts.get(check, 0)
+            self._fail_counts[check] = seen + 1
+            if seen >= _FAIL_CAP:
+                self.suppressed[check] = self.suppressed.get(check, 0) + 1
+                return
+        self.checks.append(AxiomCheck(check, scope, passed, witness))
 
     @property
     def ok(self) -> bool:
@@ -78,38 +83,132 @@ class AxiomReport:
         return out
 
 
-class _Recorder:
-    def __init__(self):
-        self._checks: list[AxiomCheck] = []
-        self._fail_counts: dict[str, int] = {}
-        self._suppressed: dict[str, int] = {}
-
-    def record(self, check: str, scope: str, passed: bool, witness: str | None = None):
-        if not passed:
-            seen = self._fail_counts.get(check, 0)
-            self._fail_counts[check] = seen + 1
-            if seen >= _FAIL_CAP:
-                self._suppressed[check] = self._suppressed.get(check, 0) + 1
-                return
-        self._checks.append(AxiomCheck(check, scope, passed, witness))
-
-    def report(self) -> AxiomReport:
-        return AxiomReport(self._checks, dict(self._suppressed))
-
-
 def _describe_diff(diff: StepFunction) -> str:
     bits = []
     for c in diff.domain:
         m = diff.moment(1, cube=c)
         if m != 0:
             bits.append(f"off by moment {m} on {cube_label(c)}")
-    if not bits:
-        return "no difference"
-    return "; ".join(bits[:3])
+    return "; ".join(bits[:3]) or "no difference"
 
 
 def _constant_on(cube: int, value: Fraction) -> StepFunction:
     return cube_constants((cube,), {cube: value})
+
+
+# --- the table of checks ----------------------------------------------------
+
+HEAD, TAIL, ROW, COLUMN, HEADS, TAILS, COUPLING = (
+    "head", "tail", "row", "column", "heads", "tails", "coupling")
+PAIR, MID, TAIL_MID = "pair", "mid", "tail_mid"
+
+
+class _Item(NamedTuple):
+    """What one check reads: a term's part on one cube (the whole term if
+    the check reads no cube), or a row, column, level or coupling sum."""
+
+    fn: StepFunction
+    cube: int | None
+    name: str | None          # None for a level sum, named by its check's scope
+    whole: StepFunction | None = None    # the whole term
+    cancel: StepFunction | None = None   # the head(s) a sum must cancel
+    support: Fraction | None = None      # summed support measures of a level
+
+
+class Check(NamedTuple):
+    id: str
+    on: str                   # HEAD, TAIL, ROW, COLUMN, HEADS, TAILS or COUPLING
+    roles: tuple              # PAIR, MID, TAIL_MID; None reads the whole term
+    ok: Callable[["_Unit", _Item], bool]
+    witness: Callable[["_Unit", _Item], str]
+    scope: str                # of the PASS row, formatted with the unit's fields
+
+
+def _norm(want):
+    return (lambda u, x: x.fn.moment(1) == want(u),
+            lambda u, x: f"moment {x.fn.moment(1)} != {want(u)}")
+
+
+def _coords(*shifts):
+    return (lambda u, x: x.fn.footprint() <= {(x.cube, u.n + s) for s in shifts},
+            lambda u, x: f"depends on {sorted(x.fn.footprint())}")
+
+
+def _values(want):
+    return (lambda u, x: x.fn.term_values() <= {want(u, x)},
+            lambda u, x: f"values {sorted(x.fn.term_values())} != {{{want(u, x)}}}")
+
+
+def _support(generation):
+    return (lambda u, x: not _stray(u.fam, generation(u), x.fn),
+            lambda u, x: f"support on {_stray(u.fam, generation(u), x.fn)}")
+
+
+def _sums_to(value):
+    return (lambda u, x: x.fn == _constant_on(x.cube, value),
+            lambda u, x: _describe_diff(x.fn - _constant_on(x.cube, value)))
+
+
+def _measures_one(what):
+    return (lambda u, x: x.support == 1, lambda u, x: f"{what} sum to {x.support}")
+
+
+_CANCELS = (lambda u, x: x.fn == x.cancel.scale(-1),
+            lambda u, x: _describe_diff(x.fn + x.cancel))
+_PRODUCT = (lambda u, x: x.fn == u.product(),
+            lambda u, x: _describe_diff(x.fn - u.product()))
+_PAIRED = (lambda u, x: x.whole.integral(x.cube) == x.whole.integral(x.cube + 1),
+           lambda u, x: (f"{x.whole.integral(x.cube)} on {cube_label(x.cube)} vs "
+                         f"{x.whole.integral(x.cube + 1)} on {cube_label(x.cube + 1)}"))
+_INDICATOR = (lambda u, x: x.fn.value_set() <= {0, 1},
+              lambda u, x: f"values {sorted(x.fn.value_set())}")
+
+_SCOPE = "level {n}, pair ({head},{tail}) on {qc}"
+_BRIDGE = (MID, TAIL_MID)
+
+# Table order is PASS-row order.  Entries sharing an id and a scope give
+# one PASS row.
+CHECKS = (
+    Check("cell-norm", HEAD, (PAIR,), *_norm(lambda u: u.head_norm), _SCOPE),
+    Check("single-coordinate", HEAD, (PAIR,), *_coords(0), _SCOPE),
+    Check("zero-one-valued", HEAD, (PAIR,), *_values(lambda u, x: 1), _SCOPE),
+    Check("partition-sums-to-one", HEADS, (PAIR,), *_sums_to(1), _SCOPE),
+    Check("disjoint-cells", HEADS, (PAIR,), *_measures_one("cell measures"), _SCOPE),
+    Check("product-structure", TAIL, (PAIR,), *_PRODUCT, _SCOPE),
+    Check("pair-norm", TAIL, (PAIR,), *_norm(lambda u: u.tail_norm), _SCOPE),
+    Check("two-coordinate", TAIL, (PAIR,), *_coords(0, 1), _SCOPE),
+    Check("zero-minus-one-valued", TAIL, (PAIR,), *_values(lambda u, x: -1), _SCOPE),
+    Check("cube-support", HEAD, (None,), *_support(lambda u: u.e), _SCOPE),
+    Check("cube-support", TAIL, (None,), *_support(lambda u: u.e + 1), _SCOPE),
+    Check("row-cancellation", ROW, (PAIR,), *_CANCELS, _SCOPE),
+    Check("paired-integrals", TAIL, _BRIDGE, *_PAIRED, _SCOPE),
+    Check("bridge-norm", TAIL, _BRIDGE, *_norm(lambda u: u.tail_norm), _SCOPE),
+    Check("bridge-scaled-values", TAIL, _BRIDGE,
+          *_values(lambda u, x: u.bridge_value[x.cube]), _SCOPE),
+    Check("bridge-single-coordinate", TAIL, _BRIDGE, *_coords(0), _SCOPE),
+    Check("bridge-row-cancellation", ROW, (MID,), *_CANCELS, _SCOPE),
+    Check("bridge-row-indicator", ROW, (TAIL_MID,), *_INDICATOR, _SCOPE),
+    Check("rows-sum-to-minus-one", TAILS, (PAIR,), *_sums_to(-1), _SCOPE),
+    Check("disjoint-cells", TAILS, (PAIR,), *_measures_one("tail supports"),
+          _SCOPE + " tails"),
+    Check("bridge-sums-to-minus-one", TAILS, (MID,), *_sums_to(-1),
+          "level {n}, {tail} on {qmid}"),
+    Check("bridge-partition-sums-to-one", TAILS, (TAIL_MID,), *_sums_to(1),
+          "level {n}, {tail} on {qtail_mid}"),
+    Check("column-cancellation", COLUMN, (PAIR,), *_CANCELS, _SCOPE),
+    # coupling groups exist only where a bridge lies below the pair
+    Check("bridge-level-coupling", COUPLING, (MID, PAIR), *_CANCELS,
+          "levels {n1}/{n}, {head}/{tail} on {qmid} and {qc}"),
+)
+
+
+def _stray(fam: Family, g: int, f: StepFunction) -> list[str]:
+    """Cubes where f is not zero although generation g has no piece there."""
+    allowed = {1} if g == 0 else {2 * g - 2, 2 * g - 1}
+    if 1 <= g <= fam.points - 2:
+        allowed.update({2 * g, 2 * g + 1})
+    return [cube_label(c) for c in f.domain
+            if c not in allowed and f.support_measure(c) != 0]
 
 
 # --- the verifier -----------------------------------------------------------
@@ -120,52 +219,37 @@ def verify_family(fam: Family) -> AxiomReport:
     if fam.flavor == "transformed":
         raise StructuralError(
             "verification applies to untransformed families; verify the base instead")
-    rec = _Recorder()
-    _check_growth(fam, rec)
-    if fam.is_table_backed and not _check_table_complete(fam, rec):
+    report = AxiomReport()
+    _check_growth(fam, report)
+    if fam.is_table_backed and not _check_table_complete(fam, report):
         # missing terms would make every later lookup fail; stop here
-        return rec.report()
+        return report
     for n in range(1, fam.depth + 1):
-        _verify_level(fam, n, rec)
-    return rec.report()
+        for e in range(fam.points - 1):
+            _verify_unit(_Unit(fam, e, n), report)
+    return report
 
 
-def verify_kadets(fam: Family) -> AxiomReport:
-    if fam.structure != "kadets":
-        raise StructuralError(f"expected the two-kind structure, got {fam.structure!r}")
-    return verify_family(fam)
-
-
-def verify_three_kadets(fam: Family) -> AxiomReport:
-    if fam.structure != "three-kadets":
-        raise StructuralError(f"expected the three-kind structure, got {fam.structure!r}")
-    return verify_family(fam)
-
-
-def _check_growth(fam: Family, rec: _Recorder) -> None:
+def _check_growth(fam: Family, report: AxiomReport) -> None:
     last = fam.depth + 1
     vals = [fam.size(n) for n in range(1, last + 1)]
     ok = (all(v >= 1 for v in vals)
           and all(b >= a for a, b in zip(vals, vals[1:]))
           and (len(vals) < 2 or vals[-1] > vals[0]))
-    rec.record("cell-count-growth", f"levels 1..{last}", ok,
-               None if ok else f"sizes {vals} do not grow")
+    report.record("cell-count-growth", f"levels 1..{last}", ok,
+                  None if ok else f"sizes {vals} do not grow")
 
 
-def _check_table_complete(fam: Family, rec: _Recorder) -> bool:
+def _check_table_complete(fam: Family, report: AxiomReport) -> bool:
     wanted = set(fam.term_ids())
     have = set(fam.table_ids())
     missing = wanted - have
-    extra = have - wanted
-    for tid in sorted(missing)[:_FAIL_CAP]:
-        rec.record("table-complete", str(tid), False, "term missing from table")
-    if len(missing) > _FAIL_CAP:
-        rec.record("table-complete", "remainder", False,
-                   f"{len(missing) - _FAIL_CAP} more terms missing")
-    for tid in sorted(extra)[:_FAIL_CAP]:
-        rec.record("table-complete", str(tid), False, "unexpected term in table")
-    if not missing and not extra:
-        rec.record("table-complete", f"{len(wanted)} terms", True)
+    for tid in sorted(missing):
+        report.record("table-complete", str(tid), False, "term missing from table")
+    for tid in sorted(have - wanted):
+        report.record("table-complete", str(tid), False, "unexpected term in table")
+    if wanted == have:
+        report.record("table-complete", f"{len(wanted)} terms", True)
     return not missing
 
 
@@ -179,327 +263,127 @@ def _idx(index: tuple[int, ...]) -> str:
     return "(" + ",".join(str(i) for i in index) + ")"
 
 
-def _allowed_cubes(fam: Family, g: int) -> frozenset[int]:
-    if g == 0:
-        return frozenset({1})
-    cubes = {2 * g - 1}
-    if g >= 2:
-        cubes.add(2 * g - 2)
-    if g <= fam.points - 2:
-        cubes.update({2 * g, 2 * g + 1})
-    return frozenset(cubes)
+class _Unit:
+    """Pair (e, e+1) at level n: its cubes, the constants its checks
+    compare against, and the heads its tails are products of."""
+
+    def __init__(self, fam: Family, e: int, n: int):
+        self.fam, self.e, self.n = fam, e, n
+        self.c = 1 if e == 0 else 2 * e + 1
+        self.roles = {PAIR: self.c, None: None}
+        if e >= 1:
+            self.roles[MID] = 2 * e
+        if e + 1 <= fam.points - 2:
+            self.roles[TAIL_MID] = 2 * e + 2
+        self.head, self.tail = fam.kinds[e], fam.kinds[e + 1]
+        self.head_norm = Fraction(1, fam.flat_size(e, n))
+        self.tail_norm = Fraction(1, fam.flat_size(e + 1, n))
+        s_next = fam.flat_size(e, n + 1)
+        self.bridge_value = {2 * e + 2: Fraction(1, s_next)}
+        if e >= 1:
+            self.bridge_value[2 * e] = Fraction(-1, s_next * fam.flat_size(e - 1, n + 1))
+        self.fields = dict(n=n, n1=n + 1, head=self.head, tail=self.tail,
+                           qc=cube_label(self.c), qmid=cube_label(2 * e),
+                           qtail_mid=cube_label(2 * e + 2))
+        # parts of each head by flat index, at level n and at level n+1
+        self.heads: list[dict] = []
+        self.next_heads = [self.parts(_term_fn(fam, e, n + 1, idx))
+                           for idx in fam.index_tuples(e, n + 1)]
+        self.row = self.column = 0           # where the tail being checked sits
+
+    def parts(self, f: StepFunction) -> dict:
+        return {k: f if k is None else f.restrict(k) for k in self.roles.values()}
+
+    def product(self) -> StepFunction:
+        """Minus the row's head times the column's next-level head, on the pair cube."""
+        c = self.c
+        return self.heads[self.row][c].multiply(self.next_heads[self.column][c]).scale(-1)
 
 
-def _verify_level(fam: Family, n: int, rec: _Recorder) -> None:
-    r = fam.points
-    for e in range(r - 1):
-        _verify_pair(fam, e, n, rec)
+def _verify_unit(u: _Unit, report: AxiomReport) -> None:
+    fam, e, n = u.fam, u.e, u.n
+    checks: dict[str, list] = {}
+    scopes = [(ck.id, ck.scope.format(**u.fields)) for ck in CHECKS]
+    for i, ck in enumerate(CHECKS):
+        for role in ck.roles:
+            if role in u.roles:
+                checks.setdefault(ck.on, []).append((i, ck, u.roles[role]))
+    seen: set[int] = set()
+    failed: set[tuple[str, str]] = set()
 
+    def judge(on: str, items: dict) -> None:
+        """Run the `on` checks, each on the item of the cube it reads."""
+        for i, ck, k in checks.get(on, ()):
+            seen.add(i)
+            x = items[k]
+            if not ck.ok(u, x):
+                failed.add(scopes[i])
+                report.record(ck.id, where(i, k, x.name), False, ck.witness(u, x))
 
-def _pair_cube(e: int) -> int:
-    return 1 if e == 0 else 2 * e + 1
+    def where(i: int, k: int | None, name: str | None) -> str:
+        if name is None:  # a level sum, named by its check
+            return scopes[i][1]
+        return name if k is None else f"{name} on {cube_label(k)}"
 
+    def sums(*kinds: str, chunk: int = 4096) -> dict[int, ChunkedSum]:
+        return {k: ChunkedSum((k,), chunk) for on in kinds for _, _, k in checks.get(on, ())}
 
-def _verify_pair(fam: Family, e: int, n: int, rec: _Recorder) -> None:
-    """Pair (e, e+1) at level n, fused with the bridge checks that share
-    its row and column iteration."""
-    r = fam.points
-    c = _pair_cube(e)
-    qc = cube_label(c)
-    g = e + 1
-    head_kind, tail_kind = fam.kinds[e], fam.kinds[g]
-    pair_name = f"({head_kind},{tail_kind})"
-    s_here = fam.flat_size(e, n)
-    s_next = fam.flat_size(e, n + 1)
-    head_norm = Fraction(1, s_here)
-    tail_norm = Fraction(1, fam.flat_size(g, n))
-    mid = 2 * e if e >= 1 else None
-    tail_mid = 2 * g if g <= r - 2 else None
+    def add(acc: dict, parts: dict, support: dict | None = None) -> None:
+        for k, s in acc.items():
+            s.add(parts[k])
+        for k in support or ():
+            support[k] += parts[k].support_measure(k)
 
-    # heads: partition checks on the pair cube
-    heads: dict[int, StepFunction] = {}
-    head_ok = {"norm": True, "coord": True, "values": True, "support": True}
-    support_total = F0
-    head_acc = ChunkedSum((c,))
+    def term(g: int, on: str, idx: tuple[int, ...]) -> dict:
+        parts = u.parts(_term_fn(fam, g, n, idx))
+        name = f"{fam.kinds[g]}^{n}{_idx(idx)}"
+        judge(on, {k: _Item(p, k, name, whole=parts[None]) for k, p in parts.items()})
+        return parts
+
+    def close(on: str, level: dict, support: dict) -> None:
+        judge(on, {k: _Item(s.total(), k, None, support=support.get(k))
+                   for k, s in level.items()})
+
+    level = sums(HEADS)
+    support = {u.c: 0}  # cell measures are checked on the pair cube
     for idx in fam.index_tuples(e, n):
-        flat = fam.flat_index(e, n, idx)
-        full = _term_fn(fam, e, n, idx)
-        h = full.restrict(c)
-        heads[flat] = h
-        head_acc.add(h)
-        if full.moment(1, cube=c) != head_norm:
-            head_ok["norm"] = False
-            rec.record("cell-norm", f"{head_kind}^{n}{_idx(idx)} on {qc}", False,
-                       f"moment {full.moment(1, cube=c)} != {head_norm}")
-        if not h.footprint() <= {(c, n)}:
-            head_ok["coord"] = False
-            rec.record("single-coordinate", f"{head_kind}^{n}{_idx(idx)} on {qc}", False,
-                       f"depends on {sorted(h.footprint())}")
-        if not h.term_values() <= {F1}:
-            head_ok["values"] = False
-            rec.record("zero-one-valued", f"{head_kind}^{n}{_idx(idx)} on {qc}", False,
-                       f"values {sorted(h.term_values())}")
-        support_total += h.support_measure(c)
-        if e == 0 and not full.footprint() <= {(1, n)}:
-            rec.record("cube-support", f"{head_kind}^{n}{_idx(idx)}", False,
-                       f"leaks outside cube 1: {sorted(full.footprint())}")
-    scope = f"level {n}, pair {pair_name} on {qc}"
-    for key, check in (("norm", "cell-norm"), ("coord", "single-coordinate"),
-                       ("values", "zero-one-valued")):
-        if head_ok[key]:
-            rec.record(check, scope, True)
-    total = head_acc.total()
-    ok = total == _constant_on(c, F1)
-    rec.record("partition-sums-to-one", scope, ok,
-               None if ok else _describe_diff(total - _constant_on(c, F1)))
-    ok = support_total == 1
-    rec.record("disjoint-cells", scope, ok,
-               None if ok else f"cell measures sum to {support_total}")
+        u.heads.append(term(e, HEAD, idx))
+        add(level, u.heads[-1], support)
+    close(HEADS, level, support)
 
-    # next-level heads for products and columns
-    _next_cache: dict[int, StepFunction] = {}
+    s_next = len(u.next_heads)
+    columns = [sums(COLUMN, COUPLING, chunk=_COLUMN_CHUNK) for _ in range(s_next)]
+    level = sums(TAILS)
+    support = {u.c: 0}
+    for t, idx in enumerate(fam.index_tuples(e + 1, n)):
+        u.row, u.column = divmod(t, s_next)
+        if u.column == 0:
+            rows, row_name = sums(ROW), f"row {u.tail}^{n}{_idx(idx[:-1])}+*"
+        parts = term(e + 1, TAIL, idx)
+        add(rows, parts)
+        add(columns[u.column], parts)
+        add(level, parts, support)
+        if u.column == s_next - 1:
+            judge(ROW, {k: _Item(s.total(), k, row_name, cancel=u.heads[u.row][k])
+                        for k, s in rows.items()})
+    close(TAILS, level, support)
 
-    def head_next(flat: int) -> StepFunction:
-        got = _next_cache.get(flat)
-        if got is None:
-            got = _term_fn(fam, e, n + 1, fam.unflatten(e, n + 1, flat)).restrict(c)
-            _next_cache[flat] = got
-        return got
+    # coupling group j' pairs the level-(n+1) heads whose last index is j'
+    # with the level-n columns under them
+    groups: dict[int, dict] = {}
+    for j, (idx, column) in enumerate(zip(fam.index_tuples(e, n + 1), columns)):
+        items = {k: _Item(s.total(), k, f"column {u.tail}^{n}(*,{j + 1})",
+                          cancel=u.next_heads[j][k]) for k, s in column.items()}
+        judge(COLUMN, items)
+        if MID in u.roles:
+            for k, x in items.items():
+                groups.setdefault(idx[-1], {}).setdefault(k, []).append(x)
+    for jp, group in sorted(groups.items()):
+        name = f"column {jp} of level {n + 1} {u.head} vs level {n} {u.tail}"
+        judge(COUPLING, {k: _Item(sum_functions([x.fn for x in xs], (k,)), k, name,
+                                  cancel=sum_functions([x.cancel for x in xs], (k,)))
+                         for k, xs in group.items()})
 
-    allowed = _allowed_cubes(fam, g)
-    mid_value = (Fraction(-1, fam.flat_size(g - 1, n + 1) * fam.flat_size(g - 2, n + 1))
-                 if g >= 2 else None)
-    ext_value = Fraction(1, s_next) if tail_mid is not None else None
-
-    tail_ok = {k: True for k in ("product", "norm", "coords", "values", "support",
-                                 "paired", "bnorm", "bvalues", "bcoord")}
-    tail_support = F0
-    level_acc = ChunkedSum((c,))
-    mid15_acc = ChunkedSum((mid,)) if mid is not None else None
-    mid14_acc = ChunkedSum((tail_mid,)) if tail_mid is not None else None
-    row_ok = {"rows": True, "mid": True, "indicator": True}
-
-    row_parent: tuple[int, ...] | None = None
-    row_flat = 0
-    row_fns: list[StepFunction] = []
-    row_mid_fns: list[StepFunction] = []
-    row_ext_fns: list[StepFunction] = []
-
-    def close_row() -> None:
-        if row_parent is None:
-            return
-        row_sum = sum_functions(row_fns, domain=(c,))
-        want = heads[row_flat].scale(-1)
-        if row_sum != want:
-            row_ok["rows"] = False
-            rec.record("row-cancellation", f"row {tail_kind}^{n}{_idx(row_parent)}+* on {qc}",
-                       False, _describe_diff(row_sum - want))
-        if mid is not None:
-            mid_sum = sum_functions(row_mid_fns, domain=(mid,))
-            parent_mid = _term_fn(fam, e, n, row_parent).restrict(mid)
-            combo = mid_sum + parent_mid
-            if combo.terms:
-                row_ok["mid"] = False
-                rec.record("bridge-row-cancellation",
-                           f"row {tail_kind}^{n}{_idx(row_parent)}+* on {cube_label(mid)}",
-                           False, _describe_diff(combo))
-        if tail_mid is not None:
-            ext_sum = sum_functions(row_ext_fns, domain=(tail_mid,))
-            if not ext_sum.value_set() <= {F0, F1}:
-                row_ok["indicator"] = False
-                rec.record("bridge-row-indicator",
-                           f"row {tail_kind}^{n}{_idx(row_parent)}+* on {cube_label(tail_mid)}",
-                           False, f"values {sorted(ext_sum.value_set())}")
-
-    for idx2 in fam.index_tuples(g, n):
-        parent, last = idx2[:-1], idx2[-1]
-        if parent != row_parent:
-            close_row()
-            row_parent = parent
-            row_flat = fam.flat_index(e, n, parent)
-            row_fns = []
-            row_mid_fns = []
-            row_ext_fns = []
-        full = _term_fn(fam, g, n, idx2)
-        t = full.restrict(c)
-        row_fns.append(t)
-        level_acc.add(t)
-        name = f"{tail_kind}^{n}{_idx(idx2)}"
-
-        bad = [cb for cb in full.domain
-               if cb not in allowed and full.support_measure(cb) != 0]
-        if bad:
-            tail_ok["support"] = False
-            rec.record("cube-support", name, False,
-                       f"support on {[cube_label(b) for b in bad]}")
-        prod = heads[row_flat].multiply(head_next(last)).scale(-1)
-        if t != prod:
-            tail_ok["product"] = False
-            rec.record("product-structure", f"{name} on {qc}", False,
-                       _describe_diff(t - prod))
-        if full.moment(1, cube=c) != tail_norm:
-            tail_ok["norm"] = False
-            rec.record("pair-norm", f"{name} on {qc}", False,
-                       f"moment {full.moment(1, cube=c)} != {tail_norm}")
-        if not t.footprint() <= {(c, n), (c, n + 1)}:
-            tail_ok["coords"] = False
-            rec.record("two-coordinate", f"{name} on {qc}", False,
-                       f"depends on {sorted(t.footprint())}")
-        if not t.term_values() <= {-F1}:
-            tail_ok["values"] = False
-            rec.record("zero-minus-one-valued", f"{name} on {qc}", False,
-                       f"values {sorted(t.term_values())}")
-        tail_support += t.support_measure(c)
-
-        if mid is not None:
-            tm = full.restrict(mid)
-            row_mid_fns.append(tm)
-            mid15_acc.add(tm)
-            if full.integral(mid) != full.integral(c):
-                tail_ok["paired"] = False
-                rec.record("paired-integrals", name, False,
-                           f"{full.integral(mid)} on {cube_label(mid)} vs "
-                           f"{full.integral(c)} on {qc}")
-            if full.moment(1, cube=mid) != tail_norm:
-                tail_ok["bnorm"] = False
-                rec.record("bridge-norm", f"{name} on {cube_label(mid)}", False,
-                           f"moment {full.moment(1, cube=mid)} != {tail_norm}")
-            if not tm.term_values() <= {mid_value}:
-                tail_ok["bvalues"] = False
-                rec.record("bridge-scaled-values", f"{name} on {cube_label(mid)}", False,
-                           f"values {sorted(tm.term_values())} != {{{mid_value}}}")
-            if not tm.footprint() <= {(mid, n)}:
-                tail_ok["bcoord"] = False
-                rec.record("bridge-single-coordinate", f"{name} on {cube_label(mid)}",
-                           False, f"depends on {sorted(tm.footprint())}")
-        if tail_mid is not None:
-            te = full.restrict(tail_mid)
-            row_ext_fns.append(te)
-            mid14_acc.add(te)
-            if full.integral(tail_mid) != full.integral(2 * g + 1):
-                tail_ok["paired"] = False
-                rec.record("paired-integrals", name, False,
-                           f"{full.integral(tail_mid)} on {cube_label(tail_mid)} vs "
-                           f"{full.integral(2 * g + 1)} on {cube_label(2 * g + 1)}")
-            if full.moment(1, cube=tail_mid) != Fraction(1, fam.flat_size(g, n)):
-                tail_ok["bnorm"] = False
-                rec.record("bridge-norm", f"{name} on {cube_label(tail_mid)}", False,
-                           f"moment {full.moment(1, cube=tail_mid)}")
-            if not te.term_values() <= {ext_value}:
-                tail_ok["bvalues"] = False
-                rec.record("bridge-scaled-values", f"{name} on {cube_label(tail_mid)}",
-                           False, f"values {sorted(te.term_values())} != {{{ext_value}}}")
-            if not te.footprint() <= {(tail_mid, n)}:
-                tail_ok["bcoord"] = False
-                rec.record("bridge-single-coordinate",
-                           f"{name} on {cube_label(tail_mid)}", False,
-                           f"depends on {sorted(te.footprint())}")
-    close_row()
-
-    summary = [("product", "product-structure"), ("norm", "pair-norm"),
-               ("coords", "two-coordinate"), ("values", "zero-minus-one-valued"),
-               ("support", "cube-support"), ("rows", "row-cancellation")]
-    if mid is not None or tail_mid is not None:
-        summary += [("paired", "paired-integrals"), ("bnorm", "bridge-norm"),
-                    ("bvalues", "bridge-scaled-values"),
-                    ("bcoord", "bridge-single-coordinate")]
-    if mid is not None:
-        summary.append(("mid", "bridge-row-cancellation"))
-    if tail_mid is not None:
-        summary.append(("indicator", "bridge-row-indicator"))
-    merged = {**tail_ok, **row_ok}
-    for key, check in summary:
-        if merged[key]:
-            rec.record(check, scope, True)
-
-    level_total = level_acc.total()
-    ok = level_total == _constant_on(c, -F1)
-    rec.record("rows-sum-to-minus-one", scope, ok,
-               None if ok else _describe_diff(level_total - _constant_on(c, -F1)))
-    ok = tail_support == 1
-    rec.record("disjoint-cells", scope + " tails", ok,
-               None if ok else f"tail supports sum to {tail_support}")
-    if mid is not None:
-        mtotal = mid15_acc.total()
-        ok = mtotal == _constant_on(mid, -F1)
-        rec.record("bridge-sums-to-minus-one",
-                   f"level {n}, {tail_kind} on {cube_label(mid)}", ok,
-                   None if ok else _describe_diff(mtotal - _constant_on(mid, -F1)))
-    if tail_mid is not None:
-        etotal = mid14_acc.total()
-        ok = etotal == _constant_on(tail_mid, F1)
-        rec.record("bridge-partition-sums-to-one",
-                   f"level {n}, {tail_kind} on {cube_label(tail_mid)}", ok,
-                   None if ok else _describe_diff(etotal - _constant_on(tail_mid, F1)))
-
-    _verify_columns(fam, e, n, rec, heads_next=head_next)
-
-
-def _verify_columns(fam: Family, e: int, n: int, rec: _Recorder,
-                    heads_next: Callable[[int], StepFunction]) -> None:
-    """Column sums of the (e, e+1) tails, plus the cross-level coupling
-    of the bridge when e >= 1."""
-    r = fam.points
-    c = _pair_cube(e)
-    g = e + 1
-    tail_kind = fam.kinds[g]
-    mid = 2 * e if e >= 1 else None
-    scope = f"level {n}, pair ({fam.kinds[e]},{tail_kind}) on {cube_label(c)}"
-    cols_ok = True
-    coupling: dict[int, tuple[ChunkedSum, ChunkedSum]] = {}
-    parents = list(fam.index_tuples(e, n))
-    for last in range(1, fam.flat_size(e, n + 1) + 1):
-        col_fns = []
-        col_mid = [] if mid is not None else None
-        for parent in parents:
-            full = _term_fn(fam, g, n, parent + (last,))
-            col_fns.append(full.restrict(c))
-            if mid is not None:
-                col_mid.append(full.restrict(mid))
-        col_sum = sum_functions(col_fns, domain=(c,))
-        want = heads_next(last).scale(-1)
-        if col_sum != want:
-            cols_ok = False
-            rec.record("column-cancellation",
-                       f"column {tail_kind}^{n}(*,{last}) on {cube_label(c)}", False,
-                       _describe_diff(col_sum - want))
-        if mid is not None:
-            jprime = fam.unflatten(e, n + 1, last)[-1]
-            accs = coupling.get(jprime)
-            if accs is None:
-                accs = (ChunkedSum((mid,)), ChunkedSum((c,)))
-                coupling[jprime] = accs
-            accs[0].add(sum_functions(col_mid, domain=(mid,)))
-            accs[1].add(col_sum)
-    if cols_ok:
-        rec.record("column-cancellation", scope, True)
-    if mid is None:
-        return
-
-    lhs_mid: dict[int, ChunkedSum] = {}
-    lhs_pair: dict[int, ChunkedSum] = {}
-    for idx in fam.index_tuples(e, n + 1):
-        jprime = idx[-1]
-        if jprime not in lhs_mid:
-            lhs_mid[jprime] = ChunkedSum((mid,))
-            lhs_pair[jprime] = ChunkedSum((c,))
-        full = _term_fn(fam, e, n + 1, idx)
-        lhs_mid[jprime].add(full.restrict(mid))
-        lhs_pair[jprime].add(full.restrict(c))
-    coupling_ok = True
-    for jprime in sorted(coupling):
-        for cube, lhs_acc, rhs_acc in ((mid, lhs_mid[jprime], coupling[jprime][0]),
-                                       (c, lhs_pair[jprime], coupling[jprime][1])):
-            lhs = lhs_acc.total()
-            rhs = rhs_acc.total()
-            diff = lhs + rhs
-            if diff.terms:
-                coupling_ok = False
-                rec.record("bridge-level-coupling",
-                           f"column {jprime} of level {n + 1} {fam.kinds[e]} "
-                           f"vs level {n} {tail_kind} on {cube_label(cube)}",
-                           False, _describe_diff(diff))
-    if coupling_ok:
-        rec.record("bridge-level-coupling",
-                   f"levels {n + 1}/{n}, {fam.kinds[e]}/{tail_kind} "
-                   f"on {cube_label(mid)} and {cube_label(c)}", True)
+    for check, scope in dict.fromkeys(scopes[i] for i in sorted(seen)):
+        if (check, scope) not in failed:
+            report.record(check, scope, True)

@@ -28,7 +28,7 @@ from sumrange.analysis import (
     run_near_constancy_battery,
 )
 from sumrange.families import ConfigError, build_kadets
-from sumrange.schedules import schedule_sigma
+from sumrange.schedules import schedule_point
 from sumrange.stepfn import (
     StepFunction,
     constant,
@@ -430,7 +430,7 @@ def test_drift_battery_with_family_terms():
 
 def test_drift_respects_family_term_order():
     fam = build_kadets(6)
-    ids = list(schedule_sigma(fam).term_ids())[:32]
+    ids = list(schedule_point(fam, "sigma").term_ids())[:32]
     fns = [fam.fn(tid) for tid in ids]
     assert all(f.is_integer_valued() for f in fns)
     report = integer_drift_check(fns, [F(1, n) for n in range(1, 33)])

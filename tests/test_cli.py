@@ -6,6 +6,7 @@ code paths as the installed console script without subprocess cost.
 
 from pathlib import Path
 
+from sumrange import cli
 from sumrange.cli import main
 from sumrange.families import TermId, TransformSpec, build_kadets
 from sumrange.serialize import dump_family, dump_matrix
@@ -288,6 +289,20 @@ def test_transform_writes_loadable_family(tmp_path, capsys):
     assert code == 0
     assert "sigma: limit (0) reached" in out and "tau: limit (1) reached" in out
     assert out_file.exists()
+
+
+def test_transform_wrong_limit_is_a_miss(tmp_path, capsys, monkeypatch):
+    # the advertised limits no longer match the schedules' targets
+    real = cli.expected_sum_range
+    monkeypatch.setattr(cli, "expected_sum_range",
+                        lambda fam: tuple(tuple(v + 1 for v in p) for p in real(fam)))
+    matrix = tmp_path / "m.matrix"
+    dump_matrix(TransformSpec.identity(1), matrix)
+    code, out, _ = run(capsys, "transform", "--flavor", "kadets", "--levels", "2",
+                       "--matrix", str(matrix), "--jobs", "1")
+    assert code == 1
+    assert "sigma: limit (1) MISSED" in out
+    assert "tau: limit (3) MISSED" in out
 
 
 def test_transform_errors(tmp_path, capsys):

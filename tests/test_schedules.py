@@ -28,9 +28,6 @@ from sumrange.schedules import (
     schedule_custom,
     schedule_divergent,
     schedule_point,
-    schedule_sigma,
-    schedule_tau,
-    schedule_three_point,
 )
 from sumrange.stepfn import cube_constants, sum_functions
 
@@ -44,7 +41,7 @@ def block_sum(fam, block):
 
 
 def test_sigma_order_frozen():
-    sch = schedule_sigma(build_kadets(3))
+    sch = schedule_point(build_kadets(3), "sigma")
     first = [str(t) for t in ids_of(sch)[:4]]
     assert first == ["a^1(1)", "b^1(1,1)", "b^1(1,2)", "a^2(1)"]
     assert sch.label == "sigma"
@@ -53,7 +50,7 @@ def test_sigma_order_frozen():
 
 def test_tau_coverage():
     fam = build_kadets(3)
-    sch = schedule_tau(fam)
+    sch = schedule_point(fam, "tau")
     ids = ids_of(sch)
     assert len(ids) == sch.term_count == 14
     wanted = {tid for tid in fam.term_ids()
@@ -72,7 +69,7 @@ _THREE = {"p00": 0, "p10": 1, "p11": 2}
 def test_point_blocks_sum_to_zero():
     fam = build_three_kadets(3)
     for name in ("p00", "p10", "p11"):
-        sch = schedule_three_point(fam, name)
+        sch = schedule_point(fam, name)
         blocks = list(sch.blocks())
         start = 0
         if blocks[0].label == "ramp":
@@ -88,7 +85,7 @@ def test_point_blocks_sum_to_zero():
 
 def test_p10_block_structure_frozen():
     fam = build_three_kadets(3)
-    sch = schedule_three_point(fam, "p10")
+    sch = schedule_point(fam, "p10")
     blocks = {b.label: b for b in sch.blocks()}
     got = [str(t) for t in blocks["(2,1)"].ids]
     assert got == ["f^2(1)", "g^1(1,1)"] + [f"h^1(1,1,{k})" for k in range(1, 7)]
@@ -109,7 +106,7 @@ def test_point_coverage_partition():
 
 def test_sigma_trace_markers_zero():
     fam = build_kadets(4)
-    sch = schedule_sigma(fam)
+    sch = schedule_point(fam, "sigma")
     trace = run_trace(fam, sch)
     assert len(trace.rows) == sch.term_count
     for row in trace.markers():
@@ -122,7 +119,7 @@ def test_sigma_trace_markers_zero():
 
 def test_tau_trace_hits_target_after_ramp():
     fam = build_kadets(4)
-    trace = run_trace(fam, schedule_tau(fam))
+    trace = run_trace(fam, schedule_point(fam, "tau"))
     ramp_rows = [row for row in trace.rows if row.block == "ramp"]
     assert ramp_rows[-1].is_marker and ramp_rows[-1].deviations == (Fraction(0),)
     assert trace.max_marker_deviation() == 0
@@ -133,7 +130,7 @@ def test_three_point_traces():
     fam = build_three_kadets(3)
     zero = (Fraction(0),) * 3
     for name in ("p00", "p10", "p11"):
-        trace = run_trace(fam, schedule_three_point(fam, name))
+        trace = run_trace(fam, schedule_point(fam, name))
         assert trace.max_marker_deviation() == 0
         assert trace.final_deviations == zero
         for row in trace.rows:
@@ -167,7 +164,7 @@ def test_divergent_counts_and_guard():
 
 def test_blocks_mode_matches_steps_mode():
     fam = build_three_kadets(2)
-    sch = schedule_three_point(fam, "p11")
+    sch = schedule_point(fam, "p11")
     by_steps = run_trace(fam, sch, record="steps")
     by_blocks = run_trace(fam, sch, record="blocks")
     markers = by_steps.markers()
@@ -201,26 +198,26 @@ def test_custom_validation():
 def test_schedule_guards():
     fam = build_kadets(2)
     with pytest.raises(StructuralError):
-        schedule_sigma(build_three_kadets(2))
+        schedule_point(build_three_kadets(2), "sigma")
     with pytest.raises(StructuralError):
-        schedule_three_point(fam, "p00")
+        schedule_point(fam, "p00")
     with pytest.raises(ConfigError):
         schedule_point(fam, 5)
     with pytest.raises(ConfigError):
         schedule_point(build_kadets(1), 2)
     with pytest.raises(ConfigError):
-        schedule_three_point(build_three_kadets(2), "p12")
+        schedule_point(build_three_kadets(2), "p12")
     with pytest.raises(ConfigError):
-        run_trace(fam, schedule_sigma(fam), record="rows")
+        run_trace(fam, schedule_point(fam, "sigma"), record="rows")
     with pytest.raises(ConfigError):
-        run_trace(fam, schedule_sigma(fam), p=0)
+        run_trace(fam, schedule_point(fam, "sigma"), p=0)
     with pytest.raises(ConfigError):
-        run_trace(fam, schedule_sigma(fam), target=[1, 2, 3])
+        run_trace(fam, schedule_point(fam, "sigma"), target=[1, 2, 3])
 
 
 def test_higher_moments_never_exceed_first():
     fam = build_kadets(4)
-    sch = schedule_sigma(fam)
+    sch = schedule_point(fam, "sigma")
     base = run_trace(fam, sch, p=1)
     for p in (2, 3):
         trace = run_trace(fam, sch, p=p)
@@ -232,7 +229,7 @@ def test_transformed_schedule_reaches_shifted_point():
     base = build_three_kadets(2)
     fam = apply_transform(base, TransformSpec.identity(2))
     for name in ("p00", "p10", "p11"):
-        sch = schedule_three_point(fam, name)
+        sch = schedule_point(fam, name)
         trace = run_trace(fam, sch, record="blocks")
         assert trace.final_deviations == (Fraction(0),) * 3
         assert sch.target == expected_sum_range(fam)[_THREE[name]]
@@ -252,7 +249,7 @@ def test_multipoint_schedules():
 
 def test_csv_output():
     fam = build_kadets(2)
-    trace = run_trace(fam, schedule_sigma(fam))
+    trace = run_trace(fam, schedule_point(fam, "sigma"))
     lines = trace.to_csv_lines()
     assert lines[0].startswith("#")
     assert lines[1] == ("k,term_id,cube,deviation_num,deviation_den,"

@@ -7,11 +7,13 @@ to be both sound (passes on correct input) and sharp (fails only when
 its own invariant is the broken one).
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from sumrange.families import (
+    Family,
     StructuralError,
     TermId,
     TransformSpec,
@@ -20,9 +22,9 @@ from sumrange.families import (
     build_multipoint,
     build_three_kadets,
 )
-from sumrange.serialize import family_to_lines, load_family
+from sumrange.serialize import dump_family, family_to_lines, load_family
 from sumrange.stepfn import indicator, sum_functions
-from sumrange.verify import verify_family, verify_kadets, verify_three_kadets
+from sumrange.verify import verify_family
 
 PAIR_CHECKS = {
     "partition-sums-to-one", "cell-norm", "single-coordinate",
@@ -49,13 +51,13 @@ def failing_checks(report):
 
 
 def test_kadets_passes():
-    report = verify_kadets(build_kadets(4))
+    report = verify_family(build_kadets(4))
     assert report.ok
     assert check_ids(report) == PAIR_CHECKS | {"cell-count-growth"}
 
 
 def test_three_kadets_passes():
-    report = verify_three_kadets(build_three_kadets(3))
+    report = verify_family(build_three_kadets(3))
     assert report.ok
     assert check_ids(report) == PAIR_CHECKS | BRIDGE_CHECKS | {"cell-count-growth"}
 
@@ -67,8 +69,8 @@ def test_multipoint_passes():
 
 
 def test_custom_sizes_pass():
-    assert verify_kadets(build_kadets(3, sizes=[2, 3, 5, 7])).ok
-    assert verify_three_kadets(build_three_kadets(2, sizes=[1, 2, 4, 4, 8])).ok
+    assert verify_family(build_kadets(3, sizes=[2, 3, 5, 7])).ok
+    assert verify_family(build_three_kadets(2, sizes=[1, 2, 4, 4, 8])).ok
 
 
 def test_identities_match_direct_sums():
@@ -98,7 +100,7 @@ def test_identities_match_direct_sums():
 def test_negated_tail_detected():
     fam = build_kadets(3)
     tid = TermId("b", 2, (1, 2))
-    report = verify_kadets(fam.with_replaced({tid: fam.fn(tid).scale(-1)}))
+    report = verify_family(fam.with_replaced({tid: fam.fn(tid).scale(-1)}))
     assert not report.ok
     assert failing_checks(report) == {
         "zero-minus-one-valued", "product-structure", "row-cancellation",
@@ -111,7 +113,7 @@ def test_unequal_partition_detected():
     fam = build_kadets(3)
     lop = indicator((1,), 1, {2: (0, Fraction(1, 3))})
     rest = indicator((1,), 1, {2: (Fraction(1, 3), 1)})
-    report = verify_kadets(fam.with_replaced({
+    report = verify_family(fam.with_replaced({
         TermId("a", 2, (1,)): lop,
         TermId("a", 2, (2,)): rest,
     }))
@@ -128,7 +130,7 @@ def test_perturbed_mid_part_detected():
     fam = build_three_kadets(2)
     tid = TermId("h", 1, (1, 1, 1))
     bump = indicator((1, 2, 3), 2, {1: (0, Fraction(1, 2))}, Fraction(1, 7))
-    report = verify_three_kadets(fam.with_replaced({tid: fam.fn(tid) + bump}))
+    report = verify_family(fam.with_replaced({tid: fam.fn(tid) + bump}))
     assert failing_checks(report) == {
         "bridge-row-cancellation", "bridge-norm", "bridge-scaled-values",
         "paired-integrals", "bridge-sums-to-minus-one",
@@ -145,7 +147,7 @@ def test_swapped_supports_detected():
     cell2 = indicator(dom, 3, {1: (Fraction(1, 2), 1)})
     g11 = fam.fn(TermId("g", 1, (1, 1)))
     g12 = fam.fn(TermId("g", 1, (1, 2)))
-    report = verify_three_kadets(fam.with_replaced({
+    report = verify_family(fam.with_replaced({
         TermId("g", 1, (1, 1)): g11 - cell1 + cell2,
         TermId("g", 1, (1, 2)): g12 - cell2 + cell1,
     }))
@@ -157,7 +159,7 @@ def test_swapped_columns_detected():
     # swapping two children of one row keeps every row sum intact
     fam = build_three_kadets(2)
     t1, t2 = TermId("h", 1, (1, 1, 1)), TermId("h", 1, (1, 1, 2))
-    report = verify_three_kadets(
+    report = verify_family(
         fam.with_replaced({t1: fam.fn(t2), t2: fam.fn(t1)}))
     assert failing_checks(report) == {
         "product-structure", "column-cancellation", "bridge-level-coupling",
@@ -186,26 +188,95 @@ def test_loaded_table_verifies(tmp_path):
 
 
 def test_structure_mismatch_rejected():
-    with pytest.raises(StructuralError):
-        verify_kadets(build_three_kadets(2))
-    with pytest.raises(StructuralError):
-        verify_three_kadets(build_kadets(2))
     twisted = apply_transform(build_three_kadets(2), TransformSpec.identity(2))
     with pytest.raises(StructuralError):
         verify_family(twisted)
 
 
 def test_report_output():
-    good = verify_kadets(build_kadets(2))
+    good = verify_family(build_kadets(2))
     lines = good.lines()
     assert lines[-1].startswith("OK: ")
     assert all(line.startswith("PASS") for line in lines[:-1])
 
     fam = build_kadets(2)
     tid = TermId("b", 1, (1, 1))
-    bad = verify_kadets(fam.with_replaced({tid: fam.fn(tid).scale(-1)}))
+    bad = verify_family(fam.with_replaced({tid: fam.fn(tid).scale(-1)}))
     assert any(line.startswith("FAIL") for line in bad.lines())
     assert bad.lines()[-1].startswith("FAILED: ")
     csv = bad.csv_lines()
     assert csv[0] == "check,scope,passed,witness"
     assert any(",0," in line for line in csv[1:])
+
+
+def digest(lines):
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+
+
+# Clean reports pinned row for row: order, scope text and witness text.
+# Each entry is (line count, digest of lines(), digest of csv_lines()).
+GOLDEN = {
+    "kadets(3)": (44, "6a47005104bd2e483d7161b021554d2e6c10e6920489e0049297297cd5584a4b",
+                  "1aa663f32b625d87f34dfe929118f389bdf38cb63ada92a1e506c904a832d430"),
+    "three-kadets(2)": (84, "ad124adde77383e43bf0673ca628b67fc58336b884afb0f05a2a8716ce494c79",
+                        "ad5f50003e443133f6c8f2f29250cb0c64538dfb07967b85bde206eb16c3754b"),
+    "multipoint(4, 1)": (66, "8ee697f9a62aebc2d0f0011def1d8083013ed3f4eb08c43e7e513830b1fe7d19",
+                         "54001c879ce6b73afe144da621c5dbae34066149259ad78685c23ea6730a26ab"),
+    "loaded multipoint(4, 1)": (
+        67, "12f2104d3dbaac258da99d88767c838dbe3ef8502137c975467199c8154962a1",
+        "f18c898577914b7dbbc4c34f2e6cad20f3be039e2bdd401e76a2b232e9519909"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_clean_report_is_pinned(name, tmp_path):
+    builders = {
+        "kadets(3)": lambda: build_kadets(3),
+        "three-kadets(2)": lambda: build_three_kadets(2),
+        "multipoint(4, 1)": lambda: build_multipoint(4, 1),
+    }
+    if name.startswith("loaded "):
+        path = tmp_path / "fam.json"
+        dump_family(builders[name[len("loaded "):]](), path)
+        fam = load_family(path)
+    else:
+        fam = builders[name]()
+    report = verify_family(fam)
+    count, lines_digest, csv_digest = GOLDEN[name]
+    assert len(report.lines()) == count
+    assert digest(report.lines()) == lines_digest
+    assert digest(report.csv_lines()) == csv_digest
+
+
+def test_clean_report_rows_in_table_order():
+    assert verify_family(build_kadets(1)).lines() == [
+        "PASS cell-count-growth [levels 1..2]",
+        "PASS cell-norm [level 1, pair (a,b) on Q1]",
+        "PASS single-coordinate [level 1, pair (a,b) on Q1]",
+        "PASS zero-one-valued [level 1, pair (a,b) on Q1]",
+        "PASS partition-sums-to-one [level 1, pair (a,b) on Q1]",
+        "PASS disjoint-cells [level 1, pair (a,b) on Q1]",
+        "PASS product-structure [level 1, pair (a,b) on Q1]",
+        "PASS pair-norm [level 1, pair (a,b) on Q1]",
+        "PASS two-coordinate [level 1, pair (a,b) on Q1]",
+        "PASS zero-minus-one-valued [level 1, pair (a,b) on Q1]",
+        "PASS cube-support [level 1, pair (a,b) on Q1]",
+        "PASS row-cancellation [level 1, pair (a,b) on Q1]",
+        "PASS rows-sum-to-minus-one [level 1, pair (a,b) on Q1]",
+        "PASS disjoint-cells [level 1, pair (a,b) on Q1 tails]",
+        "PASS column-cancellation [level 1, pair (a,b) on Q1]",
+        "OK: 15/15 checks passed",
+    ]
+
+
+@pytest.mark.parametrize("build", [lambda: build_multipoint(4, 1),
+                                   lambda: build_three_kadets(3)])
+def test_each_term_fetched_about_once(build, monkeypatch):
+    # one walk per (pair, level): a head is fetched again only as the tail
+    # of the pair below it or as a next-level head
+    fam = build()
+    calls = []
+    fetch = Family.fn
+    monkeypatch.setattr(Family, "fn", lambda self, tid: calls.append(tid) or fetch(self, tid))
+    assert verify_family(fam).ok
+    assert len(calls) < 1.15 * fam.term_count()
