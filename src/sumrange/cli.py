@@ -297,16 +297,21 @@ def _convergent_schedules(fam) -> list[Schedule]:
     return [schedule_point(fam, i) for i in range(fam.points) if i <= fam.depth]
 
 
-def _transform_point(payload) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
-    """Worker: rerun one convergent schedule on the transformed family.
-    Everything crosses the process boundary as strings of rationals."""
-    cfg_fields, matrix_path, index = payload
-    cfg = RunConfig(**cfg_fields)
-    fam = apply_transform(_load_or_build(cfg), load_matrix(matrix_path))
-    sch = _convergent_schedules(fam)[index]
+def _trace_point(fam, sch: Schedule) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+    """Trace one convergent schedule of a transformed family; the result
+    is strings of rationals, so that it can cross a process boundary."""
     trace = run_trace(fam, sch, record="blocks")
     final = tuple(str(d) for d in trace.final_deviations)
     return sch.label, tuple(str(x) for x in sch.target), final
+
+
+def _transform_point(payload) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+    """Worker: rebuild the transformed family, then trace one of its
+    convergent schedules."""
+    cfg_fields, matrix_path, index = payload
+    cfg = RunConfig(**cfg_fields)
+    fam = apply_transform(_load_or_build(cfg), load_matrix(matrix_path))
+    return _trace_point(fam, _convergent_schedules(fam)[index])
 
 
 def cmd_transform(cfg: RunConfig) -> int:
@@ -318,14 +323,14 @@ def cmd_transform(cfg: RunConfig) -> int:
     if cfg.out:
         dump_family(fam, cfg.out)
         print(f"wrote {cfg.out}: transformed {base.structure} depth {fam.depth}")
-    count = len(_convergent_schedules(fam))
-    cfg_fields = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
-    payloads = [(cfg_fields, cfg.matrix, i) for i in range(count)]
+    schedules = _convergent_schedules(fam)
     if cfg.jobs > 1:
+        cfg_fields = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
+        payloads = [(cfg_fields, cfg.matrix, i) for i in range(len(schedules))]
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_transform_point, payloads))
     else:
-        results = [_transform_point(p) for p in payloads]
+        results = [_trace_point(fam, sch) for sch in schedules]
     shifted = expected_sum_range(fam)
     ok = True
     limits = []

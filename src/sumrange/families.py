@@ -29,9 +29,10 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .stepfn import Box, Interval, StepFunction, cell, cube_constants, equal_cells
+from .stepfn import StepFunction, cube_constants
 
 
 class ConfigError(ValueError):
@@ -49,9 +50,7 @@ class IndexSizes:
     """Per-level partition sizes |M_n|.
 
     Accepts nothing (default |M_n| = n), an explicit 1-indexed sequence,
-    or a callable.  Sizes must be positive, nondecreasing and actually
-    grow over every range they are validated for; a constant sequence
-    never has the cancellation geometry the schedules rely on.
+    or a callable.  Which sizes a family can use is `size_problem`'s rule.
     """
 
     def __init__(self, spec: Sequence[int] | Callable[[int], int] | None = None):
@@ -77,18 +76,31 @@ class IndexSizes:
             raise ConfigError(f"size at level {n} is not an integer: {v!r}")
         return v
 
-    def validate_through(self, last_level: int) -> None:
-        vals = [self(n) for n in range(1, last_level + 1)]
-        if any(v < 1 for v in vals):
-            raise ConfigError(f"partition sizes must be positive, got {vals}")
-        if any(b < a for a, b in zip(vals, vals[1:])):
-            raise ConfigError(f"partition sizes must be nondecreasing, got {vals}")
-        if len(vals) > 1 and vals[-1] == vals[0]:
-            raise ConfigError(
-                f"partition sizes must grow over levels 1..{last_level}, got constant {vals[0]}")
-
     def spec_list(self, last_level: int) -> list[int]:
         return [self(n) for n in range(1, last_level + 1)]
+
+
+def size_problem(sizes: IndexSizes, depth: int, points: int) -> str | None:
+    """Why `sizes` cannot carry a family of this depth and generation count,
+    or None if they can.  Building a family and verifying it both apply
+    this one rule.
+
+    Terms of generation g at level n read sizes up to level n+g, so the
+    construction reads levels 1..depth+points-1, where sizes must be
+    positive and nondecreasing.  They must also grow over levels
+    1..depth+1, the levels whose heads the verifier pairs with the heads
+    one level down: a constant run has none of the cancellation geometry
+    the schedules rely on.
+    """
+    vals = sizes.spec_list(depth + points - 1)
+    if any(v < 1 for v in vals):
+        return f"partition sizes must be positive, got {vals}"
+    if any(b < a for a, b in zip(vals, vals[1:])):
+        return f"partition sizes must be nondecreasing, got {vals}"
+    if vals[depth] == vals[0]:
+        return (f"partition sizes must grow over levels 1..{depth + 1}, "
+                f"got constant {vals[0]} in {vals}")
+    return None
 
 
 # --- term identifiers -------------------------------------------------------
@@ -165,7 +177,9 @@ class Family:
         self.points = points
         self.depth = depth
         self.sizes = sizes if sizes is not None else IndexSizes()
-        self.sizes.validate_through(depth + points - 1)
+        problem = size_problem(self.sizes, depth, points)
+        if problem is not None:
+            raise ConfigError(problem)
         self.domain = tuple(range(1, 2 * points - 2))
         self.kinds = kinds_for(base.flavor if base is not None else flavor, points)
         self._table = dict(table) if table is not None else None
@@ -174,6 +188,7 @@ class Family:
         self._transform = transform
         self._structure = structure
         self._flat_sizes: dict[tuple[int, int], int] = {}
+        self._lattices: dict[tuple[int, int], tuple[dict[int, int], int]] = {}
 
     # --- structure ---
 
@@ -203,22 +218,23 @@ class Family:
 
     def flat_size(self, g: int, n: int) -> int:
         """Cell count of the generation-g partition at level n."""
-        if g == 0:
-            return self.sizes(n)
-        key = (g, n)
-        got = self._flat_sizes.get(key)
+        got = self._flat_sizes.get((g, n))
         if got is None:
-            got = self.flat_size(g - 1, n) * self.flat_size(g - 1, n + 1)
-            self._flat_sizes[key] = got
+            if g == 0:
+                got = self.sizes(n)
+            else:
+                got = self.flat_size(g - 1, n) * self.flat_size(g - 1, n + 1)
+            self._flat_sizes[g, n] = got
         return got
 
     def flat_index(self, g: int, n: int, index: tuple[int, ...]) -> int:
         """Position of a generation-g index tuple in its flat partition (1-based)."""
         if len(index) != g + 1:
             raise ValueError(f"generation {g} index needs {g + 1} components, got {index}")
-        if g == 0:
-            return index[0]
-        return (self.flat_index(g - 1, n, index[:-1]) - 1) * self.flat_size(g - 1, n + 1) + index[-1]
+        flat = index[0]
+        for i in range(1, g + 1):
+            flat = (flat - 1) * self.flat_size(i - 1, n + 1) + index[i]
+        return flat
 
     def unflatten(self, g: int, n: int, flat: int) -> tuple[int, ...]:
         if not 1 <= flat <= self.flat_size(g, n):
@@ -260,36 +276,48 @@ class Family:
     # --- term functions ---
 
     def _term_parts(self, g: int, n: int, index: tuple[int, ...]):
-        """(cube, {coordinate: (cell index, cell count)}, value) pieces of one term."""
+        """(cube, ((coordinate, cell index, cell count), ...), value numerator,
+        value denominator) pieces of one term."""
         parts = []
         if g == 0:
-            parts.append((1, {n: (index[0], self.sizes(n))}, Fraction(1)))
+            parts.append((1, ((n, index[0], self.sizes(n)),), 1, 1))
         else:
             fl = self.flat_index(g - 1, n, index[:-1])
             parts.append((2 * g - 1,
-                          {n: (fl, self.flat_size(g - 1, n)),
-                           n + 1: (index[-1], self.flat_size(g - 1, n + 1))},
-                          Fraction(-1)))
+                          ((n, fl, self.flat_size(g - 1, n)),
+                           (n + 1, index[-1], self.flat_size(g - 1, n + 1))),
+                          -1, 1))
             if g >= 2:
                 mid = self.flat_index(g - 2, n, index[:-2])
-                parts.append((2 * g - 2, {n: (mid, self.flat_size(g - 2, n))},
-                              Fraction(-1, self.flat_size(g - 1, n + 1)
-                                       * self.flat_size(g - 2, n + 1))))
+                parts.append((2 * g - 2, ((n, mid, self.flat_size(g - 2, n)),),
+                              -1, self.flat_size(g - 1, n + 1) * self.flat_size(g - 2, n + 1)))
         if 1 <= g <= self.points - 2:
             fl = self.flat_index(g - 1, n, index[:-1])
-            parts.append((2 * g, {n: (fl, self.flat_size(g - 1, n))},
-                          Fraction(1, self.flat_size(g - 1, n + 1))))
-            parts.append((2 * g + 1, {n: (self.flat_index(g, n, index), self.flat_size(g, n))},
-                          Fraction(1)))
+            parts.append((2 * g, ((n, fl, self.flat_size(g - 1, n)),),
+                          1, self.flat_size(g - 1, n + 1)))
+            parts.append((2 * g + 1, ((n, self.flat_index(g, n, index), self.flat_size(g, n)),),
+                          1, 1))
         return parts
 
     def _formula_fn(self, g: int, n: int, index: tuple[int, ...]) -> StepFunction:
-        terms = []
-        for cube, spec, value in sorted(self._term_parts(g, n, index), key=lambda p: p[0]):
-            bounds = tuple((coord, cell(i, size))
-                           for coord, (i, size) in sorted(spec.items()) if size > 1)
-            terms.append((Box(cube, bounds), value))
-        return StepFunction._raw(self.domain, tuple(terms))
+        # cell i of an equal partition into s cells is [i-1, i) over s; the
+        # lattice depends on (g, n) only, so terms of one level share it
+        parts = sorted(self._term_parts(g, n, index), key=lambda p: p[0])
+        lattice = self._lattices.get((g, n))
+        if lattice is None:
+            dens: dict[int, int] = {}
+            for _, cells, _, _ in parts:
+                for coord, _, size in cells:
+                    if size > 1:
+                        dens[coord] = lcm(dens.get(coord, 1), size)
+            lattice = self._lattices[g, n] = dens, lcm(*(p[3] for p in parts))
+        dens, vden = lattice
+        entries = tuple(
+            (cube, tuple((coord, (i - 1) * (dens[coord] // size), i * (dens[coord] // size))
+                         for coord, i, size in cells if size > 1),
+             num * (vden // den))
+            for cube, cells, num, den in parts)
+        return StepFunction._raw(self.domain, entries, dens, vden)
 
     def _validate_id(self, tid: TermId) -> int:
         g = self.generation(tid.kind)

@@ -309,7 +309,7 @@ def run_trace(fam: Family, schedule: Schedule,
 
     def measure(tid: TermId, block: Block, marker: bool) -> None:
         devs = tuple(diffs[c].moment(p) for c in cubes)
-        boxes = tuple(len(diffs[c].terms) for c in cubes)
+        boxes = tuple(diffs[c].box_count() for c in cubes)
         rows.append(TraceRow(step, tid, block.label, block.level, marker, devs, boxes))
 
     for block in schedule.blocks():
@@ -318,7 +318,7 @@ def run_trace(fam: Family, schedule: Schedule,
             for pos, tid in enumerate(block.ids):
                 step += 1
                 fn = fam.fn(tid)
-                for c in {box.cube for box, _ in fn.terms}:
+                for c in fn.support_cubes():
                     diffs[c] = diffs[c] + fn.restrict(c)
                 measure(tid, block, pos == last)
         else:
@@ -326,7 +326,7 @@ def run_trace(fam: Family, schedule: Schedule,
             for tid in block.ids:
                 step += 1
                 fn = fam.fn(tid)
-                for c in {box.cube for box, _ in fn.terms}:
+                for c in fn.support_cubes():
                     sums[c].add(fn.restrict(c))
             for c in cubes:
                 sums[c].add(diffs[c])

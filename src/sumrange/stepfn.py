@@ -7,18 +7,34 @@ interval; on unconstrained coordinates the box is free.  Values, endpoints
 and every derived quantity (measure, moment, integral) are exact
 `fractions.Fraction` numbers.
 
+Representation: a function is stored on an integer lattice, made of one
+denominator D_k for each coordinate k it constrains, one value
+denominator V, and entries (cube, ((k, lo, hi), ...), v) of Python ints
+that stand for the box with [lo/D_k, hi/D_k) on each listed coordinate
+and the value v/V.  Sums, products and comparisons first bring their
+operands onto one lattice (the lcm of the denominators, coordinate by
+coordinate); an operand whose lattice is already that one is used as it
+is.  The public view of `Box`/`Interval`/`Fraction` terms is built from
+the entries the first time a caller reads `terms`.
+
 Canonical form, per cube: boxes are pairwise disjoint, no box carries the
 value 0, constraints spanning the whole unit interval are dropped, and
 adjacent cells whose residual structure coincides are re-merged greedily
 coordinate by coordinate (smallest coordinate outermost).  Two functions
 on the same domain agree almost everywhere iff their canonical term lists
-are identical, so ``==`` is exact a.e. equality.
+are identical.  The canonical form does not depend on the lattice it was
+computed on: a finer lattice multiplies every endpoint of a coordinate
+by one factor, which keeps their order and equalities, so the sweep cuts
+and merges in the same places.  On a common lattice the integer entries
+of two canonical functions are therefore equal exactly when their
+`Fraction` terms are, and ``==`` is exact a.e. equality.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 Rational = Union[Fraction, int, str]
@@ -86,24 +102,27 @@ def make_bounds(spec: Mapping[int, tuple[Rational, Rational]]) -> tuple[Bound, .
     return tuple(out)
 
 
-# --- canonicalization -------------------------------------------------------
+# --- the integer lattice ----------------------------------------------------
 #
-# Recursive sweep over the smallest constrained coordinate.  Each level
-# splits [0,1) at every breakpoint of that coordinate, canonicalizes the
-# residual entries per cell (interpreting overlaps as sums), merges adjacent
-# cells with identical residue, and drops the coordinate entirely when a
-# single merged cell spans [0,1).  The output depends only on the pointwise
-# function, not on the incoming box decomposition.
+# Lattice bounds are ((coord, lo, hi), ...) in increasing coordinate order;
+# `dens` maps each coordinate to its denominator.  A lattice entry is
+# (cube, bounds, value); the sweep works on (bounds, value) pairs of one cube.
 
-Entry = tuple[tuple[Bound, ...], Fraction]
+LatticeBounds = tuple[tuple[int, int, int], ...]
+Entry = tuple[int, LatticeBounds, int]
 
 
-def _canon_entries(entries: Iterable[Entry]) -> list[Entry]:
-    live = [e for e in entries if e[1] != 0]
-    return _canon_rec(live)
+def _sweep(entries: list[tuple[LatticeBounds, int]], dens: Mapping[int, int]
+           ) -> list[tuple[LatticeBounds, int]]:
+    """Canonical form of the sum of `entries` (non-zero values, one cube).
 
-
-def _canon_rec(entries: list[Entry]) -> list[Entry]:
+    Recursive sweep over the smallest constrained coordinate.  Each level
+    splits [0, D) at every breakpoint of that coordinate, canonicalizes the
+    residual entries per cell (interpreting overlaps as sums), merges
+    adjacent cells with identical residue, and drops the coordinate
+    entirely when a single merged cell spans [0, D).  The output depends
+    only on the pointwise function, not on the incoming box decomposition.
+    """
     if not entries:
         return []
     c = None
@@ -111,28 +130,39 @@ def _canon_rec(entries: list[Entry]) -> list[Entry]:
         if bounds and (c is None or bounds[0][0] < c):
             c = bounds[0][0]
     if c is None:
-        total = _ZERO
+        total = 0
         for _, v in entries:
             total += v
-        return [] if total == 0 else [((), total)]
-    free: list[Entry] = []
-    cons: list[Entry] = []
+        return [((), total)] if total else []
+    free: list[tuple[LatticeBounds, int]] = []
+    cons: list[tuple[LatticeBounds, int]] = []
+    leaf = True  # every residue below coordinate c is a constant
     for e in entries:
         b = e[0]
-        (cons if b and b[0][0] == c else free).append(e)
-    cuts = {_ZERO, _ONE}
-    starts: dict[Fraction, list[int]] = {}
-    stops: dict[Fraction, list[int]] = {}
+        if b and b[0][0] == c:
+            cons.append(e)
+            if len(b) > 1:
+                leaf = False
+        else:
+            free.append(e)
+            if b:
+                leaf = False
+    top = dens[c]
+    if leaf:
+        return _sweep_leaf(c, top, free, cons)
+    cuts = {0, top}
+    starts: dict[int, list[int]] = {}
+    stops: dict[int, list[int]] = {}
     for i, (bounds, _) in enumerate(cons):
-        iv = bounds[0][1]
-        cuts.add(iv.lo)
-        cuts.add(iv.hi)
-        starts.setdefault(iv.lo, []).append(i)
-        stops.setdefault(iv.hi, []).append(i)
+        _, lo, hi = bounds[0]
+        cuts.add(lo)
+        cuts.add(hi)
+        starts.setdefault(lo, []).append(i)
+        stops.setdefault(hi, []).append(i)
     points = sorted(cuts)
-    active: dict[int, Entry] = {}
-    free_sub: list[Entry] | None = None
-    spans: list[tuple[Fraction, Fraction, list[Entry]]] = []
+    active: dict[int, tuple[LatticeBounds, int]] = {}
+    free_sub: list | None = None
+    spans: list[tuple[int, int, list]] = []
     for j in range(len(points) - 1):
         p, q = points[j], points[j + 1]
         for i in stops.get(p, ()):
@@ -141,34 +171,106 @@ def _canon_rec(entries: list[Entry]) -> list[Entry]:
             bounds, v = cons[i]
             active[i] = (bounds[1:], v)
         if active:
-            sub = _canon_rec(free + list(active.values()))
+            sub = _sweep(free + list(active.values()), dens)
         else:
             if free_sub is None:
-                free_sub = _canon_rec(free)
+                free_sub = _sweep(free, dens)
             sub = free_sub
         if spans and spans[-1][1] == p and spans[-1][2] == sub:
             spans[-1] = (spans[-1][0], q, sub)
         else:
             spans.append((p, q, sub))
-    out: list[Entry] = []
+    out: list[tuple[LatticeBounds, int]] = []
     for lo, hi, sub in spans:
         if not sub:
             continue
-        if lo == 0 and hi == 1:
+        if lo == 0 and hi == top:
             out.extend(sub)
         else:
-            head = (c, Interval(lo, hi))
+            head = (c, lo, hi)
             for bounds, v in sub:
                 out.append(((head,) + bounds, v))
     return out
 
 
-def _intersect_bounds(a: tuple[Bound, ...], b: tuple[Bound, ...]) -> tuple[Bound, ...] | None:
-    out: list[Bound] = []
+def _sweep_leaf(c: int, top: int, free: list, cons: list) -> list[tuple[LatticeBounds, int]]:
+    """The sweep's last coordinate: the value on each cell is a running sum."""
+    base = 0
+    for _, v in free:
+        base += v
+    delta = {0: 0, top: 0}
+    for bounds, v in cons:
+        _, lo, hi = bounds[0]
+        delta[lo] = delta.get(lo, 0) + v
+        delta[hi] = delta.get(hi, 0) - v
+    points = sorted(delta)
+    spans: list[list[int]] = []
+    value = base
+    for j in range(len(points) - 1):
+        p = points[j]
+        value += delta[p]
+        if spans and spans[-1][2] == value:
+            spans[-1][1] = points[j + 1]
+        else:
+            spans.append([p, points[j + 1], value])
+    if len(spans) == 1:
+        return [((), value)] if value else []
+    return [(((c, lo, hi),), v) for lo, hi, v in spans if v]
+
+
+def _canonical(domain: tuple[int, ...], per_cube: Mapping[int, list],
+               dens: Mapping[int, int]) -> tuple[Entry, ...]:
+    """Canonical entries, in domain order, of (bounds, value) lists per cube."""
+    out: list[Entry] = []
+    for cube in domain:
+        got = per_cube.get(cube)
+        if got:
+            out.extend((cube, b, v) for b, v in _sweep(got, dens))
+    return tuple(out)
+
+
+def _join(fns: Iterable["StepFunction"]) -> tuple[dict[int, int], int]:
+    """The coarsest lattice refining the lattice of every function."""
+    dens: dict[int, int] = {}
+    vden = 1
+    seen: set[int] = set()
+    for f in fns:
+        if id(f._dens) not in seen:
+            seen.add(id(f._dens))
+            for c, d in f._dens.items():
+                old = dens.get(c)
+                if old is None:
+                    dens[c] = d
+                elif old != d:
+                    dens[c] = lcm(old, d)
+        if f._vden != vden:
+            vden = lcm(vden, f._vden)
+    return dens, vden
+
+
+def _factors(own: Mapping[int, int], dens: Mapping[int, int]) -> dict[int, int]:
+    """Per-coordinate factors taking lattice `own` to the finer `dens`."""
+    return {c: dens[c] // d for c, d in own.items() if dens[c] != d}
+
+
+def _rescaled(entries: tuple[Entry, ...], factors: Mapping[int, int], vf: int
+              ) -> tuple[Entry, ...]:
+    """Entries with coordinate c multiplied by factors[c] and values by vf."""
+    if not factors:
+        if vf == 1:
+            return entries
+        return tuple((cube, b, v * vf) for cube, b, v in entries)
+    return tuple((cube, tuple((c, lo * factors[c], hi * factors[c]) if c in factors else (c, lo, hi)
+                              for c, lo, hi in b), v * vf)
+                 for cube, b, v in entries)
+
+
+def _intersect(a: LatticeBounds, b: LatticeBounds) -> LatticeBounds | None:
+    out = []
     i = j = 0
     while i < len(a) and j < len(b):
-        ca, iva = a[i]
-        cb, ivb = b[j]
+        ca, lo_a, hi_a = a[i]
+        cb, lo_b, hi_b = b[j]
         if ca < cb:
             out.append(a[i])
             i += 1
@@ -176,11 +278,11 @@ def _intersect_bounds(a: tuple[Bound, ...], b: tuple[Bound, ...]) -> tuple[Bound
             out.append(b[j])
             j += 1
         else:
-            lo = max(iva.lo, ivb.lo)
-            hi = min(iva.hi, ivb.hi)
+            lo = lo_a if lo_a > lo_b else lo_b
+            hi = hi_a if hi_a < hi_b else hi_b
             if lo >= hi:
                 return None
-            out.append((ca, Interval(lo, hi)))
+            out.append((ca, lo, hi))
             i += 1
             j += 1
     out.extend(a[i:])
@@ -191,33 +293,63 @@ def _intersect_bounds(a: tuple[Bound, ...], b: tuple[Bound, ...]) -> tuple[Bound
 class StepFunction:
     """Canonical rational step function on an ordered tuple of cubes."""
 
-    __slots__ = ("_domain", "_terms", "_hash")
+    __slots__ = ("_domain", "_entries", "_dens", "_vden", "_view", "_hash")
 
     def __init__(self, domain: Sequence[int], terms: Iterable[tuple[Box, Rational]] = ()):
         dom = tuple(int(c) for c in domain)
         if len(set(dom)) != len(dom) or not dom:
             raise DomainError(f"domain must be a non-empty tuple of distinct cubes, got {dom}")
-        per_cube: dict[int, list[Entry]] = {c: [] for c in dom}
+        boxes = []
+        dens: dict[int, int] = {}
+        vden = 1
         for bx, value in terms:
-            if bx.cube not in per_cube:
+            if bx.cube not in dom:
                 raise DomainError(f"box on unknown cube {bx.cube}; domain is {dom}")
-            per_cube[bx.cube].append((bx.bounds, as_fraction(value)))
-        canonical: list[tuple[Box, Fraction]] = []
-        for c in dom:
-            for bounds, v in _canon_entries(per_cube[c]):
-                canonical.append((Box(c, bounds), v))
-        self._domain = dom
-        self._terms = tuple(canonical)
-        self._hash: int | None = None
+            value = as_fraction(value)
+            if value:
+                boxes.append((bx, value))
+                vden = lcm(vden, value.denominator)
+                for c, iv in bx.bounds:
+                    dens[c] = lcm(dens.get(c, 1), iv.lo.denominator, iv.hi.denominator)
+        per_cube: dict[int, list] = {}
+        for bx, value in boxes:
+            bounds = tuple((c, iv.lo.numerator * (dens[c] // iv.lo.denominator),
+                            iv.hi.numerator * (dens[c] // iv.hi.denominator))
+                           for c, iv in bx.bounds)
+            per_cube.setdefault(bx.cube, []).append(
+                (bounds, value.numerator * (vden // value.denominator)))
+        self._set(dom, _canonical(dom, per_cube, dens), dens, vden)
+
+    def _set(self, domain, entries, dens, vden) -> None:
+        self._domain = domain
+        self._entries = entries
+        self._dens = dens
+        self._vden = vden
+        self._view = None
+        self._hash = None
 
     @classmethod
-    def _raw(cls, domain: tuple[int, ...], terms: tuple[tuple[Box, Fraction], ...]) -> "StepFunction":
-        # trusted constructor: terms must already be canonical
+    def _raw(cls, domain: tuple[int, ...], entries: tuple[Entry, ...],
+             dens: Mapping[int, int], vden: int) -> "StepFunction":
+        # trusted constructor: the entries must already be canonical on the
+        # lattice (dens, vden), which the function then shares, unchanged
         self = object.__new__(cls)
-        self._domain = domain
-        self._terms = terms
-        self._hash = None
+        self._set(domain, entries, dens, vden)
         return self
+
+    @classmethod
+    def _summed(cls, domain: tuple[int, ...], fns: Sequence["StepFunction"]) -> "StepFunction":
+        """The canonical sum of functions on `domain`, on their joined lattice."""
+        dens, vden = _join(fns)
+        per_cube: dict[int, list] = {}
+        factors: dict[int, dict[int, int]] = {}
+        for f in fns:
+            key = id(f._dens)
+            if key not in factors:
+                factors[key] = _factors(f._dens, dens)
+            for cube, b, v in _rescaled(f._entries, factors[key], vden // f._vden):
+                per_cube.setdefault(cube, []).append((b, v))
+        return cls._raw(domain, _canonical(domain, per_cube, dens), dens, vden)
 
     @classmethod
     def zero(cls, domain: Sequence[int]) -> "StepFunction":
@@ -229,7 +361,23 @@ class StepFunction:
 
     @property
     def terms(self) -> tuple[tuple[Box, Fraction], ...]:
-        return self._terms
+        """The canonical terms as (`Box`, value) pairs of exact `Fraction`s."""
+        view = self._view
+        if view is None:
+            dens, vden = self._dens, self._vden
+            view = self._view = tuple(
+                (Box(cube, tuple((c, Interval(Fraction(lo, dens[c]), Fraction(hi, dens[c])))
+                                 for c, lo, hi in bounds)), Fraction(v, vden))
+                for cube, bounds, v in self._entries)
+        return view
+
+    def box_count(self) -> int:
+        """Number of boxes in the canonical form, `len(self.terms)`."""
+        return len(self._entries)
+
+    def support_cubes(self) -> frozenset[int]:
+        """The cubes on which the function is not zero almost everywhere."""
+        return frozenset(e[0] for e in self._entries)
 
     def _require_cube(self, cube: int) -> None:
         if cube not in self._domain:
@@ -243,33 +391,42 @@ class StepFunction:
 
     def add(self, other: "StepFunction") -> "StepFunction":
         self._check_domain(other)
-        if not other._terms:
+        if not other._entries:
             return self
-        if not self._terms:
+        if not self._entries:
             return other
-        return StepFunction(self._domain, self._terms + other._terms)
+        return StepFunction._summed(self._domain, (self, other))
 
     def scale(self, c: Rational) -> "StepFunction":
         c = as_fraction(c)
         if c == 0:
-            return StepFunction._raw(self._domain, ())
+            return StepFunction._raw(self._domain, (), {}, 1)
         if c == 1:
             return self
         # non-zero scaling keeps the canonical structure intact
-        return StepFunction._raw(self._domain, tuple((b, v * c) for b, v in self._terms))
+        k = c.numerator
+        entries = tuple((cube, b, v * k) for cube, b, v in self._entries)
+        return StepFunction._raw(self._domain, entries, self._dens, self._vden * c.denominator)
 
     def multiply(self, other: "StepFunction") -> "StepFunction":
         self._check_domain(other)
-        mine: dict[int, list[tuple[Box, Fraction]]] = {}
-        for b, v in self._terms:
-            mine.setdefault(b.cube, []).append((b, v))
-        out: list[tuple[Box, Fraction]] = []
-        for b2, v2 in other._terms:
-            for b1, v1 in mine.get(b2.cube, ()):
-                inter = _intersect_bounds(b1.bounds, b2.bounds)
+        dens, _ = _join((self, other))
+        mine: dict[int, list] = {}
+        for cube, b, v in _rescaled(self._entries, _factors(self._dens, dens), 1):
+            mine.setdefault(cube, []).append((b, v))
+        per_cube: dict[int, list] = {}
+        for cube, b2, v2 in _rescaled(other._entries, _factors(other._dens, dens), 1):
+            for b1, v1 in mine.get(cube, ()):
+                inter = _intersect(b1, b2)
                 if inter is not None:
-                    out.append((Box(b2.cube, inter), v1 * v2))
-        return StepFunction(self._domain, out)
+                    per_cube.setdefault(cube, []).append((inter, v1 * v2))
+        vden = self._vden * other._vden
+        if all(len(got) == 1 for got in per_cube.values()):
+            # one box per cube is canonical already: its value is not zero and
+            # no intersection of two proper constraints spans [0, 1)
+            entries = tuple((cube, *per_cube[cube][0]) for cube in self._domain if cube in per_cube)
+            return StepFunction._raw(self._domain, entries, dens, vden)
+        return StepFunction._raw(self._domain, _canonical(self._domain, per_cube, dens), dens, vden)
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
         return self.add(other)
@@ -290,45 +447,55 @@ class StepFunction:
 
     # --- measurements ---
 
+    def _integrate(self, cube: int | None, weight, wden: int) -> Fraction:
+        """The sum, over the boxes of one cube (or of all cubes), of
+        weight(integer value) times the box measure, divided by `wden`."""
+        dens = self._dens
+        total, common = 0, 1  # the sum so far is total / common
+        for cu, bounds, v in self._entries:
+            if cube is None or cu == cube:
+                num = weight(v)
+                den = 1
+                for c, lo, hi in bounds:
+                    num *= hi - lo
+                    den *= dens[c]
+                if den != common:
+                    joint = lcm(common, den)
+                    total *= joint // common
+                    num *= joint // den
+                    common = joint
+                total += num
+        return Fraction(total, common * wden) if total else _ZERO
+
     def moment(self, p: int = 1, cube: int | None = None) -> Fraction:
         """Integral of |f|^p over the whole domain, or over one cube."""
         if not isinstance(p, int) or p < 1:
             raise ValueError(f"moment order must be a positive integer, got {p!r}")
         if cube is not None:
             self._require_cube(cube)
-        total = _ZERO
-        for b, v in self._terms:
-            if cube is None or b.cube == cube:
-                total += abs(v) ** p * b.measure
-        return total
+        if p == 1:
+            return self._integrate(cube, abs, self._vden)
+        return self._integrate(cube, lambda v: abs(v) ** p, self._vden ** p)
 
     def sup_norm(self) -> Fraction:
-        return max((abs(v) for _, v in self._terms), default=_ZERO)
+        return Fraction(max((abs(v) for _, _, v in self._entries), default=0), self._vden)
 
     def integral(self, cube: int) -> Fraction:
         self._require_cube(cube)
-        total = _ZERO
-        for b, v in self._terms:
-            if b.cube == cube:
-                total += v * b.measure
-        return total
+        return self._integrate(cube, lambda v: v, self._vden)
 
     def support_measure(self, cube: int) -> Fraction:
         self._require_cube(cube)
-        total = _ZERO
-        for b, _ in self._terms:
-            if b.cube == cube:
-                total += b.measure
-        return total
+        return self._integrate(cube, lambda v: 1, 1)
 
     def footprint(self) -> frozenset[tuple[int, int]]:
         """Set of (cube, coordinate) pairs the function actually depends on."""
-        return frozenset((b.cube, coord) for b, _ in self._terms for coord, _ in b.bounds)
+        return frozenset((cube, c) for cube, bounds, _ in self._entries for c, _, _ in bounds)
 
     def evaluate(self, cube: int, point: Mapping[int, Fraction]) -> Fraction:
         self._require_cube(cube)
         total = _ZERO
-        for b, v in self._terms:
+        for b, v in self.terms:
             if b.cube == cube and b.contains(point):
                 total += v
         return total
@@ -336,23 +503,25 @@ class StepFunction:
     def restrict(self, cube: int) -> "StepFunction":
         """The same function viewed on a single cube of the domain."""
         self._require_cube(cube)
-        return StepFunction._raw((cube,), tuple(t for t in self._terms if t[0].cube == cube))
+        return StepFunction._raw((cube,), tuple(e for e in self._entries if e[0] == cube),
+                                 self._dens, self._vden)
 
     def with_domain(self, domain: Sequence[int]) -> "StepFunction":
         """Embed into a larger domain (zero on the added cubes)."""
         dom = tuple(int(c) for c in domain)
         if not set(self._domain) <= set(dom):
             raise DomainError(f"cannot embed domain {self._domain} into {dom}")
-        per_cube = {c: [] for c in dom}
-        for b, v in self._terms:
-            per_cube[b.cube].append((b, v))
-        terms = tuple(t for c in dom for t in per_cube[c])
-        return StepFunction._raw(dom, terms)
+        per_cube: dict[int, list] = {c: [] for c in dom}
+        for e in self._entries:
+            per_cube[e[0]].append(e)
+        entries = tuple(e for c in dom for e in per_cube[c])
+        return StepFunction._raw(dom, entries, self._dens, self._vden)
 
     def term_values(self, cube: int | None = None) -> frozenset[Fraction]:
         if cube is not None:
             self._require_cube(cube)
-        return frozenset(v for b, v in self._terms if cube is None or b.cube == cube)
+        values = {v for cu, _, v in self._entries if cube is None or cu == cube}
+        return frozenset(Fraction(v, self._vden) for v in values)
 
     def value_set(self, cube: int | None = None) -> frozenset[Fraction]:
         """All values attained on a set of positive measure, including 0."""
@@ -363,20 +532,27 @@ class StepFunction:
         return frozenset(vals)
 
     def is_integer_valued(self) -> bool:
-        return all(v.denominator == 1 for _, v in self._terms)
+        return all(v % self._vden == 0 for _, _, v in self._entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StepFunction):
             return NotImplemented
-        return self._domain == other._domain and self._terms == other._terms
+        if self._domain != other._domain or len(self._entries) != len(other._entries):
+            return False
+        if self._dens == other._dens and self._vden == other._vden:
+            return self._entries == other._entries
+        dens, vden = _join((self, other))
+        return (_rescaled(self._entries, _factors(self._dens, dens), vden // self._vden)
+                == _rescaled(other._entries, _factors(other._dens, dens), vden // other._vden))
 
     def __hash__(self) -> int:
+        # the Fraction terms do not depend on the lattice, as equality does not
         if self._hash is None:
-            self._hash = hash((self._domain, self._terms))
+            self._hash = hash((self._domain, self.terms))
         return self._hash
 
     def __repr__(self) -> str:
-        return f"StepFunction(domain={self._domain}, boxes={len(self._terms)})"
+        return f"StepFunction(domain={self._domain}, boxes={len(self._entries)})"
 
 
 @lru_cache(maxsize=None)
@@ -433,12 +609,12 @@ def sum_functions(fns: Iterable[StepFunction], domain: Sequence[int] | None = No
             raise ValueError("need a domain for an empty sum")
         domain = fns[0].domain
     dom = tuple(int(c) for c in domain)
-    terms: list[tuple[Box, Fraction]] = []
     for f in fns:
         if f.domain != dom:
             raise DomainError(f"domain mismatch in sum: {f.domain} vs {dom}")
-        terms.extend(f.terms)
-    return StepFunction(dom, terms)
+    if not fns:
+        return StepFunction(dom, ())
+    return StepFunction._summed(dom, fns)
 
 
 class ChunkedSum:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .families import Family, StructuralError, TermId, cube_label
+from .families import Family, StructuralError, TermId, cube_label, size_problem
 from .stepfn import ChunkedSum, StepFunction, cube_constants, sum_functions
 
 _FAIL_CAP = 25
@@ -231,13 +231,8 @@ def verify_family(fam: Family) -> AxiomReport:
 
 
 def _check_growth(fam: Family, report: AxiomReport) -> None:
-    last = fam.depth + 1
-    vals = [fam.size(n) for n in range(1, last + 1)]
-    ok = (all(v >= 1 for v in vals)
-          and all(b >= a for a, b in zip(vals, vals[1:]))
-          and (len(vals) < 2 or vals[-1] > vals[0]))
-    report.record("cell-count-growth", f"levels 1..{last}", ok,
-                  None if ok else f"sizes {vals} do not grow")
+    problem = size_problem(fam.sizes, fam.depth, fam.points)
+    report.record("cell-count-growth", f"levels 1..{fam.depth + 1}", problem is None, problem)
 
 
 def _check_table_complete(fam: Family, report: AxiomReport) -> bool:

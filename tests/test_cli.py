@@ -32,6 +32,15 @@ def test_build_deterministic_bytes(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_build_rejects_sizes_the_verifier_would(tmp_path, capsys):
+    out_file = tmp_path / "m.family"
+    code, _, err = run(capsys, "build", "--flavor", "multipoint", "--r", "6",
+                       "--levels", "1", "--sizes", "1,1,1,1,1,2", "--out", str(out_file))
+    assert code == 2
+    assert "grow over levels 1..2" in err
+    assert not out_file.exists()
+
+
 def test_build_multipoint_lists_cubes(tmp_path, capsys):
     out_file = tmp_path / "m.family"
     code, out, _ = run(capsys, "build", "--flavor", "multi", "--levels", "1",
@@ -303,6 +312,24 @@ def test_transform_wrong_limit_is_a_miss(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "sigma: limit (1) MISSED" in out
     assert "tau: limit (3) MISSED" in out
+
+
+def test_transform_serial_builds_the_family_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = cli.apply_transform
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "apply_transform", counted)
+    matrix = tmp_path / "m.matrix"
+    dump_matrix(TransformSpec.identity(2), matrix)
+    code, out, _ = run(capsys, "transform", "--flavor", "three-kadets",
+                       "--levels", "2", "--matrix", str(matrix), "--jobs", "1")
+    assert code == 0
+    assert out.count(" reached") == 3
+    assert len(calls) == 1
 
 
 def test_transform_errors(tmp_path, capsys):

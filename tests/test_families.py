@@ -25,6 +25,7 @@ from sumrange.families import (
     expected_sum_range,
     parse_cube_label,
     parse_term_id,
+    size_problem,
 )
 from sumrange.stepfn import (
     Box,
@@ -83,6 +84,17 @@ def test_depth_and_size_validation():
     assert build_kadets(3, [1, 2, 2, 3]).size(4) == 3
 
 
+def test_size_rule_covers_the_verified_levels():
+    # the construction reads levels 1..6 and sizes grow there, but the
+    # verifier pairs levels 1..2, where they are constant
+    sizes = IndexSizes((1, 1, 1, 1, 1, 2))
+    assert "levels 1..2" in size_problem(sizes, 1, 6)
+    with pytest.raises(ConfigError, match="grow over levels 1..2"):
+        build_multipoint(6, 1, sizes=(1, 1, 1, 1, 1, 2))
+    assert size_problem(IndexSizes((1, 2, 2, 2, 2, 2)), 1, 6) is None
+    assert build_multipoint(6, 1, sizes=(1, 2, 2, 2, 2, 2)).term_count() > 0
+
+
 def test_custom_sizes_change_cells():
     fam = build_kadets(2, [2, 2, 3, 3])
     a11 = fam.fn(tid("a", 1, 1))
@@ -94,7 +106,7 @@ def test_custom_sizes_change_cells():
 def test_index_sizes_callable():
     sizes = IndexSizes(lambda n: 2 * n)
     assert sizes(3) == 6
-    sizes.validate_through(5)
+    assert size_problem(sizes, 3, 3) is None  # levels 1..5
     with pytest.raises(ConfigError):
         sizes(0)
     with pytest.raises(ConfigError):

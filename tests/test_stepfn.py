@@ -410,3 +410,99 @@ def test_algebra_matches_oracle(seed):
         ], prod, cube):
             want = oracle_value(raw_a, cube, point) * oracle_value(raw_b, cube, point)
             assert prod.evaluate(cube, point) == want
+
+
+# --- integer-lattice edge cases ---------------------------------------------
+# Each case draws endpoints k/d with d from `dens` on the coordinates in
+# `coords`, and values from `values`; the same oracle then checks the
+# functions, their sum, a scaling and the product.
+
+LATTICE_CASES = {
+    "coprime-denominators": dict(coords=(1,), dens=(3, 7, 11), values=(F(1), F(-2), F(5, 3))),
+    "mixed-denominators": dict(coords=(1, 2), dens=(4, 6, 9, 10), values=(F(1), F(-1, 2))),
+    "far-coordinates": dict(coords=(1, 10_000), dens=(2, 3, 5), values=(F(1), F(-3))),
+    "huge-value-denominators": dict(
+        coords=(1, 2), dens=(2, 3),
+        values=(F(1, 2**61 + 1), F(-3, 2**62 - 57), F(2**63, 2**64 + 13))),
+}
+
+
+def lattice_raw(rng, domain, coords, dens, values, max_boxes=5):
+    raw = []
+    for _ in range(rng.randint(1, max_boxes)):
+        bounds = {}
+        for coord in rng.sample(coords, rng.randint(0, len(coords))):
+            den = rng.choice(dens)
+            a, b = sorted(rng.sample(range(den + 1), 2))
+            bounds[coord] = (F(a, den), F(b, den))
+        raw.append((rng.choice(domain), bounds, rng.choice(values)))
+    return raw
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("case", sorted(LATTICE_CASES))
+def test_lattice_edge_cases_match_oracle(case, seed):
+    rng = random.Random(f"{case}-{seed}")
+    dom = (1, 2)
+    raw_a = lattice_raw(rng, dom, **LATTICE_CASES[case])
+    raw_b = lattice_raw(rng, dom, **LATTICE_CASES[case])
+    fa, fb = build(raw_a, dom), build(raw_b, dom)
+    for raw, fn in ((raw_a, fa), (raw_a + raw_b, fa + fb),
+                    ([(cu, bd, -v) for cu, bd, v in raw_b], -fb)):
+        assert_canonical_shape(fn)
+        assert_matches_oracle(raw, fn)
+    c = F(rng.randint(1, 5), 2**61 + rng.randint(0, 9))
+    assert_matches_oracle([(cu, bd, v * c) for cu, bd, v in raw_a], fa.scale(c))
+    prod = fa * fb
+    assert_canonical_shape(prod)
+    prod_raw = [(box.cube, {k: (iv.lo, iv.hi) for k, iv in box.bounds}, v) for box, v in prod.terms]
+    for cube in dom:
+        for point, _ in oracle_grid(raw_a + raw_b + prod_raw, prod, cube):
+            want = oracle_value(raw_a, cube, point) * oracle_value(raw_b, cube, point)
+            assert prod.evaluate(cube, point) == want
+
+
+def test_sum_refines_both_lattices():
+    # cuts at quarters and at sixths: the sum needs twelfths, which
+    # neither operand's lattice has
+    raw_a = [(1, {1: (F(1, 4), F(3, 4))}, F(1))]
+    raw_b = [(1, {1: (F(1, 6), F(5, 6))}, F(2, 3)), (1, {1: (F(0), F(1, 2))}, F(-1, 5))]
+    fa, fb = build(raw_a, (1,)), build(raw_b, (1,))
+    total = fa + fb
+    assert_canonical_shape(total)
+    assert_matches_oracle(raw_a + raw_b, total)
+    ends = {x for box, _ in total.terms for _, iv in box.bounds for x in iv}
+    assert {F(1, 4), F(1, 6), F(3, 4), F(5, 6), F(1, 2)} <= ends
+    assert total - fb == fa
+
+
+def test_multiply_single_boxes():
+    f = indicator((1, 2), 2, {1: (F(1, 3), F(6, 7)), 3: (0, F(2, 5))}, value=F(3, 4))
+    g = indicator((1, 2), 2, {1: (F(2, 11), F(1, 2)), 2: (F(1, 9), 1)}, value=F(-5, 3))
+    prod = f * g
+    assert prod == indicator((1, 2), 2, {1: (F(1, 3), F(1, 2)), 2: (F(1, 9), 1), 3: (0, F(2, 5))},
+                             value=F(-5, 4))
+    raw = [(2, {1: (F(1, 3), F(1, 2)), 2: (F(1, 9), F(1)), 3: (F(0), F(2, 5))}, F(-5, 4))]
+    assert_canonical_shape(prod)
+    assert_matches_oracle(raw, prod)
+    apart = indicator((1, 2), 2, {1: (F(1, 2), F(4, 7))}) * indicator((1, 2), 2, {1: (F(4, 7), 1)})
+    assert apart.terms == ()
+    elsewhere = indicator((1, 2), 1, {1: (0, F(1, 2))}) * g
+    assert elsewhere == StepFunction.zero((1, 2))
+
+
+def test_equal_functions_on_different_lattices():
+    dom = (1,)
+    halves = indicator(dom, 1, {1: (0, F(1, 2))})
+    quarters = StepFunction(dom, [(Box(1, make_bounds({1: (0, F(1, 4))})), 1),
+                                  (Box(1, make_bounds({1: (F(1, 4), F(1, 2))})), 1)])
+    thirds = indicator(dom, 1, {1: (0, F(1, 2))}, F(1, 3)) + indicator(dom, 1, {1: (0, F(1, 2))},
+                                                                          F(2, 3))
+    # the same function, stored over 1/2, over 1/4 and with values over 3
+    assert halves._dens != quarters._dens and halves._vden != thirds._vden
+    for other in (quarters, thirds):
+        assert halves == other
+        assert hash(halves) == hash(other)
+        assert other.terms == halves.terms
+    assert len({halves, quarters, thirds}) == 1
+    assert halves != indicator(dom, 1, {1: (0, F(3, 4))})
