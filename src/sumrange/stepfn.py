@@ -195,9 +195,6 @@ def _sweep(entries: list[tuple[LatticeBounds, int]], dens: Mapping[int, int]
 
 def _sweep_leaf(c: int, top: int, free: list, cons: list) -> list[tuple[LatticeBounds, int]]:
     """The sweep's last coordinate: the value on each cell is a running sum."""
-    base = 0
-    for _, v in free:
-        base += v
     delta = {0: 0, top: 0}
     for bounds, v in cons:
         _, lo, hi = bounds[0]
@@ -205,7 +202,7 @@ def _sweep_leaf(c: int, top: int, free: list, cons: list) -> list[tuple[LatticeB
         delta[hi] = delta.get(hi, 0) - v
     points = sorted(delta)
     spans: list[list[int]] = []
-    value = base
+    value = sum(v for _, v in free)
     for j in range(len(points) - 1):
         p = points[j]
         value += delta[p]
