@@ -234,13 +234,20 @@ def _affine_transforms() -> tuple[bool, str]:
 
 
 def _compact_running_sums() -> tuple[bool, str]:
+    # The exact peak.  sigma starts at deviation 0 and its block (n, m) is
+    # a^n(m) = 1{x_n in cell m}, then b^n(m, j) = -1{x_n in cell m,
+    # x_{n+1} in cell j} for j = 1..|M_{n+1}|.  Each block sums to zero,
+    # so the deviation is 0 when a block starts.  After the head and the
+    # first k < |M_{n+1}| tails it is the indicator of the single box
+    # {x_n in cell m, x_{n+1} >= k/|M_{n+1}|}: one box.  After the last
+    # tail it is 0 again: no box at any block marker.
     fam = build_kadets(8)
     trace = run_trace(fam, schedule_point(fam, "sigma"))
     peak = 0
     for row in trace.rows:
         if row.level is None:
             return False, "sigma has no level-free rows"
-        bound = fam.size(row.level) * (fam.size(row.level + 1) + 1)
+        bound = 0 if row.is_marker else 1
         peak = max(peak, row.box_counts[0])
         if row.box_counts[0] > bound:
             return False, (f"step {row.step}: {row.box_counts[0]} boxes "

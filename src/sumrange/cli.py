@@ -20,6 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .families import (
+    MAX_TERMS,
     ConfigError,
     StructuralError,
     apply_transform,
@@ -69,6 +70,7 @@ class RunConfig:
     order: str | None = None
     record: str = "steps"
     suite: str = "all"
+    max_terms: int = MAX_TERMS
 
 
 def _int(text: str) -> int:
@@ -106,6 +108,7 @@ _FIELD_PARSERS = {
     "order": str,
     "record": str,
     "suite": str,
+    "max_terms": _int,
 }
 
 
@@ -147,7 +150,7 @@ def _merge(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"record must be steps or blocks, got {cfg.record!r}")
     if cfg.suite != "all" and cfg.suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {cfg.suite!r}; pick from {SUITE_NAMES}")
-    for name in ("levels", "p", "cases", "jobs"):
+    for name in ("levels", "p", "cases", "jobs", "max_terms"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be at least 1")
     return cfg
@@ -174,7 +177,7 @@ def cmd_build(cfg: RunConfig) -> int:
     fam = _load_or_build(cfg)
     if not cfg.out:
         raise ConfigError("build needs --out FILE")
-    dump_family(fam, cfg.out)
+    dump_family(fam, cfg.out, max_terms=cfg.max_terms)
     cubes = ", ".join(cube_label(c) for c in fam.domain)
     print(f"wrote {cfg.out}: {fam.structure} depth {fam.depth}, "
           f"{fam.term_count()} terms, cubes {cubes}")
@@ -187,7 +190,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     from .verify import verify_family
 
     fam = load_family(cfg.family)
-    report = verify_family(fam)
+    report = verify_family(fam, max_terms=cfg.max_terms)
     for line in report.lines():
         print(line)
     if cfg.out:
@@ -204,9 +207,9 @@ def _make_schedule(fam, cfg: RunConfig) -> Schedule:
     if label == "custom":
         if not cfg.order:
             raise ConfigError("schedule custom needs --order FILE")
-        return schedule_custom(fam, _read_order(cfg.order))
+        return schedule_custom(fam, _read_order(cfg.order), max_terms=cfg.max_terms)
     if label == "random":
-        return random_schedule(fam, cfg.seed)
+        return random_schedule(fam, cfg.seed, max_terms=cfg.max_terms)
     match = re.fullmatch(r"point(\d+)", label)
     if match:
         return schedule_point(fam, int(match.group(1)))
@@ -239,7 +242,8 @@ def _fmt_point(values) -> str:
 def cmd_trace(cfg: RunConfig) -> int:
     fam = _load_or_build(cfg)
     sch = _make_schedule(fam, cfg)
-    trace = run_trace(fam, sch, target=cfg.target, p=cfg.p, record=cfg.record)
+    trace = run_trace(fam, sch, target=cfg.target, p=cfg.p, record=cfg.record,
+                      max_terms=cfg.max_terms)
     if cfg.out:
         _write_lines(cfg.out, trace.to_csv_lines())
     print(f"schedule {sch.label}: {sch.term_count} terms in "
@@ -297,10 +301,11 @@ def _convergent_schedules(fam) -> list[Schedule]:
     return [schedule_point(fam, i) for i in range(fam.points) if i <= fam.depth]
 
 
-def _trace_point(fam, sch: Schedule) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
+def _trace_point(fam, sch: Schedule, max_terms: int
+                 ) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
     """Trace one convergent schedule of a transformed family; the result
     is strings of rationals, so that it can cross a process boundary."""
-    trace = run_trace(fam, sch, record="blocks")
+    trace = run_trace(fam, sch, record="blocks", max_terms=max_terms)
     final = tuple(str(d) for d in trace.final_deviations)
     return sch.label, tuple(str(x) for x in sch.target), final
 
@@ -310,8 +315,9 @@ def _transform_point(payload) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
     convergent schedules."""
     cfg_fields, matrix_path, index = payload
     cfg = RunConfig(**cfg_fields)
-    fam = apply_transform(_load_or_build(cfg), load_matrix(matrix_path))
-    return _trace_point(fam, _convergent_schedules(fam)[index])
+    fam = apply_transform(_load_or_build(cfg), load_matrix(matrix_path),
+                          max_terms=cfg.max_terms)
+    return _trace_point(fam, _convergent_schedules(fam)[index], cfg.max_terms)
 
 
 def cmd_transform(cfg: RunConfig) -> int:
@@ -319,9 +325,9 @@ def cmd_transform(cfg: RunConfig) -> int:
         raise ConfigError("transform needs --matrix FILE")
     base = _load_or_build(cfg)
     spec = load_matrix(cfg.matrix)
-    fam = apply_transform(base, spec)
+    fam = apply_transform(base, spec, max_terms=cfg.max_terms)
     if cfg.out:
-        dump_family(fam, cfg.out)
+        dump_family(fam, cfg.out, max_terms=cfg.max_terms)
         print(f"wrote {cfg.out}: transformed {base.structure} depth {fam.depth}")
     schedules = _convergent_schedules(fam)
     if cfg.jobs > 1:
@@ -330,7 +336,7 @@ def cmd_transform(cfg: RunConfig) -> int:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_transform_point, payloads))
     else:
-        results = [_trace_point(fam, sch) for sch in schedules]
+        results = [_trace_point(fam, sch, cfg.max_terms) for sch in schedules]
     shifted = expected_sum_range(fam)
     ok = True
     limits = []
@@ -390,6 +396,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add("--record", metavar="MODE", help="trace granularity: steps or blocks")
     add("--suite", metavar="NAME",
         help="all, cross-variable, fiber, near-constancy, or drift")
+    add("--max-terms", metavar="N",
+        help=f"refuse work over more terms than this (default {MAX_TERMS})")
 
     parser = argparse.ArgumentParser(
         prog="sumrange",

@@ -18,6 +18,29 @@ partition, where s' is the generation-(g-1) cell count at level n+1.  All
 row, column and cross-level cancellations used by the schedules are exact
 consequences of these formulas.
 
+Exactly: write s_h(n) for the generation-h cell count at level n (s_0(n)
+= |M_n|, s_h(n) = s_{h-1}(n) * s_{h-1}(n+1)), F_k for the flat index of
+the prefix (i0..ik) and C(i, s) for the cell [(i-1)/s, i/s).  Generation 0
+is 1 on cube 1 where x_n is in C(i0, s_0(n)).  Generation g >= 1 is
+
+* -1 on cube 2g-1 where x_n is in C(F_{g-1}, s_{g-1}(n)) and x_{n+1} in
+  C(ig, s_{g-1}(n+1));
+* for g >= 2, -1/(s_{g-1}(n+1) * s_{g-2}(n+1)) on cube 2g-2 where x_n is
+  in C(F_{g-2}, s_{g-2}(n));
+* for g <= r-2, 1/s_{g-1}(n+1) on cube 2g where x_n is in
+  C(F_{g-1}, s_{g-1}(n)), and 1 on cube 2g+1 where x_n is in C(F_g, s_g(n)).
+
+Term generation.  Everything above except the index tuple depends on
+(g, n) alone, so a family keeps one plan per (g, n): the index ranges,
+which are also the strides of the flat indices; the terms' lattice (the
+lcm of the cell counts on each coordinate, and one value denominator);
+and the pieces sorted by cube, each with its integer value on that
+lattice and, per coordinate, which of F_0..F_g (or ig) it reads and the
+factor from that cell count to the coordinate's denominator.  `fn`
+checks the index and computes F_0..F_g in one loop, then writes each
+piece as the lattice box [(F-1)*factor, F*factor).  One box per cube is
+canonical already, so the entries go into the `StepFunction` unswept.
+
 The classic two-kind family (kinds "a", "b", one cube, sum range {0, 1})
 is the r=2 case; the three-kind family (kinds "f", "g", "h", three cubes,
 three limits) is r=3; general r gives r limit points.  An affine transform
@@ -41,6 +64,18 @@ class ConfigError(ValueError):
 
 class StructuralError(ValueError):
     """A family lacks the structure an operation requires."""
+
+
+# The largest number of terms an operation enumerates unless told otherwise;
+# above criterion 8's 919,118, far below the 2.5e9 of multipoint(5, 2).
+MAX_TERMS = 5_000_000
+
+
+def check_term_budget(what: str, count: int, max_terms: int) -> None:
+    """Refuse work over `count` terms when that is more than `max_terms`.
+    Callers pass a closed-form count, so nothing is enumerated first."""
+    if count > max_terms:
+        raise ConfigError(f"{what} has {count} terms, more than max_terms {max_terms}")
 
 
 # --- partition sizes --------------------------------------------------------
@@ -154,6 +189,24 @@ def parse_cube_label(text: str) -> int:
 # --- the family -------------------------------------------------------------
 
 
+class _Plan(NamedTuple):
+    """The terms of one generation at one level, less their index.
+
+    `ranges` are the index ranges; for k >= 1, ranges[k] is also the
+    stride by which component k refines the prefix flat index.  Terms
+    share the lattice `(dens, vden)`.  `parts` are sorted by cube, as
+    (cube, ((coordinate, read, scale), ...), value): the box constrains
+    the coordinate to [(r-1)*scale, r*scale) over its denominator, where r
+    is the prefix flat index number `read` of the term's index (-1: the
+    last component), and carries value/vden.
+    """
+
+    ranges: tuple[int, ...]
+    dens: dict[int, int]
+    vden: int
+    parts: tuple[tuple[int, tuple[tuple[int, int, int], ...], int], ...]
+
+
 class Family:
     """An immutable indexed collection of step functions.
 
@@ -188,7 +241,7 @@ class Family:
         self._transform = transform
         self._structure = structure
         self._flat_sizes: dict[tuple[int, int], int] = {}
-        self._lattices: dict[tuple[int, int], tuple[dict[int, int], int]] = {}
+        self._plans: dict[tuple[int, int], _Plan] = {}
 
     # --- structure ---
 
@@ -275,59 +328,71 @@ class Family:
 
     # --- term functions ---
 
-    def _term_parts(self, g: int, n: int, index: tuple[int, ...]):
-        """(cube, ((coordinate, cell index, cell count), ...), value numerator,
-        value denominator) pieces of one term."""
+    def _new_plan(self, g: int, n: int) -> _Plan:
+        """Build and keep the plan of the terms of generation g at level n."""
+        fs = self.flat_size
+        # pieces as (cube, ((coordinate, read, cell count), ...), value
+        # numerator, value denominator); read k >= 0 is the flat index of
+        # the prefix (i0..ik), read -1 the last component ig
         parts = []
         if g == 0:
-            parts.append((1, ((n, index[0], self.sizes(n)),), 1, 1))
+            parts.append((1, ((n, 0, fs(0, n)),), 1, 1))
         else:
-            fl = self.flat_index(g - 1, n, index[:-1])
-            parts.append((2 * g - 1,
-                          ((n, fl, self.flat_size(g - 1, n)),
-                           (n + 1, index[-1], self.flat_size(g - 1, n + 1))),
+            parts.append((2 * g - 1, ((n, g - 1, fs(g - 1, n)), (n + 1, -1, fs(g - 1, n + 1))),
                           -1, 1))
             if g >= 2:
-                mid = self.flat_index(g - 2, n, index[:-2])
-                parts.append((2 * g - 2, ((n, mid, self.flat_size(g - 2, n)),),
-                              -1, self.flat_size(g - 1, n + 1) * self.flat_size(g - 2, n + 1)))
+                parts.append((2 * g - 2, ((n, g - 2, fs(g - 2, n)),),
+                              -1, fs(g - 1, n + 1) * fs(g - 2, n + 1)))
         if 1 <= g <= self.points - 2:
-            fl = self.flat_index(g - 1, n, index[:-1])
-            parts.append((2 * g, ((n, fl, self.flat_size(g - 1, n)),),
-                          1, self.flat_size(g - 1, n + 1)))
-            parts.append((2 * g + 1, ((n, self.flat_index(g, n, index), self.flat_size(g, n)),),
-                          1, 1))
-        return parts
+            parts.append((2 * g, ((n, g - 1, fs(g - 1, n)),), 1, fs(g - 1, n + 1)))
+            parts.append((2 * g + 1, ((n, g, fs(g, n)),), 1, 1))
+        parts.sort(key=lambda part: part[0])
+        # cell i of an equal partition into s cells is [i-1, i) over s; a
+        # partition into one cell constrains nothing
+        dens: dict[int, int] = {}
+        for _, cells, _, _ in parts:
+            for coord, _, size in cells:
+                if size > 1:
+                    dens[coord] = lcm(dens.get(coord, 1), size)
+        vden = lcm(*(den for _, _, _, den in parts))
+        plan = self._plans[g, n] = _Plan(
+            self.index_ranges(g, n), dens, vden,
+            tuple((cube, tuple((coord, read, dens[coord] // size)
+                               for coord, read, size in cells if size > 1),
+                   num * (vden // den))
+                  for cube, cells, num, den in parts))
+        return plan
 
-    def _formula_fn(self, g: int, n: int, index: tuple[int, ...]) -> StepFunction:
-        # cell i of an equal partition into s cells is [i-1, i) over s; the
-        # lattice depends on (g, n) only, so terms of one level share it
-        parts = sorted(self._term_parts(g, n, index), key=lambda p: p[0])
-        lattice = self._lattices.get((g, n))
-        if lattice is None:
-            dens: dict[int, int] = {}
-            for _, cells, _, _ in parts:
-                for coord, _, size in cells:
-                    if size > 1:
-                        dens[coord] = lcm(dens.get(coord, 1), size)
-            lattice = self._lattices[g, n] = dens, lcm(*(p[3] for p in parts))
-        dens, vden = lattice
-        entries = tuple(
-            (cube, tuple((coord, (i - 1) * (dens[coord] // size), i * (dens[coord] // size))
-                         for coord, i, size in cells if size > 1),
-             num * (vden // den))
-            for cube, cells, num, den in parts)
-        return StepFunction._raw(self.domain, entries, dens, vden)
+    def _reads(self, g: int, n: int, index: tuple[int, ...]) -> tuple[_Plan, list[int]]:
+        """The plan of (g, n) and what its parts read from `index`: the flat
+        index of each prefix (i0..ik), as `flat_index` gives it, then the
+        last component.  KeyError for an index outside the plan's ranges."""
+        plan = self._plans.get((g, n)) or self._new_plan(g, n)
+        ranges = plan.ranges
+        if len(index) == len(ranges):
+            reads = []
+            flat = 1
+            for i, top in zip(index, ranges):
+                if not 1 <= i <= top:
+                    break
+                flat = (flat - 1) * top + i
+                reads.append(flat)
+            else:
+                reads.append(index[-1])
+                return plan, reads
+        raise KeyError(f"index of {TermId(self.kinds[g], n, index)} outside ranges {ranges}")
 
-    def _validate_id(self, tid: TermId) -> int:
-        g = self.generation(tid.kind)
-        if not 1 <= tid.level <= self.depth:
-            raise KeyError(f"level of {tid} outside 1..{self.depth}")
-        ranges = self.index_ranges(g, tid.level)
-        if len(tid.index) != len(ranges) or any(
-                not 1 <= i <= top for i, top in zip(tid.index, ranges)):
-            raise KeyError(f"index of {tid} outside ranges {ranges}")
-        return g
+    def _emit(self, g: int, n: int, index: tuple[int, ...]) -> StepFunction:
+        """The formula term (g, n, index), on the lattice of its plan."""
+        plan, reads = self._reads(g, n, index)
+        entries = []
+        for cube, cells, value in plan.parts:
+            bounds = []
+            for coord, k, scale in cells:
+                hi = reads[k] * scale
+                bounds.append((coord, hi - scale, hi))
+            entries.append((cube, tuple(bounds), value))
+        return StepFunction._raw(self.domain, tuple(entries), plan.dens, plan.vden)
 
     def fn(self, tid: TermId) -> StepFunction:
         """The step function of one term."""
@@ -338,16 +403,20 @@ class Family:
                 return self._table[tid]
             except KeyError:
                 raise KeyError(f"term {tid} missing from the loaded table") from None
-        g = self._validate_id(tid)
+        g = self.generation(tid.kind)
+        # reference_fn plans levels past the depth too, so check the level here
+        if not 1 <= tid.level <= self.depth:
+            raise KeyError(f"level of {tid} outside 1..{self.depth}")
         if self._base is not None:
+            self._reads(g, tid.level, tid.index)  # this family's KeyError, whatever the base
             return _transformed_fn(self, self._base.fn(tid))
-        return self._formula_fn(g, tid.level, tid.index)
+        return self._emit(g, tid.level, tid.index)
 
     def reference_fn(self, g: int, n: int, index: tuple[int, ...]) -> StepFunction:
         """Formula value for any level, including beyond the truncation depth."""
         if self._base is not None:
             return self._base.reference_fn(g, n, index)
-        return self._formula_fn(g, n, index)
+        return self._emit(g, n, index)
 
     def with_replaced(self, overrides: Mapping[TermId, StepFunction]) -> "Family":
         merged = dict(self._overrides or {})
@@ -483,13 +552,17 @@ class TransformSpec:
         return f"TransformSpec({[[str(x) for x in row] for row in self.rows]})"
 
 
-def apply_transform(fam: Family, spec: TransformSpec) -> Family:
-    """Shift every term by the transform of its paired cube averages."""
+def apply_transform(fam: Family, spec: TransformSpec, *,
+                    max_terms: int = MAX_TERMS) -> Family:
+    """Shift every term by the transform of its paired cube averages.
+    Checking the pairing reads every term, so a family of more than
+    `max_terms` terms is refused first."""
     if fam.flavor == "transformed":
         raise StructuralError("family already carries a transform")
     if spec.dim != fam.points - 1:
         raise ConfigError(
             f"matrix dimension {spec.dim} != {fam.points - 1} independent cube values")
+    check_term_budget("family", fam.term_count(), max_terms)
     for tid in fam.term_ids():
         f = fam.fn(tid)
         for group in y_groups(fam.points):

@@ -13,6 +13,14 @@ Traces record, per step or per block boundary, the exact per-cube
 moment of (partial sum - target) as a `Fraction`, plus the number of
 boxes in the canonical deviation, which measures how complicated the
 partial sum is at that moment.
+
+In steps mode each term is added to the running deviation cube by cube
+and every step is measured.  In blocks mode the block's terms go whole
+into one `ChunkedSum` over the family's domain, together with the
+running deviation; its total is the deviation at the block's end.  The
+canonical form is computed cube by cube, so restricting that total to a
+cube (once per cube and block) gives the same per-cube function, moment
+and box count as steps mode at the block's last term.
 """
 
 from __future__ import annotations
@@ -22,7 +30,16 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .families import ConfigError, Family, StructuralError, TermId, cube_label, expected_sum_range
+from .families import (
+    MAX_TERMS,
+    ConfigError,
+    Family,
+    StructuralError,
+    TermId,
+    check_term_budget,
+    cube_label,
+    expected_sum_range,
+)
 from .stepfn import ChunkedSum, Rational, StepFunction, as_fraction, cube_constants, sum_functions
 
 
@@ -205,9 +222,12 @@ def _validated_full_order(fam: Family, order: Iterable[TermId]) -> tuple[TermId,
 
 
 def schedule_custom(fam: Family, order: Iterable[TermId],
-                    label: str = "custom") -> Schedule:
+                    label: str = "custom", *, max_terms: int = MAX_TERMS) -> Schedule:
     """An explicit order over the full truncation.  The full term set
-    sums to zero, so the natural target is the origin."""
+    sums to zero, so the natural target is the origin.  Checking the
+    order lists the family's terms, so a family of more than `max_terms`
+    terms is refused first."""
+    check_term_budget("family", fam.term_count(), max_terms)
     given = _validated_full_order(fam, order)
     target = tuple(Fraction(0) for _ in fam.domain)
 
@@ -217,11 +237,12 @@ def schedule_custom(fam: Family, order: Iterable[TermId],
     return Schedule(label, fam, target, blocks, len(given))
 
 
-def random_schedule(fam: Family, seed: int) -> Schedule:
+def random_schedule(fam: Family, seed: int, *, max_terms: int = MAX_TERMS) -> Schedule:
     """A seeded shuffle of the full truncation."""
+    check_term_budget("family", fam.term_count(), max_terms)
     ids = list(fam.term_ids())
     random.Random(seed).shuffle(ids)
-    return schedule_custom(fam, ids, label=f"shuffled-{seed}")
+    return schedule_custom(fam, ids, label=f"shuffled-{seed}", max_terms=max_terms)
 
 
 # --- traces -----------------------------------------------------------------
@@ -288,12 +309,14 @@ class Trace:
 
 def run_trace(fam: Family, schedule: Schedule,
               target: Sequence[Rational] | None = None,
-              p: int = 1, record: str = "steps") -> Trace:
+              p: int = 1, record: str = "steps", *,
+              max_terms: int = MAX_TERMS) -> Trace:
     """Accumulate the schedule exactly, measuring moment-`p` deviations.
 
     With record="steps" every term gets a row; with record="blocks" the
     partial sum is only canonicalized and measured at block boundaries,
-    which keeps very large schedules affordable.
+    which keeps very large schedules affordable.  A schedule of more than
+    `max_terms` terms is refused before any term is built.
     """
     if schedule.family is not fam:
         raise ConfigError("schedule was built for a different family")
@@ -301,37 +324,37 @@ def run_trace(fam: Family, schedule: Schedule,
         raise ConfigError(f"record must be 'steps' or 'blocks', got {record!r}")
     if not isinstance(p, int) or p < 1:
         raise ConfigError(f"moment order must be a positive integer, got {p!r}")
+    check_term_budget(f"schedule {schedule.label}", schedule.term_count, max_terms)
     goal = schedule.target if target is None else _as_target(fam, target)
     cubes = fam.domain
-    diffs = {c: cube_constants((c,), {c: -goal[ci]}) for ci, c in enumerate(cubes)}
     rows: list[TraceRow] = []
     step = 0
 
-    def measure(tid: TermId, block: Block, marker: bool) -> None:
-        devs = tuple(diffs[c].moment(p) for c in cubes)
-        boxes = tuple(diffs[c].box_count() for c in cubes)
+    def measure(tid: TermId, block: Block, marker: bool, per_cube) -> None:
+        devs = tuple(f.moment(p) for f in per_cube)
+        boxes = tuple(f.box_count() for f in per_cube)
         rows.append(TraceRow(step, tid, block.label, block.level, marker, devs, boxes))
 
-    for block in schedule.blocks():
-        if record == "steps":
+    if record == "steps":
+        diffs = {c: cube_constants((c,), {c: -goal[ci]}) for ci, c in enumerate(cubes)}
+        for block in schedule.blocks():
             last = len(block.ids) - 1
             for pos, tid in enumerate(block.ids):
                 step += 1
                 fn = fam.fn(tid)
                 for c in fn.support_cubes():
                     diffs[c] = diffs[c] + fn.restrict(c)
-                measure(tid, block, pos == last)
-        else:
-            sums = {c: ChunkedSum((c,)) for c in cubes}
+                measure(tid, block, pos == last, [diffs[c] for c in cubes])
+    else:
+        dev = cube_constants(cubes, {c: -goal[ci] for ci, c in enumerate(cubes)})
+        for block in schedule.blocks():
+            total = ChunkedSum(cubes)
             for tid in block.ids:
                 step += 1
-                fn = fam.fn(tid)
-                for c in fn.support_cubes():
-                    sums[c].add(fn.restrict(c))
-            for c in cubes:
-                sums[c].add(diffs[c])
-                diffs[c] = sums[c].total()
-            measure(tid, block, True)
+                total.add(fam.fn(tid))
+            total.add(dev)
+            dev = total.total()
+            measure(tid, block, True, [dev.restrict(c) for c in cubes])
     if not rows:
         raise ConfigError("schedule has no terms")
     return Trace(schedule, goal, p, record, rows)

@@ -17,10 +17,12 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .families import (
+    MAX_TERMS,
     Family,
     IndexSizes,
     TermId,
     TransformSpec,
+    check_term_budget,
     cube_label,
     kinds_for,
     parse_cube_label,
@@ -146,7 +148,10 @@ def family_to_lines(fam: Family) -> Iterator[str]:
     yield "]}\n"
 
 
-def dump_family(fam: Family, path: str | Path) -> None:
+def dump_family(fam: Family, path: str | Path, *, max_terms: int = MAX_TERMS) -> None:
+    """Write the family file; a family of more than `max_terms` terms is
+    refused before anything is written."""
+    check_term_budget("family", fam.term_count(), max_terms)
     atomic_write_lines(path, family_to_lines(fam))
 
 

@@ -17,7 +17,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .families import Family, StructuralError, TermId, cube_label, size_problem
+from .families import (
+    MAX_TERMS,
+    Family,
+    StructuralError,
+    TermId,
+    check_term_budget,
+    cube_label,
+    size_problem,
+)
 from .stepfn import ChunkedSum, StepFunction, cube_constants, sum_functions
 
 _FAIL_CAP = 25
@@ -214,11 +222,13 @@ def _stray(fam: Family, g: int, f: StepFunction) -> list[str]:
 # --- the verifier -----------------------------------------------------------
 
 
-def verify_family(fam: Family) -> AxiomReport:
-    """Run every applicable check on every level of the truncation."""
+def verify_family(fam: Family, *, max_terms: int = MAX_TERMS) -> AxiomReport:
+    """Run every applicable check on every level of the truncation; a
+    family of more than `max_terms` terms is refused before any is read."""
     if fam.flavor == "transformed":
         raise StructuralError(
             "verification applies to untransformed families; verify the base instead")
+    check_term_budget("family", fam.term_count(), max_terms)
     report = AxiomReport()
     _check_growth(fam, report)
     if fam.is_table_backed and not _check_table_complete(fam, report):

@@ -41,6 +41,24 @@ def test_build_rejects_sizes_the_verifier_would(tmp_path, capsys):
     assert not out_file.exists()
 
 
+def test_max_terms_flag(tmp_path, capsys):
+    out_file = tmp_path / "m.family"
+    code, _, err = run(capsys, "build", "--flavor", "multipoint", "--r", "5",
+                       "--levels", "2", "--out", str(out_file))
+    assert code == 2
+    assert "2503268159 terms, more than max_terms 5000000" in err
+    assert not out_file.exists()
+    small = ("--flavor", "kadets", "--levels", "3")
+    code, _, err = run(capsys, "build", *small, "--max-terms", "25", "--out", str(out_file))
+    assert code == 2 and "26 terms" in err
+    assert run(capsys, "build", *small, "--max-terms", "26", "--out", str(out_file))[0] == 0
+    assert run(capsys, "verify", "--family", str(out_file), "--max-terms", "25")[0] == 2
+    assert run(capsys, "verify", "--family", str(out_file), "--max-terms", "26")[0] == 0
+    for schedule in ("sigma", "random"):
+        assert run(capsys, "trace", *small, "--schedule", schedule, "--max-terms", "25")[0] == 2
+    assert run(capsys, "trace", *small, "--max-terms", "0")[0] == 2
+
+
 def test_build_multipoint_lists_cubes(tmp_path, capsys):
     out_file = tmp_path / "m.family"
     code, out, _ = run(capsys, "build", "--flavor", "multi", "--levels", "1",
@@ -318,9 +336,9 @@ def test_transform_serial_builds_the_family_once(tmp_path, capsys, monkeypatch):
     calls = []
     real = cli.apply_transform
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, "apply_transform", counted)
     matrix = tmp_path / "m.matrix"

@@ -5,6 +5,7 @@ Expected values below were derived by hand from the construction rules
 count) corrections) before the builder existed; the tests freeze them.
 """
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from sumrange.stepfn import (
     Box,
     Interval,
     StepFunction,
+    cell,
     constant,
     cube_constants,
     indicator,
@@ -171,6 +173,122 @@ def test_fn_rejects_out_of_range_ids():
         fam.fn(tid("a", 2, 3))
     with pytest.raises(KeyError):
         fam.fn(tid("b", 2, 1))
+
+
+def test_fn_errors_keep_their_text():
+    fam = build_kadets(3)
+    cases = {
+        tid("c", 1, 1): "unknown kind 'c'; family has ('a', 'b')",
+        tid("a", 0, 1): "level of a^0(1) outside 1..3",
+        tid("a", 4, 1): "level of a^4(1) outside 1..3",
+        tid("b", 2, 1): "index of b^2(1) outside ranges (2, 3)",
+        tid("b", 2, 1, 4): "index of b^2(1,4) outside ranges (2, 3)",
+        tid("a", 2, 0): "index of a^2(0) outside ranges (2,)",
+    }
+    shifted = apply_transform(build_kadets(3), TransformSpec.zero(1))
+    for family in (fam, shifted):
+        for t, text in cases.items():
+            with pytest.raises(KeyError) as caught:
+                family.fn(t)
+            assert caught.value.args == (text,)
+    # reference_fn plans level depth+1; fn must refuse it all the same
+    assert fam.reference_fn(0, 4, (1,)).moment(1) == F(1, 4)
+    with pytest.raises(KeyError) as caught:
+        fam.fn(tid("a", 4, 1))
+    assert caught.value.args == ("level of a^4(1) outside 1..3",)
+
+
+def test_term_budget_refuses_before_enumerating(tmp_path, monkeypatch):
+    from sumrange.schedules import random_schedule, run_trace, schedule_custom, schedule_point
+    from sumrange.serialize import dump_family
+    from sumrange.verify import verify_family
+
+    fam = build_multipoint(5, 2)
+    assert fam.term_count() == 2_503_268_159
+    sch = schedule_point(fam, 0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a term was enumerated")
+
+    for name in ("fn", "term_ids", "index_tuples", "reference_fn"):
+        monkeypatch.setattr(Family, name, refuse)
+    too_many = "has 2503268159 terms, more than max_terms 5000000"
+    path = tmp_path / "fam.json"
+    for call in (lambda: verify_family(fam),
+                 lambda: run_trace(fam, sch, record="blocks"),
+                 lambda: dump_family(fam, path),
+                 lambda: apply_transform(fam, TransformSpec.zero(4)),
+                 lambda: random_schedule(fam, 1),
+                 lambda: schedule_custom(fam, [])):
+        with pytest.raises(ConfigError, match=too_many):
+            call()
+    assert not path.exists()
+    small = build_kadets(3)
+    with pytest.raises(ConfigError, match="has 26 terms, more than max_terms 25"):
+        verify_family(small, max_terms=25)
+    assert schedule_point(small, 0).term_count == 26
+    with pytest.raises(ConfigError, match="schedule sigma has 26 terms"):
+        run_trace(small, schedule_point(small, "sigma"), max_terms=25)
+
+
+# --- term generation against the formulas -----------------------------------
+
+
+def formula_terms(fam, g, n, index):
+    """Term (g, n, index) built with Box, cell() and Fraction from the
+    formulas in the families module docstring, without the family's
+    flat-index helpers or plans."""
+
+    @functools.cache
+    def count(h, level):  # s_h(level)
+        if h == 0:
+            return fam.sizes(level)
+        return count(h - 1, level) * count(h - 1, level + 1)
+
+    def flat(prefix):  # F_k of the prefix (i0..ik)
+        pos = prefix[0]
+        for h in range(1, len(prefix)):
+            pos = (pos - 1) * count(h - 1, n + 1) + prefix[h]
+        return pos
+
+    def piece(cube, value, *cells):
+        bounds = tuple((coord, cell(i, size)) for coord, i, size in cells)
+        return Box(cube, bounds), value
+
+    if g == 0:
+        pieces = [piece(1, F(1), (n, index[0], count(0, n)))]
+    else:
+        pieces = [piece(2 * g - 1, F(-1), (n, flat(index[:-1]), count(g - 1, n)),
+                        (n + 1, index[-1], count(g - 1, n + 1)))]
+        if g >= 2:
+            pieces.append(piece(2 * g - 2, F(-1, count(g - 1, n + 1) * count(g - 2, n + 1)),
+                                (n, flat(index[:-2]), count(g - 2, n))))
+    if 1 <= g <= fam.points - 2:
+        pieces.append(piece(2 * g, F(1, count(g - 1, n + 1)),
+                            (n, flat(index[:-1]), count(g - 1, n))))
+        pieces.append(piece(2 * g + 1, F(1), (n, flat(index), count(g, n))))
+    return StepFunction(fam.domain, pieces).terms
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_kadets(4),
+    lambda: build_three_kadets(3),
+    lambda: build_multipoint(4, 2),
+    lambda: build_multipoint(5, 1, sizes=(1, 2, 2, 2, 2)),
+], ids=["kadets(4)", "three-kadets(3)", "multipoint(4, 2)", "multipoint(5, 1, sizes)"])
+def test_every_term_matches_the_formulas(make):
+    fam = make()
+    checked = 0
+    for t in fam.term_ids():
+        g = fam.generation(t.kind)
+        assert fam.fn(t).terms == formula_terms(fam, g, t.level, t.index), str(t)
+        checked += 1
+    assert checked == fam.term_count()
+    # the verifier reads heads of generations 0..r-2 one level past the depth
+    n = fam.depth + 1
+    for g in range(fam.points - 1):
+        for index in fam.index_tuples(g, n):
+            assert fam.reference_fn(g, n, index).terms == formula_terms(fam, g, n, index)
 
 
 # --- two-kind family values -------------------------------------------------

@@ -7,6 +7,7 @@ checkpoints is the closed form 2*t*(1-t) with t = m/|M_n|, derived by
 integrating the partial sum against the target by hand.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,52 @@ def test_blocks_mode_matches_steps_mode():
     for a, b in zip(markers, by_blocks.rows):
         assert (a.step, a.term, a.block, a.deviations, a.box_counts) == \
             (b.step, b.term, b.block, b.deviations, b.box_counts)
+
+
+def test_blocks_markers_equal_steps_markers():
+    fam = build_three_kadets(3)
+    for sch in [schedule_point(fam, name) for name in ("p00", "p10", "p11")] + [
+            schedule_divergent(fam)]:
+        by_blocks = run_trace(fam, sch, record="blocks")
+        assert by_blocks.rows == by_blocks.markers()
+        assert by_blocks.rows == run_trace(fam, sch, record="steps").markers(), sch.label
+
+
+def digest(lines):
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+
+
+# sha256 of to_csv_lines() of blocks traces, pinned before blocks mode
+# summed whole terms.  Point 3 needs depth 3, hence the small-sized
+# multipoint(4, 3), whose size-1 first level also drops a coordinate.
+BLOCKS_GOLDEN = {
+    ("multipoint(4, 2)", 0): "0a35e6b97ce4775ea89da53bbb1861ef5017d24338b96cf60dc49f315e705959",
+    ("multipoint(4, 2)", 1): "3f0354c19d72465ecb2192aa3ed9b686bab17c51a7daf77b4006f38f85d7726e",
+    ("multipoint(4, 2)", 2): "4da72d0a93451a79e04cd35a11ae495116b585c8e939e9695202d0cad4e0f2c9",
+    ("multipoint(4, 3, sizes)", 0):
+        "1bd888e5fc7ae4a74dd04fb75653abf70de7839720754aea9b42fc906a448865",
+    ("multipoint(4, 3, sizes)", 1):
+        "15c5cc73f6124d37c7c69ee4cc41d630ae861d2d16491cfe92b6b1d1200d1c90",
+    ("multipoint(4, 3, sizes)", 2):
+        "3ae6aba0b399a6c630e87475c0c56f3bb107ff593ecefdc98fa975102d8df669",
+    ("multipoint(4, 3, sizes)", 3):
+        "a6200a2d9ac6a2894f3236d41243025905c049cd82c1151fd93c0d9a5fddb3f5",
+    ("three-kadets(4)", "p00"): "3e60f61679d949124af2f805f9e5bbb4db9eb017413a5171c1016f62057eea2b",
+    ("three-kadets(4)", "p10"): "03b2976b01fe6d4bbcacae569ae005d2fbaaea684055cc7860509fbac41694ba",
+    ("three-kadets(4)", "p11"): "dc2eaad2bc4384f58c1c1c9fda8d99eb705c1e0ec7a496bec9e6545f0c2c98b4",
+}
+
+
+def test_blocks_traces_are_pinned():
+    families = {
+        "multipoint(4, 2)": build_multipoint(4, 2),
+        "multipoint(4, 3, sizes)": build_multipoint(4, 3, sizes=(1, 2, 2, 2, 2, 2)),
+        "three-kadets(4)": build_three_kadets(4),
+    }
+    for (name, point), want in BLOCKS_GOLDEN.items():
+        fam = families[name]
+        trace = run_trace(fam, schedule_point(fam, point), record="blocks")
+        assert digest(trace.to_csv_lines()) == want, (name, point)
 
 
 def test_permutation_invariance():

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -29,7 +31,7 @@ def test_tracer_installs_on_current_package():
 
 _TRACED_RUN = """
 from tracer import Tracer, install, layer_metrics
-from sumrange.families import build_kadets
+from sumrange.families import build_kadets, build_multipoint
 from sumrange.schedules import random_schedule, run_trace, schedule_point
 from sumrange.verify import verify_family
 
@@ -41,17 +43,45 @@ run_trace(fam, schedule_point(fam, 1), record="blocks")
 assert verify_family(fam).ok
 metrics = layer_metrics(tracer, 0.0)
 for span in ("stepfn.add", "stepfn.ChunkedSum.total", "stepfn.moment", "families.fn"):
-    print(span, metrics[span + ".calls"])
+    print("span", span, metrics[span + ".calls"])
+
+# a blocks trace alone: the calls it adds to the two spans
+fam = build_multipoint(4, 1)
+sch = schedule_point(fam, 0)
+run_trace(fam, sch, record="blocks")
+after = layer_metrics(tracer, 0.0)
+for span in ("stepfn.restrict", "families.fn"):
+    print("blocks", span, after[span + ".calls"] - metrics[span + ".calls"])
+print("blocks cubes*blocks", len(fam.domain) * sum(1 for _ in sch.blocks()))
+print("blocks terms", sch.term_count)
 """
 
 
-def test_traced_run_records_the_kernel_spans():
-    # the kernel's work must stay inside the callables the shims wrap, or
-    # the traced benchmark run could not say where the time went
+@pytest.fixture(scope="module")
+def traced_run() -> dict[str, dict[str, int]]:
     done = _run_with_tracer(_TRACED_RUN)
     assert done.returncode == 0, done.stderr
-    calls = dict(line.rsplit(" ", 1) for line in done.stdout.splitlines())
+    out: dict[str, dict[str, int]] = {}
+    for line in done.stdout.splitlines():
+        group, rest = line.split(" ", 1)
+        key, count = rest.rsplit(" ", 1)
+        out.setdefault(group, {})[key] = int(count)
+    return out
+
+
+def test_traced_run_records_the_kernel_spans(traced_run):
+    # the kernel's work must stay inside the callables the shims wrap, or
+    # the traced benchmark run could not say where the time went
+    calls = traced_run["span"]
     assert set(calls) == {"stepfn.add", "stepfn.ChunkedSum.total", "stepfn.moment",
                           "families.fn"}
     for span, count in calls.items():
-        assert int(count) >= 1, span
+        assert count >= 1, span
+
+
+def test_blocks_trace_builds_each_term_once_and_slices_per_block(traced_run):
+    # blocks mode sums whole terms: no one-cube copy of each term, and
+    # each term built exactly once
+    got = traced_run["blocks"]
+    assert got["stepfn.restrict"] <= got["cubes*blocks"]
+    assert got["families.fn"] == got["terms"]
