@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 a verification or suite failure, 2 a
-configuration problem, 3 a file that could not be parsed.
+configuration problem, 3 a file that could not be parsed, 143 a run
+stopped by SIGTERM (which unwinds, so no temporary file is left behind).
 
 Every flag can also be supplied through `--config FILE`, a flat
 key=value text file whose keys match the flag names; explicit flags
@@ -13,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import re
+import signal
 import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -414,11 +417,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # SIGTERM's default action skips every `finally`; as SystemExit it
+    # unwinds, and `atomic_write_lines` removes its temporary file.  Only
+    # the main thread may set a handler.
+    in_main = threading.current_thread() is threading.main_thread()
+    if in_main:
+        previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         cfg = _merge(args)
         return _HANDLERS[args.command](cfg)
@@ -428,6 +441,9 @@ def main(argv=None) -> int:
     except (ConfigError, StructuralError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if in_main:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
 
 
 if __name__ == "__main__":

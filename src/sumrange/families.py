@@ -180,7 +180,7 @@ def cube_label(cube: int) -> str:
 
 
 def parse_cube_label(text: str) -> int:
-    m = re.match(r"^Q(\d+)$", text.strip())
+    m = re.match(r"^Q(\d+)$", text.strip()) if isinstance(text, str) else None
     if not m:
         raise ValueError(f"bad cube label {text!r}")
     return int(m.group(1))

@@ -5,6 +5,16 @@ Family files are JSON with one term per line, keys in a fixed order and a
 deterministic term order (level, kind, index), so the same family always
 serializes to identical bytes.  Writes go to a temporary file in the
 target directory and are renamed into place.
+
+The codec works on the integer lattice of `stepfn`.  The writer formats
+each endpoint lo/D_k and value v/V straight from a function's entries,
+reduced as `Fraction` reduces, so the bytes are those of its `Fraction`
+terms.  The reader parses each "n/d" to reduced ints and validates every
+box (0 <= lo < hi <= 1, coordinates >= 1 and named once, cubes in the
+domain); it drops zero values, puts the term on the lcm lattice of its
+own endpoints and value denominators, and canonicalizes it there.  Terms
+with equal lattices share one `dens` dict.  No `Fraction` is built per
+box, except to format an error message.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ import json
 import os
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -27,17 +38,36 @@ from .families import (
     kinds_for,
     parse_cube_label,
 )
-from .stepfn import Box, StepFunction, make_bounds
+from .stepfn import StepFunction, _canonical
 
 FAMILY_FORMAT = "sumrange-family-1"
 MATRIX_FORMAT = "sumrange-matrix-1"
 
 _FLAVORS = ("kadets", "three-kadets", "multipoint", "transformed")
-_FRAC_RE = re.compile(r"^-?\d+/\d+$")
+_FRAC_RE = re.compile(r"(-?\d+)/(\d+)")
+_COORD_RE = re.compile(r"\d+")
 
 
 class ParseError(ValueError):
     """A file is not a well-formed serialized object."""
+
+
+def _ratio(text) -> tuple[int, int]:
+    """The rational 'num/den' as reduced ints (num, den), den > 0."""
+    m = _FRAC_RE.fullmatch(text) if isinstance(text, str) else None
+    if m is None:
+        raise ParseError(f"bad rational {text!r}; expected 'num/den'")
+    num, den = int(m[1]), int(m[2])
+    if den == 0:
+        raise ParseError(f"zero denominator in {text!r}")
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """num/den (den > 0) as 'num/den', reduced as `Fraction` reduces it."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 def frac_to_text(x: Fraction) -> str:
@@ -45,55 +75,106 @@ def frac_to_text(x: Fraction) -> str:
 
 
 def text_to_frac(text) -> Fraction:
-    if not isinstance(text, str) or not _FRAC_RE.match(text):
-        raise ParseError(f"bad rational {text!r}; expected 'num/den'")
-    num, den = text.split("/")
-    if den == "0":
-        raise ParseError(f"zero denominator in {text!r}")
-    return Fraction(int(num), int(den))
+    return Fraction(*_ratio(text))
 
 
 # --- step functions ---------------------------------------------------------
 
 
+def _boxes_to_obj(f: StepFunction) -> list[dict]:
+    """The box records of f, formatted from its lattice entries."""
+    dens, vden = f._dens, f._vden
+    return [{"box": {str(c): [_ratio_text(lo, dens[c]), _ratio_text(hi, dens[c])]
+                     for c, lo, hi in bounds},
+             "cube": cube_label(cube),
+             "value": _ratio_text(v, vden)}
+            for cube, bounds, v in f._entries]
+
+
 def stepfn_to_obj(f: StepFunction) -> dict:
-    return {
-        "boxes": [_box_to_obj(box, value) for box, value in f.terms],
-        "domain": [cube_label(c) for c in f.domain],
-    }
+    return {"boxes": _boxes_to_obj(f), "domain": [cube_label(c) for c in f.domain]}
 
 
-def _box_to_obj(box: Box, value: Fraction) -> dict:
-    return {
-        "box": {str(coord): [frac_to_text(iv.lo), frac_to_text(iv.hi)]
-                for coord, iv in box.bounds},
-        "cube": cube_label(box.cube),
-        "value": frac_to_text(value),
-    }
+class _Reader:
+    """Parses box lists straight onto the integer lattice.
 
+    Each rational and cube label is parsed once per distinct text.
+    Functions whose lattices are equal share one `dens` dict, so sums and
+    comparisons of them skip the rescale."""
 
-def _term_entry(box_obj) -> tuple:
-    if not isinstance(box_obj, dict):
-        raise ParseError(f"box record must be an object, got {type(box_obj).__name__}")
-    try:
-        cube = parse_cube_label(box_obj["cube"])
-        raw = box_obj["box"]
-        value = text_to_frac(box_obj["value"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad box record: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ParseError("box constraints must be an object")
-    spec = {}
-    for coord, pair in raw.items():
-        if not re.match(r"^\d+$", str(coord)):
-            raise ParseError(f"bad coordinate index {coord!r}")
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ParseError(f"interval for coordinate {coord} must be [lo, hi]")
-        spec[int(coord)] = (text_to_frac(pair[0]), text_to_frac(pair[1]))
-    try:
-        return Box(cube, make_bounds(spec)), value
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    def __init__(self):
+        self._ratios: dict[str, tuple[int, int]] = {}
+        self._cubes: dict[str, int] = {}
+        self._lattices: dict[tuple, dict[int, int]] = {}
+
+    def ratio(self, text) -> tuple[int, int]:
+        got = self._ratios.get(text) if isinstance(text, str) else None
+        if got is None:
+            got = self._ratios[text] = _ratio(text)
+        return got
+
+    def cube(self, label) -> int:
+        got = self._cubes.get(label) if isinstance(label, str) else None
+        if got is None:
+            got = self._cubes[label] = parse_cube_label(label)
+        return got
+
+    def box(self, box_obj) -> tuple[int, list, tuple[int, int]]:
+        """(cube, [(coord, lo_num, lo_den, hi_num, hi_den), ...] in
+        coordinate order, value) of one box record, validated."""
+        if not isinstance(box_obj, dict):
+            raise ParseError(f"box record must be an object, got {type(box_obj).__name__}")
+        try:
+            cube = self.cube(box_obj["cube"])
+            raw = box_obj["box"]
+            value = self.ratio(box_obj["value"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad box record: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ParseError("box constraints must be an object")
+        bounds = []
+        seen = set()
+        for coord, pair in raw.items():
+            if not _COORD_RE.fullmatch(str(coord)):
+                raise ParseError(f"bad coordinate index {coord!r}")
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ParseError(f"interval for coordinate {coord} must be [lo, hi]")
+            k = int(coord)
+            if k in seen:
+                raise ParseError(f"coordinate {k} constrained twice in one box")
+            seen.add(k)
+            bounds.append((k, *self.ratio(pair[0]), *self.ratio(pair[1])))
+        bounds.sort()
+        for k, lo, lo_den, hi, hi_den in bounds:
+            if k < 1:
+                raise ParseError(f"coordinate index must be >= 1, got {k}")
+            if not (lo >= 0 and lo * hi_den < hi * lo_den and hi <= hi_den):
+                raise ParseError(
+                    f"bad interval [{Fraction(lo, lo_den)}, {Fraction(hi, hi_den)})")
+        return cube, bounds, value
+
+    def stepfn(self, box_objs: list, domain: tuple[int, ...]) -> StepFunction:
+        """The canonical function of a list of box records (overlaps add)."""
+        boxes = [self.box(b) for b in box_objs]
+        for cube, _, _ in boxes:
+            if cube not in domain:
+                raise ParseError(f"box on unknown cube {cube}; domain is {domain}")
+        boxes = [b for b in boxes if b[2][0]]
+        dens: dict[int, int] = {}
+        vden = 1
+        for _, bounds, (_, den) in boxes:
+            vden = lcm(vden, den)
+            for k, _, lo_den, _, hi_den in bounds:
+                dens[k] = lcm(dens.get(k, 1), lo_den, hi_den)
+        key = tuple(sorted(dens.items()))
+        dens = self._lattices.setdefault(key, dens)
+        per_cube: dict[int, list] = {}
+        for cube, bounds, (num, den) in boxes:
+            per_cube.setdefault(cube, []).append((
+                tuple((k, lo * (dens[k] // lo_den), hi * (dens[k] // hi_den))
+                      for k, lo, lo_den, hi, hi_den in bounds),
+                num * (vden // den)))
+        return StepFunction._raw(domain, _canonical(domain, per_cube, dens), dens, vden)
 
 
 def stepfn_from_obj(obj, domain: tuple[int, ...] | None = None) -> StepFunction:
@@ -106,11 +187,13 @@ def stepfn_from_obj(obj, domain: tuple[int, ...] | None = None) -> StepFunction:
             raise ParseError(f"bad step function domain: {exc}") from exc
     if not isinstance(obj["boxes"], list):
         raise ParseError("'boxes' must be a list")
+    if not domain or len(set(domain)) != len(domain):
+        raise ParseError(f"domain must be a non-empty tuple of distinct cubes, got {domain}")
     try:
-        return StepFunction(domain, [_term_entry(b) for b in obj["boxes"]])
+        return _Reader().stepfn(obj["boxes"], domain)
     except ParseError:
         raise
-    except ValueError as exc:
+    except ValueError as exc:  # such as an integer too long to convert
         raise ParseError(str(exc)) from exc
 
 
@@ -137,7 +220,7 @@ def family_to_lines(fam: Family) -> Iterator[str]:
     first = True
     for tid in fam.term_ids():
         record = {
-            "boxes": [_box_to_obj(box, value) for box, value in fam.fn(tid).terms],
+            "boxes": _boxes_to_obj(fam.fn(tid)),
             "index": list(tid.index),
             "kind": tid.kind,
             "level": tid.level,
@@ -211,13 +294,17 @@ def family_from_obj(obj, where: str = "<data>") -> Family:
     if not isinstance(terms, list):
         raise ParseError(f"{where}: 'terms' must be a list")
     table: dict[TermId, StepFunction] = {}
+    reader = _Reader()
     for rec in terms:
         if not isinstance(rec, dict):
             raise ParseError(f"{where}: term record must be an object")
         try:
             tid = TermId(rec["kind"], int(rec["level"]),
                          tuple(int(i) for i in rec["index"]))
-            fn = stepfn_from_obj({"boxes": rec["boxes"]}, domain=cubes)
+            boxes = rec["boxes"]
+            if not isinstance(boxes, list):
+                raise ParseError("'boxes' must be a list")
+            fn = reader.stepfn(boxes, cubes)
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ParseError):
                 raise ParseError(f"{where}: term {rec.get('kind')}: {exc}") from exc

@@ -28,6 +28,12 @@ by one factor, which keeps their order and equalities, so the sweep cuts
 and merges in the same places.  On a common lattice the integer entries
 of two canonical functions are therefore equal exactly when their
 `Fraction` terms are, and ``==`` is exact a.e. equality.
+
+One box is canonical once its full-span constraints are dropped, so the
+sweep returns a single entry directly: a cube holding one box, as in most
+parts of loaded terms and of products, is never cut.  Predicates such as
+`moment_is` and `is_product` decide exact equalities on the lattice
+integers without building a `Fraction`.
 """
 
 from __future__ import annotations
@@ -122,7 +128,14 @@ def _sweep(entries: list[tuple[LatticeBounds, int]], dens: Mapping[int, int]
     adjacent cells with identical residue, and drops the coordinate
     entirely when a single merged cell spans [0, D).  The output depends
     only on the pointwise function, not on the incoming box decomposition.
+
+    A single entry is its own canonical form once its full-span
+    constraints are dropped: that is what the sweep would compute, and most
+    functions have one box per cube.
     """
+    if len(entries) == 1:
+        bounds, v = entries[0]
+        return [(tuple(b for b in bounds if b[1] or b[2] != dens[b[0]]), v)]
     if not entries:
         return []
     c = None
@@ -213,6 +226,14 @@ def _sweep_leaf(c: int, top: int, free: list, cons: list) -> list[tuple[LatticeB
     if len(spans) == 1:
         return [((), value)] if value else []
     return [(((c, lo, hi),), v) for lo, hi, v in spans if v]
+
+
+def _value(v: int) -> int:
+    return v
+
+
+def _one(v: int) -> int:
+    return 1
 
 
 def _canonical(domain: tuple[int, ...], per_cube: Mapping[int, list],
@@ -417,13 +438,8 @@ class StepFunction:
                 inter = _intersect(b1, b2)
                 if inter is not None:
                     per_cube.setdefault(cube, []).append((inter, v1 * v2))
-        vden = self._vden * other._vden
-        if all(len(got) == 1 for got in per_cube.values()):
-            # one box per cube is canonical already: its value is not zero and
-            # no intersection of two proper constraints spans [0, 1)
-            entries = tuple((cube, *per_cube[cube][0]) for cube in self._domain if cube in per_cube)
-            return StepFunction._raw(self._domain, entries, dens, vden)
-        return StepFunction._raw(self._domain, _canonical(self._domain, per_cube, dens), dens, vden)
+        return StepFunction._raw(self._domain, _canonical(self._domain, per_cube, dens), dens,
+                                 self._vden * other._vden)
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
         return self.add(other)
@@ -444,11 +460,13 @@ class StepFunction:
 
     # --- measurements ---
 
-    def _integrate(self, cube: int | None, weight, wden: int) -> Fraction:
-        """The sum, over the boxes of one cube (or of all cubes), of
-        weight(integer value) times the box measure, divided by `wden`."""
+    def _integrate(self, cube: int | None, weight) -> tuple[int, int]:
+        """(total, common): the sum, over the boxes of one cube (or of all
+        cubes), of weight(integer value) times the box measure is
+        total / common, before division by any power of the value
+        denominator.  The ratio is not reduced and no `Fraction` is built."""
         dens = self._dens
-        total, common = 0, 1  # the sum so far is total / common
+        total, common = 0, 1
         for cu, bounds, v in self._entries:
             if cube is None or cu == cube:
                 num = weight(v)
@@ -462,7 +480,7 @@ class StepFunction:
                     num *= joint // den
                     common = joint
                 total += num
-        return Fraction(total, common * wden) if total else _ZERO
+        return total, common
 
     def moment(self, p: int = 1, cube: int | None = None) -> Fraction:
         """Integral of |f|^p over the whole domain, or over one cube."""
@@ -470,20 +488,78 @@ class StepFunction:
             raise ValueError(f"moment order must be a positive integer, got {p!r}")
         if cube is not None:
             self._require_cube(cube)
-        if p == 1:
-            return self._integrate(cube, abs, self._vden)
-        return self._integrate(cube, lambda v: abs(v) ** p, self._vden ** p)
+        total, common = self._integrate(cube, abs if p == 1 else lambda v: abs(v) ** p)
+        return Fraction(total, common * self._vden ** p) if total else _ZERO
 
     def sup_norm(self) -> Fraction:
         return Fraction(max((abs(v) for _, _, v in self._entries), default=0), self._vden)
 
     def integral(self, cube: int) -> Fraction:
         self._require_cube(cube)
-        return self._integrate(cube, lambda v: v, self._vden)
+        total, common = self._integrate(cube, _value)
+        return Fraction(total, common * self._vden) if total else _ZERO
 
     def support_measure(self, cube: int) -> Fraction:
         self._require_cube(cube)
-        return self._integrate(cube, lambda v: 1, 1)
+        total, common = self._integrate(cube, _one)
+        return Fraction(total, common) if total else _ZERO
+
+    # --- exact predicates on the lattice integers, building no Fraction ---
+
+    def moment_is(self, value: Fraction | int) -> bool:
+        """Whether `moment(1) == value`."""
+        total, common = self._integrate(None, abs)
+        return total * value.denominator == value.numerator * common * self._vden
+
+    def same_integral(self, cube: int, other: int) -> bool:
+        """Whether `integral(cube) == integral(other)`."""
+        self._require_cube(cube)
+        self._require_cube(other)
+        total, common = self._integrate(cube, _value)
+        total_o, common_o = self._integrate(other, _value)
+        return total * common_o == total_o * common
+
+    def takes_only(self, value: Fraction | int) -> bool:
+        """Whether every box carries `value`: `term_values() <= {value}`."""
+        want, den = value.numerator * self._vden, value.denominator
+        return all(v * den == want for _, _, v in self._entries)
+
+    def is_product(self, a: "StepFunction", b: "StepFunction", c: Fraction | int = 1) -> bool:
+        """Whether `self == c * a * b`.
+
+        When all three are one box, the product is the intersection of the
+        boxes of `a` and `b` with value c * va * vb: every constraint of a
+        canonical box is proper, so the intersection drops none, and a
+        canonical one-box `self` has positive measure, so it matches no
+        empty intersection.  The boxes and values are compared directly.
+        Otherwise the product is computed."""
+        self._check_domain(a)
+        self._check_domain(b)
+        if not len(self._entries) == len(a._entries) == len(b._entries) == 1:
+            return self == a.multiply(b).scale(c)
+        (cube, bounds, v), = self._entries
+        (cube_a, bounds_a, va), = a._entries
+        (cube_b, bounds_b, vb), = b._entries
+        if not (cube == cube_a == cube_b and v * a._vden * b._vden * c.denominator
+                == c.numerator * va * vb * self._vden):
+            return False
+        # the intersection, each endpoint as [numerator, denominator]
+        box: dict[int, list[int]] = {}
+        for part, dens in ((bounds_a, a._dens), (bounds_b, b._dens)):
+            for k, lo, hi in part:
+                d = dens[k]
+                got = box.get(k)
+                if got is None:
+                    box[k] = [lo, d, hi, d]
+                    continue
+                if lo * got[1] > got[0] * d:
+                    got[0], got[1] = lo, d
+                if hi * got[3] < got[2] * d:
+                    got[2], got[3] = hi, d
+        dens = self._dens
+        return len(box) == len(bounds) and all(
+            k in box and lo * box[k][1] == box[k][0] * dens[k]
+            and hi * box[k][3] == box[k][2] * dens[k] for k, lo, hi in bounds)
 
     def footprint(self) -> frozenset[tuple[int, int]]:
         """Set of (cube, coordinate) pairs the function actually depends on."""

@@ -10,6 +10,9 @@ the next-level head by columns.  The bridge cubes 2e below the pair and
 each (pair, level) unit once, fetching each of its terms once and
 feeding the per-term checks and the row, column, level and coupling sums
 together.  Every comparison is exact rational equality, never a tolerance.
+The per-term checks compare lattice integers (`StepFunction.moment_is`,
+`takes_only`, `same_integral`, `is_product`), so a passing term builds no
+`Fraction`; witnesses are formatted from `Fraction`s only on failure.
 """
 
 from __future__ import annotations
@@ -100,10 +103,6 @@ def _describe_diff(diff: StepFunction) -> str:
     return "; ".join(bits[:3]) or "no difference"
 
 
-def _constant_on(cube: int, value: Fraction) -> StepFunction:
-    return cube_constants((cube,), {cube: value})
-
-
 # --- the table of checks ----------------------------------------------------
 
 HEAD, TAIL, ROW, COLUMN, HEADS, TAILS, COUPLING = (
@@ -133,7 +132,7 @@ class Check(NamedTuple):
 
 
 def _norm(want):
-    return (lambda u, x: x.fn.moment(1) == want(u),
+    return (lambda u, x: x.fn.moment_is(want(u)),
             lambda u, x: f"moment {x.fn.moment(1)} != {want(u)}")
 
 
@@ -143,7 +142,7 @@ def _coords(*shifts):
 
 
 def _values(want):
-    return (lambda u, x: x.fn.term_values() <= {want(u, x)},
+    return (lambda u, x: x.fn.takes_only(want(u, x)),
             lambda u, x: f"values {sorted(x.fn.term_values())} != {{{want(u, x)}}}")
 
 
@@ -153,8 +152,8 @@ def _support(generation):
 
 
 def _sums_to(value):
-    return (lambda u, x: x.fn == _constant_on(x.cube, value),
-            lambda u, x: _describe_diff(x.fn - _constant_on(x.cube, value)))
+    return (lambda u, x: x.fn == cube_constants((x.cube,), {x.cube: value}),
+            lambda u, x: _describe_diff(x.fn - cube_constants((x.cube,), {x.cube: value})))
 
 
 def _measures_one(what):
@@ -163,9 +162,9 @@ def _measures_one(what):
 
 _CANCELS = (lambda u, x: x.fn == x.cancel.scale(-1),
             lambda u, x: _describe_diff(x.fn + x.cancel))
-_PRODUCT = (lambda u, x: x.fn == u.product(),
-            lambda u, x: _describe_diff(x.fn - u.product()))
-_PAIRED = (lambda u, x: x.whole.integral(x.cube) == x.whole.integral(x.cube + 1),
+_PRODUCT = (lambda u, x: x.fn.is_product(*u.factors(), -1),
+            lambda u, x: _describe_diff(x.fn + StepFunction.multiply(*u.factors())))
+_PAIRED = (lambda u, x: x.whole.same_integral(x.cube, x.cube + 1),
            lambda u, x: (f"{x.whole.integral(x.cube)} on {cube_label(x.cube)} vs "
                          f"{x.whole.integral(x.cube + 1)} on {cube_label(x.cube + 1)}"))
 _INDICATOR = (lambda u, x: x.fn.value_set() <= {0, 1},
@@ -215,8 +214,8 @@ def _stray(fam: Family, g: int, f: StepFunction) -> list[str]:
     allowed = {1} if g == 0 else {2 * g - 2, 2 * g - 1}
     if 1 <= g <= fam.points - 2:
         allowed.update({2 * g, 2 * g + 1})
-    return [cube_label(c) for c in f.domain
-            if c not in allowed and f.support_measure(c) != 0]
+    # a canonical box has positive measure: f is not zero on the cubes it has boxes on
+    return [cube_label(c) for c in sorted(f.support_cubes() - allowed)]
 
 
 # --- the verifier -----------------------------------------------------------
@@ -299,10 +298,10 @@ class _Unit:
     def parts(self, f: StepFunction) -> dict:
         return {k: f if k is None else f.restrict(k) for k in self.roles.values()}
 
-    def product(self) -> StepFunction:
-        """Minus the row's head times the column's next-level head, on the pair cube."""
-        c = self.c
-        return self.heads[self.row][c].multiply(self.next_heads[self.column][c]).scale(-1)
+    def factors(self) -> tuple[StepFunction, StepFunction]:
+        """The row's head and the column's next-level head, on the pair cube:
+        the tail there is minus their product."""
+        return self.heads[self.row][self.c], self.next_heads[self.column][self.c]
 
 
 def _verify_unit(u: _Unit, report: AxiomReport) -> None:

@@ -4,6 +4,10 @@ Commands run in-process through main(argv) so the tests see the same
 code paths as the installed console script without subprocess cost.
 """
 
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 from sumrange import cli
@@ -117,6 +121,58 @@ def test_verify_corrupt_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--family", str(path))
     assert code == 3
     assert "broken.family" in err
+
+
+def test_verify_zero_denominator_is_a_parse_error(tmp_path, capsys):
+    good = tmp_path / "good.family"
+    run(capsys, "build", "--flavor", "kadets", "--levels", "1", "--out", str(good))
+    text = good.read_text()
+    assert '"1/2"' in text
+    path = tmp_path / "zero.family"
+    path.write_text(text.replace('"1/2"', '"1/00"', 1))
+    code, _, err = run(capsys, "verify", "--family", str(path))
+    assert code == 3
+    assert "zero denominator in '1/00'" in err
+
+
+_SIGTERM_MID_WRITE = """
+import os, signal, sys
+from sumrange import cli, serialize
+
+lines = serialize.family_to_lines
+
+def stopped_after_first_line(fam):
+    it = lines(fam)
+    yield next(it)
+    os.kill(os.getpid(), signal.SIGTERM)
+    yield from it
+
+serialize.family_to_lines = stopped_after_first_line
+sys.exit(cli.main(["build", "--flavor", "kadets", "--levels", "2", "--out", sys.argv[1]]))
+"""
+
+
+def test_sigterm_mid_write_leaves_no_temp_file(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).resolve().parent.parent / "src")]
+                                        + env.get("PYTHONPATH", "").split(os.pathsep))
+    done = subprocess.run([sys.executable, "-c", _SIGTERM_MID_WRITE, str(tmp_path / "k.family")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 128 + signal.SIGTERM, done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_restores_the_sigterm_handler(tmp_path, capsys):
+    def mine(signum, frame):
+        pass
+
+    previous = signal.signal(signal.SIGTERM, mine)
+    try:
+        assert run(capsys, "build", "--flavor", "kadets", "--levels", "1",
+                   "--out", str(tmp_path / "k.family"))[0] == 0
+        assert signal.getsignal(signal.SIGTERM) is mine
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def test_verify_missing_file_and_flag(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Round trips, byte stability and corruption handling for the text formats."""
 
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from sumrange.families import (
     TransformSpec,
     apply_transform,
     build_kadets,
+    build_multipoint,
     build_three_kadets,
 )
 from sumrange.serialize import (
@@ -24,7 +27,8 @@ from sumrange.serialize import (
     stepfn_to_obj,
     text_to_frac,
 )
-from sumrange.stepfn import StepFunction, indicator
+from sumrange.stepfn import Box, StepFunction, indicator, make_bounds
+from test_stepfn import random_raw
 
 F = Fraction
 
@@ -34,7 +38,7 @@ def test_fraction_text():
     assert frac_to_text(F(3)) == "3/1"
     assert text_to_frac("-1/2") == F(-1, 2)
     assert text_to_frac("4/6") == F(2, 3)
-    for bad in ("1", "1/0", "0.5", "1/-2", "a/b", 7, None, "1 / 2"):
+    for bad in ("1", "1/0", "1/00", "1/2\n", "0.5", "1/-2", "a/b", 7, None, "1 / 2"):
         with pytest.raises(ParseError):
             text_to_frac(bad)
 
@@ -74,10 +78,17 @@ def test_stepfn_parse_errors():
         {"domain": ["Q1"], "boxes": [{"box": {"2": ["0/1"]}, "cube": "Q1", "value": "1/1"}]},
         {"domain": ["Q1"], "boxes": [{"box": {"2": ["0/1", "3/2"]}, "cube": "Q1", "value": "1/1"}]},
         {"domain": ["Q1"], "boxes": [{"box": {}, "cube": "Q1", "value": "0.5"}]},
+        {"domain": ["Q1"], "boxes": [{"box": {}, "cube": "Q1", "value": "1/00"}]},
+        {"domain": ["Q1"], "boxes": [{"box": {}, "cube": 1, "value": "1/1"}]},
     ]
     for obj in cases:
         with pytest.raises(ParseError):
             stepfn_from_obj(obj)
+    # one coordinate named twice, the second time with a leading zero
+    twice = {"domain": ["Q1"], "boxes": [
+        {"box": {"2": ["0/1", "1/2"], "02": ["1/2", "1/1"]}, "cube": "Q1", "value": "1/1"}]}
+    with pytest.raises(ParseError, match="coordinate 2 "):
+        stepfn_from_obj(twice)
 
 
 def test_family_roundtrip(tmp_path):
@@ -184,3 +195,87 @@ def test_lines_stream_matches_file(tmp_path):
     path = tmp_path / "fam.json"
     dump_family(fam, path)
     assert "".join(family_to_lines(fam)) == path.read_text()
+
+
+# --- the lattice codec against the Fraction parse ----------------------------
+
+
+def fraction_parse(obj) -> StepFunction:
+    """The reference: every rational through `Fraction`, then the constructor."""
+    domain = tuple(int(c[1:]) for c in obj["domain"])
+    terms = [(Box(int(b["cube"][1:]), make_bounds(
+                 {int(k): (text_to_frac(lo), text_to_frac(hi)) for k, (lo, hi) in b["box"].items()})),
+              text_to_frac(b["value"]))
+             for b in obj["boxes"]]
+    return StepFunction(domain, terms)
+
+
+def box_record(cube, bounds, value, rng, least=1):
+    """A box record with each rational written over a random multiple, at
+    least `least`, of its denominator."""
+    def text(x):
+        m = rng.randint(least, least + 2)
+        return f"{x.numerator * m}/{x.denominator * m}"
+    return {"box": {str(k): [text(lo), text(hi)] for k, (lo, hi) in bounds.items()},
+            "cube": f"Q{cube}", "value": text(value)}
+
+
+ADVERSARIAL = {
+    "overlapping": [(1, {2: (F(0), F(2, 3))}, F(1)), (1, {2: (F(1, 3), F(1))}, F(-1, 2)),
+                    (1, {2: (F(1, 3), F(2, 3)), 3: (F(0), F(1, 4))}, F(5))],
+    "unreduced": [(1, {1: (F(1, 2), F(3, 4))}, F(1, 2)), (1, {1: (F(1, 3), F(1))}, F(-3))],
+    "zero-values": [(1, {1: (F(0), F(1, 5))}, F(0)), (2, {4: (F(1, 7), F(1))}, F(3)),
+                    (2, {}, F(0))],
+    "full-span": [(1, {1: (F(0), F(1)), 2: (F(1, 2), F(1))}, F(1)), (2, {3: (F(0), F(1))}, F(-2))],
+    "cancelling": [(1, {1: (F(0), F(1, 2))}, F(1)), (1, {1: (F(0), F(1, 4))}, F(-1)),
+                   (1, {1: (F(1, 4), F(1, 2))}, F(-1))],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("case", [*ADVERSARIAL, *(f"random-{seed}" for seed in range(40))])
+def test_lattice_parse_matches_fraction_parse(case):
+    rng = random.Random(case)
+    dom = (1, 2)
+    if case in ADVERSARIAL:
+        raw = ADVERSARIAL[case]
+    else:  # the instances of test_stepfn.py's oracle test of the same seed
+        raw = random_raw(random.Random(int(case[len("random-"):])), dom)
+    least = 2 if case == "unreduced" else 1
+    obj = {"domain": ["Q1", "Q2"], "boxes": [box_record(c, b, v, rng, least) for c, b, v in raw]}
+    got, want = stepfn_from_obj(obj), fraction_parse(obj)
+    assert got == want
+    assert got.terms == want.terms
+    # and written back from the lattice, as the Fraction terms write
+    assert stepfn_to_obj(got) == {
+        "boxes": [{"box": {str(k): [frac_to_text(iv.lo), frac_to_text(iv.hi)]
+                           for k, iv in box.bounds},
+                   "cube": f"Q{box.cube}", "value": frac_to_text(v)} for box, v in want.terms],
+        "domain": ["Q1", "Q2"]}
+
+
+def test_loaded_terms_share_their_lattices(tmp_path):
+    path = tmp_path / "m.family"
+    dump_family(build_multipoint(4, 2), path)
+    loaded = load_family(path)
+    fns = [loaded.fn(tid) for tid in loaded.table_ids()]
+    objects = {id(f._dens) for f in fns}
+    lattices = {tuple(sorted(f._dens.items())) for f in fns}
+    assert len(objects) == len(lattices)
+
+
+# sha256 of the family files, pinned from the writer that formatted the
+# `Fraction` terms; the writer formats from the lattice now.
+FAMILY_DIGESTS = {
+    "kadets(4)": "d2f5ef873e6f85b0234e4bda81a9d8a436db6af8423603da563fdee0f6052749",
+    "three-kadets(3)": "9edaa58470b6dc681ad824dc3400d43445210ae5597e8d09daa2557c3f86df33",
+    "multipoint(4, 1)": "c075e9801b70a39f9b2ad6f50c27a38a32eb7f41914249ddcb07ec89ae49cbe5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_DIGESTS))
+def test_family_bytes_are_pinned(name):
+    fam = {"kadets(4)": lambda: build_kadets(4), "three-kadets(3)": lambda: build_three_kadets(3),
+           "multipoint(4, 1)": lambda: build_multipoint(4, 1)}[name]()
+    data = "".join(family_to_lines(fam)).encode()
+    assert hashlib.sha256(data).hexdigest() == FAMILY_DIGESTS[name]

@@ -462,6 +462,31 @@ def test_lattice_edge_cases_match_oracle(case, seed):
             assert prod.evaluate(cube, point) == want
 
 
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("case", sorted(LATTICE_CASES))
+def test_lattice_predicates_match_fractions(case, seed):
+    # the predicates that decide on lattice integers, against the Fraction
+    # results they stand for; mostly one box each, so that `is_product`
+    # compares boxes across unrelated lattices
+    rng = random.Random(f"predicates-{case}-{seed}")
+    dom = (1, 2)
+    spec = LATTICE_CASES[case]
+
+    def draw():
+        return build(lattice_raw(rng, dom, **spec, max_boxes=rng.choice((1, 1, 3))), dom)
+
+    a, b, other = draw(), draw(), draw()
+    c = rng.choice(spec["values"])
+    prod = a.multiply(b).scale(c)
+    for f in (prod, prod.scale(2), prod + other, other):
+        assert f.is_product(a, b, c) == (f == prod)
+        m = f.moment(1)
+        assert f.moment_is(m) and not f.moment_is(m + F(1, 2**70))
+        for value in f.term_values() | {F(1), F(-1, 3)}:
+            assert f.takes_only(value) == (f.term_values() <= {value})
+        assert f.same_integral(1, 2) == (f.integral(1) == f.integral(2))
+
+
 def test_sum_refines_both_lattices():
     # cuts at quarters and at sixths: the sum needs twelfths, which
     # neither operand's lattice has
@@ -485,6 +510,14 @@ def test_multiply_single_boxes():
     raw = [(2, {1: (F(1, 3), F(1, 2)), 2: (F(1, 9), F(1)), 3: (F(0), F(2, 5))}, F(-5, 4))]
     assert_canonical_shape(prod)
     assert_matches_oracle(raw, prod)
+    # the same product read off the boxes: lo from f, hi from g on coordinate 1
+    assert prod.is_product(f, g) and prod.scale(-2).is_product(g, f, -2)
+    wider = indicator((1, 2), 2, {1: (F(2, 11), F(6, 7)), 2: (F(1, 9), 1), 3: (0, F(2, 5))},
+                      value=F(-5, 4))
+    unbounded = indicator((1, 2), 2, {1: (F(1, 3), F(1, 2)), 2: (F(1, 9), 1)}, value=F(-5, 4))
+    for wrong in (f, g, prod.scale(2), wider, wider * indicator((1, 2), 2, {1: (0, F(1, 2))}),
+                  wider * indicator((1, 2), 2, {1: (F(1, 3), 1)}), unbounded):
+        assert not wrong.is_product(f, g)
     apart = indicator((1, 2), 2, {1: (F(1, 2), F(4, 7))}) * indicator((1, 2), 2, {1: (F(4, 7), 1)})
     assert apart.terms == ()
     elsewhere = indicator((1, 2), 1, {1: (0, F(1, 2))}) * g

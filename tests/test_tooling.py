@@ -54,6 +54,23 @@ for span in ("stepfn.restrict", "families.fn"):
     print("blocks", span, after[span + ".calls"] - metrics[span + ".calls"])
 print("blocks cubes*blocks", len(fam.domain) * sum(1 for _ in sch.blocks()))
 print("blocks terms", sch.term_count)
+
+# a clean multipoint(4, 1) written, loaded and verified: the calls each step adds
+import os, tempfile
+from sumrange.serialize import dump_family, load_family
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "m.family")
+    dump_family(fam, path)
+    before = layer_metrics(tracer, 0.0)
+    loaded = load_family(path)
+after_load = layer_metrics(tracer, 0.0)
+assert verify_family(loaded).ok
+after_verify = layer_metrics(tracer, 0.0)
+print("load stepfn.StepFunction",
+      after_load["stepfn.StepFunction.calls"] - before["stepfn.StepFunction.calls"])
+print("verify stepfn.multiply",
+      after_verify["stepfn.multiply.calls"] - after_load["stepfn.multiply.calls"])
+print("verify families.fn", after_verify["families.fn.calls"] - after_load["families.fn.calls"])
 """
 
 
@@ -85,3 +102,11 @@ def test_blocks_trace_builds_each_term_once_and_slices_per_block(traced_run):
     got = traced_run["blocks"]
     assert got["stepfn.restrict"] <= got["cubes*blocks"]
     assert got["families.fn"] == got["terms"]
+
+
+def test_loaded_family_verifies_without_fractions_per_term(traced_run):
+    # loading parses straight onto the lattice, and the product-structure
+    # check compares one-box parts without multiplying
+    assert traced_run["load"] == {"stepfn.StepFunction": 0}
+    assert traced_run["verify"]["stepfn.multiply"] == 0
+    assert traced_run["verify"]["families.fn"] > 0

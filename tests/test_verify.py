@@ -23,8 +23,8 @@ from sumrange.families import (
     build_three_kadets,
 )
 from sumrange.serialize import dump_family, family_to_lines, load_family
-from sumrange.stepfn import indicator, sum_functions
-from sumrange.verify import verify_family
+from sumrange.stepfn import StepFunction, indicator, sum_functions
+from sumrange.verify import CHECKS, HEAD, TAIL, _Item, _Unit, verify_family
 
 PAIR_CHECKS = {
     "partition-sums-to-one", "cell-norm", "single-coordinate",
@@ -280,3 +280,108 @@ def test_each_term_fetched_about_once(build, monkeypatch):
     monkeypatch.setattr(Family, "fn", lambda self, tid: calls.append(tid) or fetch(self, tid))
     assert verify_family(fam).ok
     assert len(calls) < 1.15 * fam.term_count()
+
+
+# --- the integer checks against their Fraction predicates -------------------
+
+# Today's Fraction predicate of each check that compares lattice integers;
+# `allowed` holds the cubes the term's generation has pieces on.
+FRACTION_PREDICATES = {
+    "cell-norm": lambda u, x, allowed: x.fn.moment(1) == u.head_norm,
+    "pair-norm": lambda u, x, allowed: x.fn.moment(1) == u.tail_norm,
+    "bridge-norm": lambda u, x, allowed: x.fn.moment(1) == u.tail_norm,
+    "zero-one-valued": lambda u, x, allowed: x.fn.term_values() <= {1},
+    "zero-minus-one-valued": lambda u, x, allowed: x.fn.term_values() <= {-1},
+    "bridge-scaled-values": lambda u, x, allowed: (
+        x.fn.term_values() <= {u.bridge_value[x.cube]}),
+    "paired-integrals": lambda u, x, allowed: (
+        x.whole.integral(x.cube) == x.whole.integral(x.cube + 1)),
+    "cube-support": lambda u, x, allowed: not any(
+        x.fn.support_measure(c) != 0 for c in x.fn.domain if c not in allowed),
+    "product-structure": lambda u, x, allowed: x.fn == (
+        u.heads[u.row][u.c].multiply(u.next_heads[u.column][u.c]).scale(-1)),
+}
+
+
+def _allowed_cubes(fam, g):
+    # the cubes of generation g's pieces, read off the construction's formulas
+    if g == 0:
+        return {1}
+    cubes = {2 * g - 1, 2 * g - 2} if g >= 2 else {1}
+    if g <= fam.points - 2:
+        cubes |= {2 * g, 2 * g + 1}
+    return cubes
+
+
+def _copies(f):
+    # the term, scaled, negated and shifted by a constant on the last cube
+    return (f, f.scale(3), f.scale(-1), f + indicator(f.domain, f.domain[-1], {}, Fraction(1, 7)))
+
+
+def _agree(u, todo, parts, allowed, outcomes):
+    """Run each converted check on one term's parts against its predicate."""
+    for ck, k in todo:
+        x = _Item(parts[k], k, "term", whole=parts[None])
+        got = ck.ok(u, x)
+        assert got == FRACTION_PREDICATES[ck.id](u, x, allowed), ck.id
+        outcomes.add((ck.id, got))
+
+
+@pytest.mark.parametrize("build", [lambda: build_kadets(4), lambda: build_three_kadets(3),
+                                   lambda: build_multipoint(4, 2)],
+                         ids=["kadets(4)", "three-kadets(3)", "multipoint(4, 2)"])
+def test_integer_checks_match_fraction_predicates(build):
+    fam = build()
+    outcomes = set()
+    for n in range(1, fam.depth + 1):
+        for e in range(fam.points - 1):
+            u = _Unit(fam, e, n)
+            todo = {on: [(ck, u.roles[role]) for ck in CHECKS if ck.on == on
+                         and ck.id in FRACTION_PREDICATES for role in ck.roles if role in u.roles]
+                    for on in (HEAD, TAIL)}
+            heads = [fam.fn(TermId(u.head, n, idx)) for idx in fam.index_tuples(e, n)]
+            u.heads = [u.parts(f) for f in heads]
+            allowed = _allowed_cubes(fam, e)
+            for f in heads:
+                for copy in _copies(f):
+                    _agree(u, todo[HEAD], u.parts(copy), allowed, outcomes)
+            s_next = len(u.next_heads)
+            allowed = _allowed_cubes(fam, e + 1)
+            for t, idx in enumerate(fam.index_tuples(e + 1, n)):
+                row, column = divmod(t, s_next)
+                f = fam.fn(TermId(u.tail, n, idx))
+                for copy in _copies(f):
+                    u.row, u.column = row, column
+                    _agree(u, todo[TAIL], u.parts(copy), allowed, outcomes)
+                # against the next column's head: one box each, the wrong box
+                u.row, u.column = row, (column + 1) % s_next
+                _agree(u, todo[TAIL], u.parts(f), allowed, outcomes)
+    # every check a family has was seen both passing and failing, except
+    # cube-support on the one cube of kadets
+    passed = {ck for ck, ok in outcomes if ok}
+    assert passed == {ck for ck, ok in outcomes if not ok} | (
+        {"cube-support"} if fam.points == 2 else set())
+    assert len(passed) == (6 if fam.points == 2 else len(FRACTION_PREDICATES))
+
+
+def test_tail_of_two_boxes_takes_the_multiply_path(monkeypatch):
+    # the tail's pair-cube part split into two boxes, one moved to another
+    # column: values, norm and support survive, the product does not
+    fam = build_kadets(3)
+    tid = TermId("b", 2, (1, 2))
+    dom = fam.domain
+    left = indicator(dom, 1, {2: (0, Fraction(1, 4)), 3: (Fraction(1, 3), Fraction(2, 3))}, -1)
+    right = indicator(dom, 1, {2: (Fraction(1, 4), Fraction(1, 2)), 3: (0, Fraction(1, 3))}, -1)
+    assert fam.fn(tid) == left + indicator(dom, 1, {2: (Fraction(1, 4), Fraction(1, 2)),
+                                                   3: (Fraction(1, 3), Fraction(2, 3))}, -1)
+    calls = []
+    multiply = StepFunction.multiply
+    monkeypatch.setattr(StepFunction, "multiply",
+                        lambda self, other: calls.append(1) or multiply(self, other))
+    report = verify_family(fam.with_replaced({tid: left + right}))
+    assert calls
+    assert failing_checks(report) == {
+        "product-structure", "row-cancellation", "rows-sum-to-minus-one",
+        "column-cancellation"}
+    failed = [c for c in report.failures() if c.check == "product-structure"]
+    assert [c.scope for c in failed] == ["b^2(1,2) on Q1"]
