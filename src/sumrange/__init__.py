@@ -1,107 +1,20 @@
 """Exact step-function arithmetic, series families with prescribed sum
-ranges, rearrangement schedules, and their verification."""
+ranges, rearrangement schedules, and their verification.
 
-from .analysis import (
-    SuiteReport,
-    constancy_certificate,
-    cross_variable_lower_bound,
-    fiber_approximation_check,
-    fiber_best_approximation,
-    integer_drift_check,
-    near_constancy_check,
-    run_cross_variable_suite,
-    run_drift_battery,
-    run_fiber_suite,
-    run_near_constancy_battery,
-)
-from .families import (
-    ConfigError,
-    Family,
-    StructuralError,
-    TermId,
-    TransformSpec,
-    apply_transform,
-    build_kadets,
-    build_multipoint,
-    build_three_kadets,
-    expected_sum_range,
-    parse_term_id,
-)
-from .schedules import (
-    Block,
-    Schedule,
-    Trace,
-    random_schedule,
-    run_trace,
-    schedule_custom,
-    schedule_divergent,
-    schedule_point,
-)
-from .serialize import ParseError, dump_family, load_family
-from .stepfn import (
-    Box,
-    DomainError,
-    Interval,
-    StepFunction,
-    cell,
-    constant,
-    cube_constants,
-    equal_cells,
-    indicator,
-    sum_functions,
-)
-from .verify import (
-    AxiomCheck,
-    AxiomReport,
-    verify_family,
-)
+The top level holds the names of the README's quick start and the family
+builders; everything else is imported from its submodule."""
+
+from .families import apply_transform, build_kadets, build_multipoint, build_three_kadets
+from .schedules import run_trace, schedule_point
+from .verify import verify_family
 
 __all__ = [
-    "AxiomCheck",
-    "AxiomReport",
-    "Block",
-    "Box",
-    "ConfigError",
-    "DomainError",
-    "Family",
-    "Interval",
-    "ParseError",
-    "Schedule",
-    "StepFunction",
-    "StructuralError",
-    "SuiteReport",
-    "TermId",
-    "Trace",
-    "TransformSpec",
     "apply_transform",
     "build_kadets",
     "build_multipoint",
     "build_three_kadets",
-    "cell",
-    "constancy_certificate",
-    "constant",
-    "cross_variable_lower_bound",
-    "cube_constants",
-    "dump_family",
-    "equal_cells",
-    "expected_sum_range",
-    "fiber_approximation_check",
-    "fiber_best_approximation",
-    "indicator",
-    "integer_drift_check",
-    "load_family",
-    "near_constancy_check",
-    "parse_term_id",
-    "random_schedule",
-    "run_cross_variable_suite",
-    "run_drift_battery",
-    "run_fiber_suite",
-    "run_near_constancy_battery",
     "run_trace",
-    "schedule_custom",
-    "schedule_divergent",
     "schedule_point",
-    "sum_functions",
     "verify_family",
 ]
 

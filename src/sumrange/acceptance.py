@@ -65,14 +65,6 @@ def _verify_report(fam) -> tuple[bool, str]:
     return report.ok, detail
 
 
-def _axioms_two_point() -> tuple[bool, str]:
-    return _verify_report(build_kadets(8))
-
-
-def _axioms_three_point() -> tuple[bool, str]:
-    return _verify_report(build_three_kadets(6))
-
-
 def _blocks_telescope(fam, trace: Trace, problems: list[str]) -> int:
     """Markers must sit exactly on target; open rows at level n may
     deviate by at most 2/|M_n| on every cube.  The opening ramp block
@@ -87,35 +79,21 @@ def _blocks_telescope(fam, trace: Trace, problems: list[str]) -> int:
                 problems.append(f"{label} marker {row.block} deviates "
                                 f"{max(row.deviations)}")
         else:
-            bound = Fraction(2, fam.size(row.level if row.level else 1))
+            bound = Fraction(2, fam.sizes(row.level if row.level else 1))
             if any(d > bound for d in row.deviations):
                 problems.append(f"{label} step {row.step} exceeds {bound}")
     return checked
 
 
-def _two_point_schedules() -> tuple[bool, str]:
-    fam = build_kadets(8)
+def _point_schedules(fam, names: tuple[str, ...], what: str) -> tuple[bool, str]:
+    """Steps traces of the named point schedules, checked by `_blocks_telescope`."""
     problems: list[str] = []
     rows = 0
-    for sch in (schedule_point(fam, "sigma"), schedule_point(fam, "tau")):
-        rows += _blocks_telescope(fam, run_trace(fam, sch), problems)
+    for name in names:
+        rows += _blocks_telescope(fam, run_trace(fam, schedule_point(fam, name)), problems)
     if problems:
         return False, "; ".join(problems[:3])
-    return True, (f"{rows} rows over sigma and tau: markers exactly on "
-                  "target, open rows within 2/|M_n|")
-
-
-def _three_point_schedules() -> tuple[bool, str]:
-    fam = build_three_kadets(6)
-    problems: list[str] = []
-    rows = 0
-    for name in ("p00", "p10", "p11"):
-        trace = run_trace(fam, schedule_point(fam, name))
-        rows += _blocks_telescope(fam, trace, problems)
-    if problems:
-        return False, "; ".join(problems[:3])
-    return True, (f"{rows} rows over three schedules: every limit reached "
-                  "with markers exactly on target")
+    return True, f"{rows} rows over {what}"
 
 
 def _divergent_obstruction() -> tuple[bool, str]:
@@ -125,7 +103,7 @@ def _divergent_obstruction() -> tuple[bool, str]:
     halves = 0
     for row in trace.markers():
         n, m = map(int, row.block.strip("()").split(","))
-        theta = Fraction(m, fam.size(n))
+        theta = Fraction(m, fam.sizes(n))
         expected = 2 * theta * (1 - theta)
         if row.deviations[1] != expected:
             problems.append(f"checkpoint {row.block}: {row.deviations[1]} "
@@ -259,11 +237,18 @@ def _compact_running_sums() -> tuple[bool, str]:
 
 
 _CRITERIA = {
-    1: ("two-point family satisfies every axiom at depth 8", _axioms_two_point),
-    2: ("three-point family satisfies every axiom at depth 6", _axioms_three_point),
-    3: ("two-point schedules telescope exactly at depth 8", _two_point_schedules),
+    1: ("two-point family satisfies every axiom at depth 8",
+        lambda: _verify_report(build_kadets(8))),
+    2: ("three-point family satisfies every axiom at depth 6",
+        lambda: _verify_report(build_three_kadets(6))),
+    3: ("two-point schedules telescope exactly at depth 8",
+        lambda: _point_schedules(build_kadets(8), ("sigma", "tau"),
+                                 "sigma and tau: markers exactly on target, "
+                                 "open rows within 2/|M_n|")),
     4: ("three-point schedules reach all three limits at depth 6",
-        _three_point_schedules),
+        lambda: _point_schedules(build_three_kadets(6), ("p00", "p10", "p11"),
+                                 "three schedules: every limit reached with "
+                                 "markers exactly on target")),
     5: ("divergent schedule repeats deviation 1/2 on the middle cube",
         _divergent_obstruction),
     6: ("second and third moments never exceed the first", _higher_moments),

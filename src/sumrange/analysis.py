@@ -28,9 +28,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from itertools import product
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .families import ConfigError
+from .families import ConfigError, build_kadets
+from .schedules import schedule_point
 from .stepfn import (
     Box,
     Rational,
@@ -206,19 +208,20 @@ class ConstancyCertificate(NamedTuple):
     distance: Fraction
 
 
+def _integer_fits(f: StepFunction, cube: int) -> Iterator[ConstancyCertificate]:
+    """Each integer value of f, and 0, in increasing order, with the
+    measure where f equals it and the L1 distance of f to it."""
+    for c in sorted({v for v in f.value_set() if v.denominator == 1} | {F0}):
+        diff = f - constant(f.domain, c)
+        yield ConstancyCertificate(c, 1 - diff.support_measure(cube), diff.moment(1))
+
+
 def constancy_certificate(f: StepFunction) -> ConstancyCertificate:
     """The integer constant agreeing with f on the largest measure,
-    with its exact agreement measure and L1 distance."""
-    cube = _single_cube(f)
-    candidates = sorted({v for v in f.value_set() if v.denominator == 1} | {F0})
-    best = None
-    for c in candidates:
-        diff = f - constant(f.domain, c)
-        cert = ConstancyCertificate(c, 1 - diff.support_measure(cube), diff.moment(1))
-        if best is None or (cert.equal_measure, -cert.distance) > \
-                (best.equal_measure, -best.distance):
-            best = cert
-    return best
+    with its exact agreement measure and L1 distance; ties go to the
+    smaller distance, then to the smaller constant."""
+    return max(_integer_fits(f, _single_cube(f)),
+               key=lambda cert: (cert.equal_measure, -cert.distance))
 
 
 class NearConstancyResult(NamedTuple):
@@ -261,10 +264,7 @@ def near_constancy_check(f: StepFunction, g: StepFunction, h: StepFunction,
         return vacuous(f"moment {total} of the sum is not below {delta}")
 
     for which, target in (("f", f), ("h", h)):
-        for c in sorted({v for v in target.value_set() if v.denominator == 1} | {F0}):
-            diff = target - constant(target.domain, c)
-            eq = 1 - diff.support_measure(cube)
-            dist = diff.moment(1)
+        for c, eq, dist in _integer_fits(target, cube):
             if (1 - eq) ** 2 <= 4 * delta and dist ** 2 <= 9 * delta:
                 return NearConstancyResult(True, "", True, which, c, eq, dist)
     return NearConstancyResult(True, "", False, "", None, None, None)
@@ -376,48 +376,29 @@ class SuiteReport:
         return out
 
 
-def _random_axis_fn(rng: random.Random, coord: int, domain=(1,),
-                    max_cells: int = 8, lo: int = -3, hi: int = 3) -> StepFunction:
-    cells = rng.randint(1, max_cells)
-    cuts = sorted(rng.sample([Fraction(k, 8) for k in range(1, 8)], cells - 1))
-    edges = [F0] + cuts + [F1]
+def _random_fn(rng: random.Random, coords: tuple[int, ...]) -> StepFunction:
+    """A step function on cube 1 of the coordinates `coords`: each axis is
+    cut at 0 to 7 random eighths, and each grid cell gets a value in -3..3."""
+    axes = []
+    for _ in coords:
+        cells = rng.randint(1, 8)
+        edges = [F0] + sorted(rng.sample([Fraction(k, 8) for k in range(1, 8)], cells - 1)) + [F1]
+        axes.append(list(zip(edges, edges[1:])))
     boxes = []
-    for a, b in zip(edges, edges[1:]):
-        v = rng.randint(lo, hi)
+    for spans in product(*axes):
+        v = rng.randint(-3, 3)
         if v:
-            spec = {} if (a, b) == (F0, F1) else {coord: (a, b)}
-            boxes.append((Box(domain[0], make_bounds(spec) if spec else ()), v))
-    return StepFunction(domain, boxes)
-
-
-def _random_grid_fn(rng: random.Random, coords: tuple[int, int], domain=(1,),
-                    max_cells: int = 8, lo: int = -3, hi: int = 3) -> StepFunction:
-    def axis_edges():
-        cells = rng.randint(1, max_cells)
-        cuts = sorted(rng.sample([Fraction(k, 8) for k in range(1, 8)], cells - 1))
-        return [F0] + cuts + [F1]
-
-    xs, ys = axis_edges(), axis_edges()
-    boxes = []
-    for xa, xb in zip(xs, xs[1:]):
-        for ya, yb in zip(ys, ys[1:]):
-            v = rng.randint(lo, hi)
-            if v:
-                spec = {}
-                if (xa, xb) != (F0, F1):
-                    spec[coords[0]] = (xa, xb)
-                if (ya, yb) != (F0, F1):
-                    spec[coords[1]] = (ya, yb)
-                boxes.append((Box(domain[0], make_bounds(spec) if spec else ()), v))
-    return StepFunction(domain, boxes)
+            spec = {c: span for c, span in zip(coords, spans) if span != (F0, F1)}
+            boxes.append((Box(1, make_bounds(spec)), v))
+    return StepFunction((1,), boxes)
 
 
 def run_cross_variable_suite(cases: int = 500, seed: int = 7) -> SuiteReport:
     rng = random.Random(seed)
     rows = []
     for k in range(cases):
-        f = _random_axis_fn(rng, coord=1)
-        g = _random_axis_fn(rng, coord=2)
+        f = _random_fn(rng, (1,))
+        g = _random_fn(rng, (2,))
         r = cross_variable_lower_bound(f, g)
         rows.append(SuiteCase(f"case-{k}", True, r.holds,
                               f"lhs={r.lhs} rhs={r.rhs} supp={r.support}"))
@@ -428,8 +409,8 @@ def run_fiber_suite(cases: int = 500, seed: int = 7) -> SuiteReport:
     rng = random.Random(seed)
     rows = []
     for k in range(cases):
-        f = _random_grid_fn(rng, coords=(1, 2))
-        g = _random_grid_fn(rng, coords=(2, 3))
+        f = _random_fn(rng, (1, 2))
+        g = _random_fn(rng, (2, 3))
         integer_only = bool(k % 2)
         r = fiber_approximation_check(f, g, integer_only=integer_only)
         clean = (_coords(r.approximation) <= {2}
@@ -485,9 +466,6 @@ def run_near_constancy_battery() -> SuiteReport:
 
 
 def run_drift_battery(horizon: int = 64) -> SuiteReport:
-    from .families import build_kadets
-    from .schedules import schedule_point
-
     depth = 6
     fam = build_kadets(depth)
     ids = list(schedule_point(fam, "sigma").term_ids())[:horizon]
@@ -509,3 +487,21 @@ def run_drift_battery(horizon: int = 64) -> SuiteReport:
                       f" moment={first.moment}" if first else ""))
         rows.append(SuiteCase(label, True, ok, witness))
     return SuiteReport("integer-drift", rows)
+
+
+# Suite name -> (runner, whether it takes the case count and the seed).
+# Runners are named, not held, and looked up when a suite runs, so a
+# timing shim that rebinds the module attribute sees every call.
+SUITES = {
+    "cross-variable": ("run_cross_variable_suite", True),
+    "fiber": ("run_fiber_suite", True),
+    "near-constancy": ("run_near_constancy_battery", False),
+    "drift": ("run_drift_battery", False),
+}
+
+
+def run_suite(name: str, cases: int, seed: int) -> SuiteReport:
+    """The report of the suite called `name` in `SUITES`."""
+    runner, seeded = SUITES[name]
+    run = globals()[runner]
+    return run(cases, seed) if seeded else run()

@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
+from . import analysis
 from .families import (
     MAX_TERMS,
     ConfigError,
@@ -51,8 +52,7 @@ from .serialize import (
     load_matrix,
 )
 from .stepfn import DomainError, as_fraction
-
-SUITE_NAMES = ("cross-variable", "fiber", "near-constancy", "drift")
+from .verify import verify_family
 
 
 @dataclass
@@ -151,8 +151,8 @@ def _merge(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown flavor {cfg.flavor!r}")
     if cfg.record not in ("steps", "blocks"):
         raise ConfigError(f"record must be steps or blocks, got {cfg.record!r}")
-    if cfg.suite != "all" and cfg.suite not in SUITE_NAMES:
-        raise ConfigError(f"unknown suite {cfg.suite!r}; pick from {SUITE_NAMES}")
+    if cfg.suite != "all" and cfg.suite not in analysis.SUITES:
+        raise ConfigError(f"unknown suite {cfg.suite!r}; pick from {tuple(analysis.SUITES)}")
     for name in ("levels", "p", "cases", "jobs", "max_terms"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be at least 1")
@@ -190,8 +190,6 @@ def cmd_build(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     if not cfg.family:
         raise ConfigError("verify needs --family FILE")
-    from .verify import verify_family
-
     fam = load_family(cfg.family)
     report = verify_family(fam, max_terms=cfg.max_terms)
     for line in report.lines():
@@ -257,39 +255,21 @@ def cmd_trace(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_suite(name: str, cases: int, seed: int):
-    from . import analysis
-
-    if name == "cross-variable":
-        return analysis.run_cross_variable_suite(cases, seed)
-    if name == "fiber":
-        return analysis.run_fiber_suite(cases, seed)
-    if name == "near-constancy":
-        return analysis.run_near_constancy_battery()
-    if name == "drift":
-        return analysis.run_drift_battery()
-    raise ConfigError(f"unknown suite {name!r}")
-
-
 def cmd_lemmas(cfg: RunConfig) -> int:
-    names = list(SUITE_NAMES) if cfg.suite == "all" else [cfg.suite]
+    names = list(analysis.SUITES) if cfg.suite == "all" else [cfg.suite]
     if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(_run_suite, n, cfg.cases, cfg.seed) for n in names]
+        # the pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(names))) as pool:
+            futures = [pool.submit(analysis.run_suite, n, cfg.cases, cfg.seed) for n in names]
             reports = [f.result() for f in futures]
     else:
-        reports = [_run_suite(n, cfg.cases, cfg.seed) for n in names]
+        reports = [analysis.run_suite(n, cfg.cases, cfg.seed) for n in names]
     for report in reports:
         for line in report.lines():
             print(line)
     if cfg.out:
-        lines = ["suite,case,hypothesis_ok,conclusion_ok,witness"]
-        for report in reports:
-            for c in report.cases:
-                witness = c.witness.replace('"', "'")
-                lines.append(f'{report.name},{c.label},{int(c.hypothesis_ok)},'
-                             f'{int(c.conclusion_ok)},"{witness}"')
-        _write_lines(cfg.out, lines)
+        _write_lines(cfg.out, ["suite,case,hypothesis_ok,conclusion_ok,witness"]
+                     + [f"{r.name},{row}" for r in reports for row in r.csv_lines()[1:]])
     ok = all(r.ok for r in reports)
     total = sum(len(r.cases) for r in reports)
     print(f"{'OK' if ok else 'FAILED'}: {total} cases across {len(reports)} suites")
@@ -336,7 +316,7 @@ def cmd_transform(cfg: RunConfig) -> int:
     if cfg.jobs > 1:
         cfg_fields = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
         payloads = [(cfg_fields, cfg.matrix, i) for i in range(len(schedules))]
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(payloads))) as pool:
             results = list(pool.map(_transform_point, payloads))
     else:
         results = [_trace_point(fam, sch, cfg.max_terms) for sch in schedules]

@@ -53,7 +53,7 @@ import itertools
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .stepfn import StepFunction, cube_constants
 
@@ -84,32 +84,22 @@ def check_term_budget(what: str, count: int, max_terms: int) -> None:
 class IndexSizes:
     """Per-level partition sizes |M_n|.
 
-    Accepts nothing (default |M_n| = n), an explicit 1-indexed sequence,
-    or a callable.  Which sizes a family can use is `size_problem`'s rule.
+    Accepts nothing (default |M_n| = n) or an explicit 1-indexed sequence.
+    Which sizes a family can use is `size_problem`'s rule.
     """
 
-    def __init__(self, spec: Sequence[int] | Callable[[int], int] | None = None):
-        if spec is None or callable(spec):
-            self._fn = spec
-            self._values = None
-        else:
-            self._values = tuple(int(v) for v in spec)
-            self._fn = None
+    def __init__(self, spec: Sequence[int] | None = None):
+        self._values = None if spec is None else tuple(int(v) for v in spec)
 
     def __call__(self, n: int) -> int:
         if n < 1:
             raise ConfigError(f"levels start at 1, got {n}")
-        if self._values is not None:
-            if n > len(self._values):
-                raise ConfigError(
-                    f"sizes defined only through level {len(self._values)}, need level {n}")
-            return self._values[n - 1]
-        if self._fn is None:
+        if self._values is None:
             return n
-        v = self._fn(n)
-        if not isinstance(v, int):
-            raise ConfigError(f"size at level {n} is not an integer: {v!r}")
-        return v
+        if n > len(self._values):
+            raise ConfigError(
+                f"sizes defined only through level {len(self._values)}, need level {n}")
+        return self._values[n - 1]
 
     def spec_list(self, last_level: int) -> list[int]:
         return [self(n) for n in range(1, last_level + 1)]
@@ -253,10 +243,6 @@ class Family:
         return self._base.structure if self._base is not None else self.flavor
 
     @property
-    def base(self) -> "Family | None":
-        return self._base
-
-    @property
     def transform(self) -> "TransformSpec | None":
         return self._transform
 
@@ -265,9 +251,6 @@ class Family:
             return self.kinds.index(kind)
         except ValueError:
             raise KeyError(f"unknown kind {kind!r}; family has {self.kinds}") from None
-
-    def size(self, n: int) -> int:
-        return self.sizes(n)
 
     def flat_size(self, g: int, n: int) -> int:
         """Cell count of the generation-g partition at level n."""
@@ -477,12 +460,6 @@ def _as_sizes(sizes) -> IndexSizes | None:
 
 
 # --- cube averages and affine transforms ------------------------------------
-
-
-def cube_means(f: StepFunction) -> tuple[Fraction, ...]:
-    """Per-cube average of f; cubes have measure one, so this is the
-    orthogonal projection onto cube-wise constant functions."""
-    return tuple(f.integral(c) for c in f.domain)
 
 
 def y_groups(points: int) -> tuple[tuple[int, ...], ...]:

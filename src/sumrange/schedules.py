@@ -134,7 +134,7 @@ def schedule_point(fam: Family, point: int | str) -> Schedule:
                                 for idx in fam.index_tuples(e, lev))
             yield Block("ramp", None, tuple(ramp))
         for n in range(point + 1, fam.depth + 1):
-            for m in range(1, fam.size(n) + 1):
+            for m in range(1, fam.sizes(n) + 1):
                 yield Block(f"({n},{m})", n, _point_block(fam, point, n, m))
 
     count = sum(fam.flat_size(e, lev)
@@ -182,16 +182,16 @@ def schedule_divergent(fam: Family) -> Schedule:
 
     def blocks() -> Iterator[Block]:
         for n in range(1, fam.depth + 1):
-            for m in range(1, fam.size(n) + 1):
+            for m in range(1, fam.sizes(n) + 1):
                 ids = [TermId(kinds[0], n, (m,))]
                 ids.extend(TermId(kinds[1], n, (m, j))
-                           for j in range(1, fam.size(n + 1) + 1))
+                           for j in range(1, fam.sizes(n + 1) + 1))
                 if n >= 2:
-                    for j in range(1, fam.size(n + 1) + 1):
+                    for j in range(1, fam.sizes(n + 1) + 1):
                         kappa = fam.flat_index(1, n, (m, j))
                         ids.extend(TermId(kinds[2], n - 1, (mp, jp, kappa))
-                                   for mp in range(1, fam.size(n - 1) + 1)
-                                   for jp in range(1, fam.size(n) + 1))
+                                   for mp in range(1, fam.sizes(n - 1) + 1)
+                                   for jp in range(1, fam.sizes(n) + 1))
                 yield Block(f"({n},{m})", n, tuple(ids))
 
     count = sum(fam.flat_size(0, lev) + fam.flat_size(1, lev)

@@ -11,10 +11,10 @@ each endpoint lo/D_k and value v/V straight from a function's entries,
 reduced as `Fraction` reduces, so the bytes are those of its `Fraction`
 terms.  The reader parses each "n/d" to reduced ints and validates every
 box (0 <= lo < hi <= 1, coordinates >= 1 and named once, cubes in the
-domain); it drops zero values, puts the term on the lcm lattice of its
-own endpoints and value denominators, and canonicalizes it there.  Terms
-with equal lattices share one `dens` dict.  No `Fraction` is built per
-box, except to format an error message.
+domain), then hands the ints to `stepfn.lattice_entries`, the lattice
+constructor `StepFunction` itself uses; terms with equal lattices share
+one `dens` dict.  No `Fraction` is built per box, except to format an
+error message.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import json
 import os
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -38,7 +38,7 @@ from .families import (
     kinds_for,
     parse_cube_label,
 )
-from .stepfn import StepFunction, _canonical
+from .stepfn import StepFunction, lattice_entries
 
 FAMILY_FORMAT = "sumrange-family-1"
 MATRIX_FORMAT = "sumrange-matrix-1"
@@ -62,6 +62,13 @@ def _ratio(text) -> tuple[int, int]:
         raise ParseError(f"zero denominator in {text!r}")
     g = gcd(num, den)
     return num // g, den // g
+
+
+def _json_int(value, field: str) -> int:
+    """A JSON integer; a float, boolean or string is refused, not truncated."""
+    if type(value) is not int:
+        raise ParseError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 def _ratio_text(num: int, den: int) -> str:
@@ -159,22 +166,7 @@ class _Reader:
         for cube, _, _ in boxes:
             if cube not in domain:
                 raise ParseError(f"box on unknown cube {cube}; domain is {domain}")
-        boxes = [b for b in boxes if b[2][0]]
-        dens: dict[int, int] = {}
-        vden = 1
-        for _, bounds, (_, den) in boxes:
-            vden = lcm(vden, den)
-            for k, _, lo_den, _, hi_den in bounds:
-                dens[k] = lcm(dens.get(k, 1), lo_den, hi_den)
-        key = tuple(sorted(dens.items()))
-        dens = self._lattices.setdefault(key, dens)
-        per_cube: dict[int, list] = {}
-        for cube, bounds, (num, den) in boxes:
-            per_cube.setdefault(cube, []).append((
-                tuple((k, lo * (dens[k] // lo_den), hi * (dens[k] // hi_den))
-                      for k, lo, lo_den, hi, hi_den in bounds),
-                num * (vden // den)))
-        return StepFunction._raw(domain, _canonical(domain, per_cube, dens), dens, vden)
+        return StepFunction._raw(domain, *lattice_entries(domain, boxes, self._lattices))
 
 
 def stepfn_from_obj(obj, domain: tuple[int, ...] | None = None) -> StepFunction:
@@ -257,9 +249,9 @@ def family_from_obj(obj, where: str = "<data>") -> Family:
         if obj["format"] != FAMILY_FORMAT:
             raise ParseError(f"{where}: unknown format {obj['format']!r}")
         flavor = obj["flavor"]
-        points = int(obj["points"])
-        depth = int(obj["depth"])
-        sizes = [int(v) for v in obj["sizes"]]
+        points = _json_int(obj["points"], f"{where}: points")
+        depth = _json_int(obj["depth"], f"{where}: depth")
+        sizes = [_json_int(v, f"{where}: sizes") for v in obj["sizes"]]
         cubes = tuple(parse_cube_label(c) for c in obj["cubes"])
         kinds = tuple(obj["kinds"])
         terms = obj["terms"]
@@ -299,8 +291,8 @@ def family_from_obj(obj, where: str = "<data>") -> Family:
         if not isinstance(rec, dict):
             raise ParseError(f"{where}: term record must be an object")
         try:
-            tid = TermId(rec["kind"], int(rec["level"]),
-                         tuple(int(i) for i in rec["index"]))
+            tid = TermId(rec["kind"], _json_int(rec["level"], "level"),
+                         tuple(_json_int(i, "index") for i in rec["index"]))
             boxes = rec["boxes"]
             if not isinstance(boxes, list):
                 raise ParseError("'boxes' must be a list")

@@ -247,6 +247,34 @@ def _canonical(domain: tuple[int, ...], per_cube: Mapping[int, list],
     return tuple(out)
 
 
+def lattice_entries(domain: tuple[int, ...], boxes: list, lattices: dict | None = None
+                    ) -> tuple[tuple[Entry, ...], dict[int, int], int]:
+    """(entries, dens, vden) of the canonical sum of `boxes` on their lattice.
+
+    A box is (cube, [(coord, lo_num, lo_den, hi_num, hi_den), ...] in
+    increasing coordinate order, (num, den)), every ratio reduced with a
+    positive denominator.  Boxes of value 0 are dropped; the lattice is the
+    lcm of the remaining denominators, coordinate by coordinate.  With a
+    `lattices` table, functions whose lattices are equal share its `dens`.
+    """
+    boxes = [b for b in boxes if b[2][0]]
+    dens: dict[int, int] = {}
+    vden = 1
+    for _, bounds, (_, den) in boxes:
+        vden = lcm(vden, den)
+        for k, _, lo_den, _, hi_den in bounds:
+            dens[k] = lcm(dens.get(k, 1), lo_den, hi_den)
+    if lattices is not None:
+        dens = lattices.setdefault(tuple(sorted(dens.items())), dens)
+    per_cube: dict[int, list] = {}
+    for cube, bounds, (num, den) in boxes:
+        per_cube.setdefault(cube, []).append((
+            tuple((k, lo * (dens[k] // lo_den), hi * (dens[k] // hi_den))
+                  for k, lo, lo_den, hi, hi_den in bounds),
+            num * (vden // den)))
+    return _canonical(domain, per_cube, dens), dens, vden
+
+
 def _join(fns: Iterable["StepFunction"]) -> tuple[dict[int, int], int]:
     """The coarsest lattice refining the lattice of every function."""
     dens: dict[int, int] = {}
@@ -318,25 +346,14 @@ class StepFunction:
         if len(set(dom)) != len(dom) or not dom:
             raise DomainError(f"domain must be a non-empty tuple of distinct cubes, got {dom}")
         boxes = []
-        dens: dict[int, int] = {}
-        vden = 1
         for bx, value in terms:
             if bx.cube not in dom:
                 raise DomainError(f"box on unknown cube {bx.cube}; domain is {dom}")
             value = as_fraction(value)
-            if value:
-                boxes.append((bx, value))
-                vden = lcm(vden, value.denominator)
-                for c, iv in bx.bounds:
-                    dens[c] = lcm(dens.get(c, 1), iv.lo.denominator, iv.hi.denominator)
-        per_cube: dict[int, list] = {}
-        for bx, value in boxes:
-            bounds = tuple((c, iv.lo.numerator * (dens[c] // iv.lo.denominator),
-                            iv.hi.numerator * (dens[c] // iv.hi.denominator))
-                           for c, iv in bx.bounds)
-            per_cube.setdefault(bx.cube, []).append(
-                (bounds, value.numerator * (vden // value.denominator)))
-        self._set(dom, _canonical(dom, per_cube, dens), dens, vden)
+            boxes.append((bx.cube, [(c, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+                                    for c, (lo, hi) in bx.bounds],
+                          (value.numerator, value.denominator)))
+        self._set(dom, *lattice_entries(dom, boxes))
 
     def _set(self, domain, entries, dens, vden) -> None:
         self._domain = domain
@@ -491,9 +508,6 @@ class StepFunction:
         total, common = self._integrate(cube, abs if p == 1 else lambda v: abs(v) ** p)
         return Fraction(total, common * self._vden ** p) if total else _ZERO
 
-    def sup_norm(self) -> Fraction:
-        return Fraction(max((abs(v) for _, _, v in self._entries), default=0), self._vden)
-
     def integral(self, cube: int) -> Fraction:
         self._require_cube(cube)
         total, common = self._integrate(cube, _value)
@@ -578,17 +592,6 @@ class StepFunction:
         self._require_cube(cube)
         return StepFunction._raw((cube,), tuple(e for e in self._entries if e[0] == cube),
                                  self._dens, self._vden)
-
-    def with_domain(self, domain: Sequence[int]) -> "StepFunction":
-        """Embed into a larger domain (zero on the added cubes)."""
-        dom = tuple(int(c) for c in domain)
-        if not set(self._domain) <= set(dom):
-            raise DomainError(f"cannot embed domain {self._domain} into {dom}")
-        per_cube: dict[int, list] = {c: [] for c in dom}
-        for e in self._entries:
-            per_cube[e[0]].append(e)
-        entries = tuple(e for c in dom for e in per_cube[c])
-        return StepFunction._raw(dom, entries, self._dens, self._vden)
 
     def term_values(self, cube: int | None = None) -> frozenset[Fraction]:
         if cube is not None:

@@ -300,6 +300,13 @@ def test_constancy_certificate_tie_breaks_to_smallest():
     assert cert.value == -1 and cert.equal_measure == F(1, 2)
 
 
+def test_constancy_certificate_tie_breaks_on_distance():
+    # 0, 1, 2 and 5 each hold on a quarter; 1 and 2 are nearest, at 3/2
+    f = step_on_coord(DOM, 1, 1, [(F(1, 4), F(1, 2), 1), (F(1, 2), F(3, 4), 2),
+                                  (F(3, 4), 1, 5)])
+    assert constancy_certificate(f) == ConstancyCertificate(F(1), F(1, 4), F(3, 2))
+
+
 def test_near_constancy_conclusion_exact():
     delta = F(1, 16)
     f = constant(DOM, 1) + indicator(DOM, 1, {1: (0, delta / 2)})

@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 from sumrange import cli
@@ -328,11 +329,45 @@ def test_lemmas_csv_schema(tmp_path, capsys):
 def test_lemmas_parallel_matches_serial(tmp_path, capsys):
     serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
     base = ["lemmas", "--cases", "15", "--seed", "7"]
-    assert run(capsys, *base, "--suite", "cross-variable", "--jobs", "1",
-               "--out", str(serial))[0] == 0
-    assert run(capsys, *base, "--suite", "cross-variable", "--jobs", "3",
-               "--out", str(parallel))[0] == 0
+    assert run(capsys, *base, "--jobs", "1", "--out", str(serial))[0] == 0
+    assert run(capsys, *base, "--jobs", "2", "--out", str(parallel))[0] == 0
     assert serial.read_bytes() == parallel.read_bytes()
+    assert serial.read_text().count("\n") == 1 + 15 + 15 + 22 + 2
+
+
+class _InlinePool:
+    """Runs submitted work in this process and records `max_workers`."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_jobs_start_no_more_workers_than_tasks(tmp_path, capsys, monkeypatch):
+    # a pool forks all of its workers at the first submit
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+    assert run(capsys, "lemmas", "--cases", "5", "--jobs", "64")[0] == 0
+    matrix = tmp_path / "m.matrix"
+    dump_matrix(TransformSpec.identity(2), matrix)
+    assert run(capsys, "transform", "--flavor", "three-kadets", "--levels", "2",
+               "--matrix", str(matrix), "--jobs", "64")[0] == 0
+    assert _InlinePool.sizes == [4, 3]
 
 
 def test_lemmas_unknown_suite(capsys):

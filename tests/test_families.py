@@ -22,7 +22,6 @@ from sumrange.families import (
     build_multipoint,
     build_three_kadets,
     cube_label,
-    cube_means,
     expected_sum_range,
     parse_cube_label,
     parse_term_id,
@@ -83,7 +82,7 @@ def test_depth_and_size_validation():
     # depth 3 with two generations needs sizes through level 4
     with pytest.raises(ConfigError):
         build_kadets(3, [1, 2])
-    assert build_kadets(3, [1, 2, 2, 3]).size(4) == 3
+    assert build_kadets(3, [1, 2, 2, 3]).sizes(4) == 3
 
 
 def test_size_rule_covers_the_verified_levels():
@@ -105,14 +104,15 @@ def test_custom_sizes_change_cells():
     assert fam.fn(tid("a", 2, 2)) == indicator((1,), 1, {2: (F(1, 2), 1)})
 
 
-def test_index_sizes_callable():
-    sizes = IndexSizes(lambda n: 2 * n)
+def test_index_sizes_sequence():
+    sizes = IndexSizes((2, 4, 6, 8, 10))
     assert sizes(3) == 6
     assert size_problem(sizes, 3, 3) is None  # levels 1..5
     with pytest.raises(ConfigError):
         sizes(0)
-    with pytest.raises(ConfigError):
-        IndexSizes(lambda n: n / 2)(2)
+    with pytest.raises(ConfigError, match="only through level 5"):
+        sizes(6)
+    assert IndexSizes()(7) == 7
 
 
 # --- flat index machinery ---------------------------------------------------
@@ -350,7 +350,7 @@ def test_f_terms_live_on_first_cube_only():
     assert f22.moment(1, cube=1) == F(1, 2)
     assert f22.moment(1, cube=2) == 0
     assert f22.moment(1, cube=3) == 0
-    assert cube_means(f22) == (F(1, 2), F(0), F(0))
+    assert tuple(f22.integral(c) for c in f22.domain) == (F(1, 2), F(0), F(0))
 
 
 def test_g_term_exact_pieces():
@@ -490,9 +490,10 @@ def test_with_replaced_overrides_one_term():
 
 def test_cube_means_projection():
     fam = build_three_kadets(3)
-    assert cube_means(fam.fn(tid("f", 2, 1))) == (F(1, 2), 0, 0)
+    f21 = fam.fn(tid("f", 2, 1))
+    assert tuple(f21.integral(c) for c in f21.domain) == (F(1, 2), 0, 0)
     c = cube_constants((1, 2, 3), {1: F(3), 2: F(-1, 2), 3: F(-1, 2)})
-    assert cube_means(c) == (F(3), F(-1, 2), F(-1, 2))
+    assert tuple(c.integral(k) for k in c.domain) == (F(3), F(-1, 2), F(-1, 2))
 
 
 def test_transform_zero_and_identity():

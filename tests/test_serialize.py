@@ -28,7 +28,7 @@ from sumrange.serialize import (
     text_to_frac,
 )
 from sumrange.stepfn import Box, StepFunction, indicator, make_bounds
-from test_stepfn import random_raw
+from test_stepfn import assert_canonical_shape, random_raw
 
 F = Fraction
 
@@ -166,7 +166,7 @@ def test_loaded_value_corruption_survives_parse(tmp_path):
     path.write_text(text)
     loaded = load_family(path)
     bad = loaded.fn(TermId("b", 1, (1, 1)))
-    assert bad.sup_norm() == 2
+    assert max(abs(v) for v in bad.term_values()) == 2
 
 
 def test_matrix_roundtrip(tmp_path):
@@ -244,6 +244,9 @@ def test_lattice_parse_matches_fraction_parse(case):
     least = 2 if case == "unreduced" else 1
     obj = {"domain": ["Q1", "Q2"], "boxes": [box_record(c, b, v, rng, least) for c, b, v in raw]}
     got, want = stepfn_from_obj(obj), fraction_parse(obj)
+    # the reader and the constructor share their lattice step, so the
+    # canonical shape is checked on its own
+    assert_canonical_shape(got)
     assert got == want
     assert got.terms == want.terms
     # and written back from the lattice, as the Fraction terms write
@@ -279,3 +282,27 @@ def test_family_bytes_are_pinned(name):
            "multipoint(4, 1)": lambda: build_multipoint(4, 1)}[name]()
     data = "".join(family_to_lines(fam)).encode()
     assert hashlib.sha256(data).hexdigest() == FAMILY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("field,mutate", [
+    ("depth", lambda obj: obj.update(depth=2.9)),
+    ("depth", lambda obj: obj.update(depth=2.0)),
+    ("points", lambda obj: obj.update(points="2")),
+    ("points", lambda obj: obj.update(points=True)),
+    ("sizes", lambda obj: obj.update(sizes=[1.5] + obj["sizes"][1:])),
+    ("sizes", lambda obj: obj.update(sizes=["1"] + obj["sizes"][1:])),
+    ("level", lambda obj: obj["terms"][0].update(level=1.2)),
+    ("level", lambda obj: obj["terms"][0].update(level="1")),
+    ("index", lambda obj: obj["terms"][0].update(index=[1.9])),
+    ("index", lambda obj: obj["terms"][0].update(index=[True])),
+], ids=["depth-float", "depth-float-whole", "points-string", "points-bool", "sizes-float",
+        "sizes-string", "level-float", "level-string", "index-float", "index-bool"])
+def test_loader_refuses_non_integer_numbers(tmp_path, field, mutate):
+    # int() would truncate these, and the file would load and verify clean
+    path = tmp_path / "fam.json"
+    dump_family(build_kadets(2), path)
+    obj = json.loads(path.read_text())
+    mutate(obj)
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match=f"{field} must be an integer"):
+        load_family(path)

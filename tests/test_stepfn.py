@@ -91,7 +91,7 @@ def assert_matches_oracle(raw, fn):
         (abs(oracle_value(raw, c, pt)) for c in fn.domain for pt, _ in oracle_grid(raw, fn, c)),
         default=F(0),
     )
-    assert fn.sup_norm() == want_sup
+    assert max((abs(v) for v in fn.term_values()), default=F(0)) == want_sup
 
 
 def assert_canonical_shape(fn):
@@ -223,7 +223,7 @@ def test_full_span_constraint_is_dropped():
     assert f.terms == ((Box(1, ((2, Interval(F(0), F(1, 2))),)), F(-1)),)
     assert f.moment(1) == F(1, 2)
     assert f.moment(2) == F(1, 2)
-    assert f.sup_norm() == 1
+    assert max(abs(v) for v in f.term_values()) == 1
 
 
 def test_adjacent_cells_merge_and_lift():
@@ -323,12 +323,6 @@ def test_multi_cube_accounting():
     r = f.restrict(2)
     assert r.domain == (2,)
     assert r.integral(2) == F(-1, 2)
-    back = r.with_domain(dom)
-    assert back.domain == dom
-    assert back.integral(2) == F(-1, 2)
-    assert back.integral(1) == 0
-    with pytest.raises(DomainError):
-        r.with_domain((3,))
 
 
 def test_step_on_coord():

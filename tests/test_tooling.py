@@ -71,6 +71,15 @@ print("load stepfn.StepFunction",
 print("verify stepfn.multiply",
       after_verify["stepfn.multiply.calls"] - after_load["stepfn.multiply.calls"])
 print("verify families.fn", after_verify["families.fn.calls"] - after_load["families.fn.calls"])
+
+# a lemma suite run through the command line, which picks the runner by name
+import contextlib, io
+from sumrange import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["lemmas", "--suite", "near-constancy"]) == 0
+after_lemmas = layer_metrics(tracer, 0.0)
+print("lemmas analysis.cases", after_lemmas["analysis.cases"])
+print("lemmas near_constancy.timed", int(after_lemmas["analysis.near_constancy.total_s"] > 0))
 """
 
 
@@ -110,3 +119,9 @@ def test_loaded_family_verifies_without_fractions_per_term(traced_run):
     assert traced_run["load"] == {"stepfn.StepFunction": 0}
     assert traced_run["verify"]["stepfn.multiply"] == 0
     assert traced_run["verify"]["families.fn"] > 0
+
+
+def test_lemma_suites_run_inside_their_spans(traced_run):
+    # the command line looks a suite's runner up when it runs, so the shim
+    # that replaced the module attribute times it
+    assert traced_run["lemmas"] == {"analysis.cases": 22, "near_constancy.timed": 1}

@@ -87,7 +87,7 @@ def test_identities_match_direct_sums():
     assert total.restrict(3).terms == ()
 
     # a level-2 column couples against the matching level-1 children
-    lhs = [fam.fn(TermId("g", 2, (m, 1))) for m in range(1, fam.size(2) + 1)]
+    lhs = [fam.fn(TermId("g", 2, (m, 1))) for m in range(1, fam.sizes(2) + 1)]
     rhs = []
     for idx in fam.index_tuples(2, 1):
         if fam.unflatten(1, 2, idx[-1])[-1] == 1:
