@@ -34,18 +34,16 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .families import ConfigError, build_kadets
 from .schedules import schedule_point
 from .stepfn import (
-    Box,
     Rational,
     StepFunction,
     as_fraction,
     constant,
     indicator,
-    make_bounds,
+    lattice_entries,
     sum_functions,
 )
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 
 
 def _single_cube(*fns: StepFunction) -> int:
@@ -87,89 +85,62 @@ def cross_variable_lower_bound(f: StepFunction, g: StepFunction) -> CrossVariabl
 # --- fiber best approximation -----------------------------------------------
 
 
-def _weighted_median(pairs: list[tuple[Fraction, Fraction]],
-                     integer_only: bool) -> Fraction:
-    """Smallest minimizer of sum w*|v - c|; weights sum to 1."""
-    merged: dict[Fraction, Fraction] = {}
-    for v, w in pairs:
-        merged[v] = merged.get(v, F0) + w
-    values = sorted(merged)
-    half = Fraction(1, 2)
-    lo = hi = values[-1]
-    cum = F0
-    for idx, v in enumerate(values):
-        prev = cum
-        cum += merged[v]
-        if cum >= half:
-            # prev == half means the minimum is flat back to the previous value
-            lo = values[idx - 1] if prev == half else v
-            hi = v
-            break
-    if not integer_only:
-        return lo
-    candidates = sorted({Fraction(x) for bound in (lo, hi)
-                         for x in (bound.__floor__(), bound.__ceil__())})
-
-    def cost(c: Fraction) -> Fraction:
-        return sum(w * abs(v - c) for v, w in merged.items())
-
-    best = min(candidates, key=lambda c: (cost(c), c))
-    return best
-
-
 def fiber_best_approximation(f: StepFunction, keep: Iterable[int],
                              integer_only: bool = False) -> StepFunction:
     """Best L1 approximation of f among functions of the `keep`
     coordinates: a weighted median over each fiber, counting the
     untouched remainder of the fiber as the value 0.  Ties pick the
-    smallest optimal value."""
+    smallest optimal value.
+
+    Works on f's lattice: a value is an integer over f's value
+    denominator, and a box's weight in a fiber an integer over `whole`,
+    the product of the other coordinates' denominators."""
     cube = _single_cube(f)
     keep = sorted(set(int(c) for c in keep))
-    boxes = [(dict(box.bounds), value) for box, value in f.terms]
-    cuts = {c: {F0, F1} for c in keep}
-    for bounds, _ in boxes:
-        for c in keep:
-            if c in bounds:
-                cuts[c].update(bounds[c])
-    grids = [[(a, b) for a, b in zip(sorted(cuts[c]), sorted(cuts[c])[1:])]
-             for c in keep]
+    dens, vden = f._dens, f._vden
+    whole = 1
+    for c, d in dens.items():
+        if c not in keep:
+            whole *= d
+    cuts = {c: {0, dens.get(c, 1)} for c in keep}
+    boxes = []
+    for _, bounds, v in f._entries:
+        spans, weight = {}, whole
+        for c, lo, hi in bounds:
+            if c in cuts:
+                spans[c] = (lo, hi)
+                cuts[c].update((lo, hi))
+            else:
+                weight = weight // dens[c] * (hi - lo)
+        boxes.append((spans, weight, v))
+    grids = [list(zip(sorted(cuts[c]), sorted(cuts[c])[1:])) for c in keep]
     out = []
-
-    def fill(chosen: list[tuple[Fraction, Fraction]]) -> None:
-        pairs = []
-        covered = F0
-        for bounds, value in boxes:
-            weight = F1
-            for c, (lo, hi) in zip(keep, chosen):
-                if c in bounds:
-                    blo, bhi = bounds[c]
-                    if not (blo <= lo and hi <= bhi):
-                        weight = F0
-                        break
-            if weight == 0:
-                continue
-            for c, iv in bounds.items():
-                if c not in keep:
-                    weight *= iv.hi - iv.lo
-            pairs.append((value, weight))
-            covered += weight
-        if covered < 1:
-            pairs.append((F0, 1 - covered))
-        med = _weighted_median(pairs, integer_only)
-        if med != 0:
-            spec = {c: span for c, span in zip(keep, chosen)
-                    if span != (F0, F1)}
-            out.append((Box(cube, make_bounds(spec) if spec else ()), med))
-
-    def walk(depth: int, chosen: list) -> None:
-        if depth == len(keep):
-            fill(chosen)
-            return
-        for span in grids[depth]:
-            walk(depth + 1, chosen + [span])
-
-    walk(0, [])
-    return StepFunction(f.domain, out)
+    for chosen in product(*grids):
+        # the fiber over one cell of the keep grid: value -> weight
+        merged = {0: whole}
+        for spans, weight, v in boxes:
+            if all(spans[c][0] <= lo and hi <= spans[c][1]
+                   for c, (lo, hi) in zip(keep, chosen) if c in spans):
+                merged[v] = merged.get(v, 0) + weight
+                merged[0] -= weight
+        values = sorted(v for v, w in merged.items() if w)
+        cum = 0
+        for i, v in enumerate(values):
+            prev, cum = cum, cum + merged[v]
+            if 2 * cum >= whole:
+                # 2 * prev == whole: the minimum is flat back to the previous value
+                low, high = (values[i - 1] if 2 * prev == whole else v), v
+                break
+        med, den = low, vden
+        if integer_only:
+            med = min(sorted({x for b in (low, high) for x in (b // vden, -(-b // vden))}),
+                      key=lambda c: (sum(w * abs(v - c * vden) for v, w in merged.items()), c))
+            den = 1
+        if med:
+            out.append((cube, [(c, lo, dens.get(c, 1), hi, dens.get(c, 1))
+                               for c, (lo, hi) in zip(keep, chosen) if hi - lo != dens.get(c, 1)],
+                        (med, den)))
+    return StepFunction._raw(f.domain, *lattice_entries(f.domain, out))
 
 
 class FiberApproximationResult(NamedTuple):
@@ -377,20 +348,21 @@ class SuiteReport:
 
 
 def _random_fn(rng: random.Random, coords: tuple[int, ...]) -> StepFunction:
-    """A step function on cube 1 of the coordinates `coords`: each axis is
-    cut at 0 to 7 random eighths, and each grid cell gets a value in -3..3."""
+    """A step function on cube 1 of the coordinates `coords` (increasing):
+    each axis is cut at 0 to 7 random eighths, and each grid cell gets a
+    value in -3..3."""
     axes = []
     for _ in coords:
         cells = rng.randint(1, 8)
-        edges = [F0] + sorted(rng.sample([Fraction(k, 8) for k in range(1, 8)], cells - 1)) + [F1]
+        edges = [0] + sorted(rng.sample(range(1, 8), cells - 1)) + [8]
         axes.append(list(zip(edges, edges[1:])))
     boxes = []
     for spans in product(*axes):
         v = rng.randint(-3, 3)
         if v:
-            spec = {c: span for c, span in zip(coords, spans) if span != (F0, F1)}
-            boxes.append((Box(1, make_bounds(spec)), v))
-    return StepFunction((1,), boxes)
+            boxes.append((1, [(c, lo, 8, hi, 8) for c, (lo, hi) in zip(coords, spans)
+                              if hi - lo != 8], (v, 1)))
+    return StepFunction._raw((1,), *lattice_entries((1,), boxes))
 
 
 def run_cross_variable_suite(cases: int = 500, seed: int = 7) -> SuiteReport:

@@ -89,7 +89,13 @@ class IndexSizes:
     """
 
     def __init__(self, spec: Sequence[int] | None = None):
-        self._values = None if spec is None else tuple(int(v) for v in spec)
+        if spec is not None:
+            spec = tuple(spec)
+            for v in spec:
+                # int(v) would truncate 2.5 and take True as 1
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise ConfigError(f"partition sizes must be integers, got {v!r}")
+        self._values = spec
 
     def __call__(self, n: int) -> int:
         if n < 1:

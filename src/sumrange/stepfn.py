@@ -252,9 +252,10 @@ def lattice_entries(domain: tuple[int, ...], boxes: list, lattices: dict | None 
     """(entries, dens, vden) of the canonical sum of `boxes` on their lattice.
 
     A box is (cube, [(coord, lo_num, lo_den, hi_num, hi_den), ...] in
-    increasing coordinate order, (num, den)), every ratio reduced with a
-    positive denominator.  Boxes of value 0 are dropped; the lattice is the
-    lcm of the remaining denominators, coordinate by coordinate.  With a
+    increasing coordinate order, (num, den)), every denominator positive.
+    Boxes of value 0 are dropped; the lattice is the lcm of the remaining
+    denominators, coordinate by coordinate, so reduced ratios give the
+    coarsest one, and any other gives the same canonical form.  With a
     `lattices` table, functions whose lattices are equal share its `dens`.
     """
     boxes = [b for b in boxes if b[2][0]]
@@ -412,7 +413,7 @@ class StepFunction:
 
     def support_cubes(self) -> frozenset[int]:
         """The cubes on which the function is not zero almost everywhere."""
-        return frozenset(e[0] for e in self._entries)
+        return frozenset({e[0] for e in self._entries})
 
     def _require_cube(self, cube: int) -> None:
         if cube not in self._domain:
@@ -491,7 +492,9 @@ class StepFunction:
                 for c, lo, hi in bounds:
                     num *= hi - lo
                     den *= dens[c]
-                if den != common:
+                if not total:  # nothing to rescale: start on this box's denominator
+                    common = den
+                elif den != common:
                     joint = lcm(common, den)
                     total *= joint // common
                     num *= joint // den
@@ -514,9 +517,14 @@ class StepFunction:
         return Fraction(total, common * self._vden) if total else _ZERO
 
     def support_measure(self, cube: int) -> Fraction:
-        self._require_cube(cube)
-        total, common = self._integrate(cube, _one)
+        total, common = self.support_ints(cube)
         return Fraction(total, common) if total else _ZERO
+
+    def support_ints(self, cube: int) -> tuple[int, int]:
+        """`support_measure(cube)` as an unreduced (numerator, denominator)
+        pair of ints."""
+        self._require_cube(cube)
+        return self._integrate(cube, _one)
 
     # --- exact predicates on the lattice integers, building no Fraction ---
 
@@ -536,7 +544,10 @@ class StepFunction:
     def takes_only(self, value: Fraction | int) -> bool:
         """Whether every box carries `value`: `term_values() <= {value}`."""
         want, den = value.numerator * self._vden, value.denominator
-        return all(v * den == want for _, _, v in self._entries)
+        for _, _, v in self._entries:
+            if v * den != want:
+                return False
+        return True
 
     def is_product(self, a: "StepFunction", b: "StepFunction", c: Fraction | int = 1) -> bool:
         """Whether `self == c * a * b`.
@@ -570,14 +581,18 @@ class StepFunction:
                     got[0], got[1] = lo, d
                 if hi * got[3] < got[2] * d:
                     got[2], got[3] = hi, d
+        if len(box) != len(bounds):
+            return False
         dens = self._dens
-        return len(box) == len(bounds) and all(
-            k in box and lo * box[k][1] == box[k][0] * dens[k]
-            and hi * box[k][3] == box[k][2] * dens[k] for k, lo, hi in bounds)
+        for k, lo, hi in bounds:
+            got = box.get(k)
+            if got is None or lo * got[1] != got[0] * dens[k] or hi * got[3] != got[2] * dens[k]:
+                return False
+        return True
 
     def footprint(self) -> frozenset[tuple[int, int]]:
         """Set of (cube, coordinate) pairs the function actually depends on."""
-        return frozenset((cube, c) for cube, bounds, _ in self._entries for c, _, _ in bounds)
+        return frozenset({(cube, c) for cube, bounds, _ in self._entries for c, _, _ in bounds})
 
     def evaluate(self, cube: int, point: Mapping[int, Fraction]) -> Fraction:
         self._require_cube(cube)
@@ -592,6 +607,19 @@ class StepFunction:
         self._require_cube(cube)
         return StepFunction._raw((cube,), tuple(e for e in self._entries if e[0] == cube),
                                  self._dens, self._vden)
+
+    def split(self, cubes: Iterable[int]) -> dict[int, "StepFunction"]:
+        """`restrict(k)` for each of `cubes`, by one pass over the boxes."""
+        by: dict[int, list] = {}
+        for k in cubes:
+            self._require_cube(k)
+            by[k] = []
+        for entry in self._entries:
+            got = by.get(entry[0])
+            if got is not None:
+                got.append(entry)
+        return {k: StepFunction._raw((k,), tuple(got), self._dens, self._vden)
+                for k, got in by.items()}
 
     def term_values(self, cube: int | None = None) -> frozenset[Fraction]:
         if cube is not None:
@@ -717,3 +745,29 @@ class ChunkedSum:
     def total(self) -> StepFunction:
         self._compact()
         return self._total
+
+
+class Tally:
+    """Sum of many functions kept as each distinct function and its count.
+
+    Σ f_j = Σ count·f, so `total` canonicalizes each distinct function
+    once, however often it was added: the sum of a stream whose functions
+    repeat costs its distinct functions, not its length."""
+
+    def __init__(self, domain: Sequence[int]):
+        self._domain = tuple(int(c) for c in domain)
+        self._counts: dict[tuple, list] = {}
+
+    def add(self, f: StepFunction) -> None:
+        # equal entries on one lattice are one function; the lattice object
+        # is held by f, so its id names it while f is counted here
+        key = (id(f._dens), f._vden, f._entries)
+        got = self._counts.get(key)
+        if got is None:
+            self._counts[key] = [f, 1]
+        else:
+            got[1] += 1
+
+    def total(self) -> StepFunction:
+        return sum_functions([f.scale(count) for f, count in self._counts.values()],
+                             self._domain)

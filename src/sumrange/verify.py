@@ -6,19 +6,32 @@ products of consecutive-level heads that cancel their head by rows and
 the next-level head by columns.  The bridge cubes 2e below the pair and
 2e+2 above it carry the scaled pieces that couple one level to the next.
 
-`CHECKS` lists every identity as one ordered table.  One runner walks
-each (pair, level) unit once, fetching each of its terms once and
-feeding the per-term checks and the row, column, level and coupling sums
-together.  Every comparison is exact rational equality, never a tolerance.
-The per-term checks compare lattice integers (`StepFunction.moment_is`,
-`takes_only`, `same_integral`, `is_product`), so a passing term builds no
-`Fraction`; witnesses are formatted from `Fraction`s only on failure.
+`CHECKS` lists every identity as one ordered table.  One walk, by level
+and then by pair, fetches each term once, split by cube; it keeps
+generation e at level n+1 from its use as next-level heads to its uses
+as tails and heads, and never keeps the last generation.  Predicates
+compare lattice integers: a passing term builds no `Fraction`.
+
+Pair-cube sums follow from the proven products.  With h_r the heads, g_k
+the next-level heads, H = Σ h_r and G = Σ g_k on the pair cube, a tail
+t_rk that passed product-structure is exactly -h_r·g_k.  So with F_r and
+F^k the failing tails of row r and column k, and R the rows holding one,
+
+    row r    = -h_r·(G - Σ_{F_r} g_k) + Σ_{F_r} t_rk,
+    column k = -(H - Σ_{F^k} h_r)·g_k + Σ_{F^k} t_rk,
+    level    = Σ_r row r = -(H - Σ_R h_r)·G + Σ_R row r.
+
+With no failing tail and H = G = 1 these are -h_r, -g_k and -1, and
+pass unbuilt; else just these sums are built.  A coupling group sums its
+columns: -Σ g_j if each passed.  Bridge sums stay canonical, but tails
+share pieces there, so a `Tally` adds each distinct part once, times its
+count.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .families import (
     MAX_TERMS,
@@ -29,11 +42,9 @@ from .families import (
     cube_label,
     size_problem,
 )
-from .stepfn import ChunkedSum, StepFunction, cube_constants, sum_functions
+from .stepfn import StepFunction, Tally, cube_constants, sum_functions
 
 _FAIL_CAP = 25
-# Columns are summed side by side, one small running sum each.
-_COLUMN_CHUNK = 32
 
 
 class AxiomCheck(NamedTuple):
@@ -110,65 +121,56 @@ HEAD, TAIL, ROW, COLUMN, HEADS, TAILS, COUPLING = (
 PAIR, MID, TAIL_MID = "pair", "mid", "tail_mid"
 
 
-class _Item(NamedTuple):
-    """What one check reads: a term's part on one cube (the whole term if
-    the check reads no cube), or a row, column, level or coupling sum."""
-
-    fn: StepFunction
-    cube: int | None
-    name: str | None          # None for a level sum, named by its check's scope
-    whole: StepFunction | None = None    # the whole term
-    cancel: StepFunction | None = None   # the head(s) a sum must cancel
-    support: Fraction | None = None      # summed support measures of a level
-
-
 class Check(NamedTuple):
     id: str
     on: str                   # HEAD, TAIL, ROW, COLUMN, HEADS, TAILS or COUPLING
     roles: tuple              # PAIR, MID, TAIL_MID; None reads the whole term
-    ok: Callable[["_Unit", _Item], bool]
-    witness: Callable[["_Unit", _Item], str]
+    # ok and witness take (unit, a term's part, the whole term) for a term
+    # check, (unit, the sum, what it is compared with) for a sum check
+    ok: Callable[["_Unit", StepFunction, object], bool]
+    witness: Callable[["_Unit", StepFunction, object], str]
     scope: str                # of the PASS row, formatted with the unit's fields
 
 
 def _norm(want):
-    return (lambda u, x: x.fn.moment_is(want(u)),
-            lambda u, x: f"moment {x.fn.moment(1)} != {want(u)}")
+    return (lambda u, f, _: f.moment_is(want(u)),
+            lambda u, f, _: f"moment {f.moment(1)} != {want(u)}")
 
 
 def _coords(*shifts):
-    return (lambda u, x: x.fn.footprint() <= {(x.cube, u.n + s) for s in shifts},
-            lambda u, x: f"depends on {sorted(x.fn.footprint())}")
+    return (lambda u, f, _: f.footprint() <= {(f.domain[0], u.n + s) for s in shifts},
+            lambda u, f, _: f"depends on {sorted(f.footprint())}")
 
 
 def _values(want):
-    return (lambda u, x: x.fn.takes_only(want(u, x)),
-            lambda u, x: f"values {sorted(x.fn.term_values())} != {{{want(u, x)}}}")
+    return (lambda u, f, _: f.takes_only(want(u, f)),
+            lambda u, f, _: f"values {sorted(f.term_values())} != {{{want(u, f)}}}")
 
 
 def _support(generation):
-    return (lambda u, x: not _stray(u.fam, generation(u), x.fn),
-            lambda u, x: f"support on {_stray(u.fam, generation(u), x.fn)}")
+    return (lambda u, f, _: not _stray(u.fam, generation(u), f),
+            lambda u, f, _: f"support on {_stray(u.fam, generation(u), f)}")
 
 
 def _sums_to(value):
-    return (lambda u, x: x.fn == cube_constants((x.cube,), {x.cube: value}),
-            lambda u, x: _describe_diff(x.fn - cube_constants((x.cube,), {x.cube: value})))
+    return (lambda u, f, _: f == cube_constants(f.domain, {f.domain[0]: value}),
+            lambda u, f, _: _describe_diff(f - cube_constants(f.domain, {f.domain[0]: value})))
 
 
 def _measures_one(what):
-    return (lambda u, x: x.support == 1, lambda u, x: f"{what} sum to {x.support}")
+    return (lambda u, f, measure: measure == 1,
+            lambda u, f, measure: f"{what} sum to {measure}")
 
 
-_CANCELS = (lambda u, x: x.fn == x.cancel.scale(-1),
-            lambda u, x: _describe_diff(x.fn + x.cancel))
-_PRODUCT = (lambda u, x: x.fn.is_product(*u.factors(), -1),
-            lambda u, x: _describe_diff(x.fn + StepFunction.multiply(*u.factors())))
-_PAIRED = (lambda u, x: x.whole.same_integral(x.cube, x.cube + 1),
-           lambda u, x: (f"{x.whole.integral(x.cube)} on {cube_label(x.cube)} vs "
-                         f"{x.whole.integral(x.cube + 1)} on {cube_label(x.cube + 1)}"))
-_INDICATOR = (lambda u, x: x.fn.value_set() <= {0, 1},
-              lambda u, x: f"values {sorted(x.fn.value_set())}")
+_CANCELS = (lambda u, f, cancel: f == cancel.scale(-1),
+            lambda u, f, cancel: _describe_diff(f + cancel))
+_PRODUCT = (lambda u, f, _: f.is_product(*u.factors, -1),
+            lambda u, f, _: _describe_diff(f + StepFunction.multiply(*u.factors)))
+_PAIRED = (lambda u, f, whole: whole.same_integral(f.domain[0], f.domain[0] + 1),
+           lambda u, f, whole: " vs ".join(f"{whole.integral(k)} on {cube_label(k)}"
+                                           for k in (f.domain[0], f.domain[0] + 1)))
+_INDICATOR = (lambda u, f, _: f.value_set() <= {0, 1},
+              lambda u, f, _: f"values {sorted(f.value_set())}")
 
 _SCOPE = "level {n}, pair ({head},{tail}) on {qc}"
 _BRIDGE = (MID, TAIL_MID)
@@ -178,20 +180,20 @@ _BRIDGE = (MID, TAIL_MID)
 CHECKS = (
     Check("cell-norm", HEAD, (PAIR,), *_norm(lambda u: u.head_norm), _SCOPE),
     Check("single-coordinate", HEAD, (PAIR,), *_coords(0), _SCOPE),
-    Check("zero-one-valued", HEAD, (PAIR,), *_values(lambda u, x: 1), _SCOPE),
+    Check("zero-one-valued", HEAD, (PAIR,), *_values(lambda u, f: 1), _SCOPE),
     Check("partition-sums-to-one", HEADS, (PAIR,), *_sums_to(1), _SCOPE),
     Check("disjoint-cells", HEADS, (PAIR,), *_measures_one("cell measures"), _SCOPE),
     Check("product-structure", TAIL, (PAIR,), *_PRODUCT, _SCOPE),
     Check("pair-norm", TAIL, (PAIR,), *_norm(lambda u: u.tail_norm), _SCOPE),
     Check("two-coordinate", TAIL, (PAIR,), *_coords(0, 1), _SCOPE),
-    Check("zero-minus-one-valued", TAIL, (PAIR,), *_values(lambda u, x: -1), _SCOPE),
+    Check("zero-minus-one-valued", TAIL, (PAIR,), *_values(lambda u, f: -1), _SCOPE),
     Check("cube-support", HEAD, (None,), *_support(lambda u: u.e), _SCOPE),
     Check("cube-support", TAIL, (None,), *_support(lambda u: u.e + 1), _SCOPE),
     Check("row-cancellation", ROW, (PAIR,), *_CANCELS, _SCOPE),
     Check("paired-integrals", TAIL, _BRIDGE, *_PAIRED, _SCOPE),
     Check("bridge-norm", TAIL, _BRIDGE, *_norm(lambda u: u.tail_norm), _SCOPE),
     Check("bridge-scaled-values", TAIL, _BRIDGE,
-          *_values(lambda u, x: u.bridge_value[x.cube]), _SCOPE),
+          *_values(lambda u, f: u.bridge_value[f.domain[0]]), _SCOPE),
     Check("bridge-single-coordinate", TAIL, _BRIDGE, *_coords(0), _SCOPE),
     Check("bridge-row-cancellation", ROW, (MID,), *_CANCELS, _SCOPE),
     Check("bridge-row-indicator", ROW, (TAIL_MID,), *_INDICATOR, _SCOPE),
@@ -203,7 +205,10 @@ CHECKS = (
     Check("bridge-partition-sums-to-one", TAILS, (TAIL_MID,), *_sums_to(1),
           "level {n}, {tail} on {qtail_mid}"),
     Check("column-cancellation", COLUMN, (PAIR,), *_CANCELS, _SCOPE),
-    # coupling groups exist only where a bridge lies below the pair
+    # Coupling groups exist only where a bridge lies below the pair.  On the
+    # pair cube a group is the sum of its columns and fails only with one of
+    # them; that half stays because its PASS rows are in the pinned reports
+    # and digests, and it builds no sum while its columns pass.
     Check("bridge-level-coupling", COUPLING, (MID, PAIR), *_CANCELS,
           "levels {n1}/{n}, {head}/{tail} on {qmid} and {qc}"),
 )
@@ -211,11 +216,10 @@ CHECKS = (
 
 def _stray(fam: Family, g: int, f: StepFunction) -> list[str]:
     """Cubes where f is not zero although generation g has no piece there."""
-    allowed = {1} if g == 0 else {2 * g - 2, 2 * g - 1}
-    if 1 <= g <= fam.points - 2:
-        allowed.update({2 * g, 2 * g + 1})
+    # generation g has pieces on cubes 2g-2 .. 2g+1, the last one on 2g-2, 2g-1
+    top = 2 * g + 1 if g <= fam.points - 2 else 2 * g - 1
     # a canonical box has positive measure: f is not zero on the cubes it has boxes on
-    return [cube_label(c) for c in sorted(f.support_cubes() - allowed)]
+    return [cube_label(c) for c in sorted(f.support_cubes()) if not 2 * g - 2 <= c <= top]
 
 
 # --- the verifier -----------------------------------------------------------
@@ -233,9 +237,19 @@ def verify_family(fam: Family, *, max_terms: int = MAX_TERMS) -> AxiomReport:
     if fam.is_table_backed and not _check_table_complete(fam, report):
         # missing terms would make every later lookup fail; stop here
         return report
+    pairs = range(fam.points - 1)
+    level: dict[int, list] = {}   # generation -> its split terms at level n, kept
     for n in range(1, fam.depth + 1):
-        for e in range(fam.points - 1):
-            _verify_unit(_Unit(fam, e, n), report)
+        ahead: dict[int, list] = {}
+        for e in pairs:
+            u = _Unit(fam, e, n)
+            u.heads = level.pop(e, None) or list(_split(fam, e, n))
+            u.next_heads = ahead[e] = list(_split(fam, e, n + 1))
+            tails = level.get(e + 1) or _split(fam, e + 1, n)
+            if e + 1 in pairs:
+                level[e + 1] = tails = list(tails)
+            _verify_unit(u, tails, report)
+        level = ahead
     return report
 
 
@@ -257,136 +271,149 @@ def _check_table_complete(fam: Family, report: AxiomReport) -> bool:
     return not missing
 
 
-def _term_fn(fam: Family, g: int, n: int, index: tuple[int, ...]) -> StepFunction:
-    if n <= fam.depth:
-        return fam.fn(TermId(fam.kinds[g], n, index))
-    return fam.reference_fn(g, n, index)
+def _split(fam: Family, g: int, n: int) -> Iterator[dict]:
+    """Generation g at level n: each term's parts on the cubes it is read on."""
+    cubes = [k for k in fam.domain if abs(k - 2 * g) <= 2]   # the roles of pairs g-1, g
+    for i in fam.index_tuples(g, n):
+        f = fam.fn(TermId(fam.kinds[g], n, i)) if n <= fam.depth else fam.reference_fn(g, n, i)
+        yield {**f.split(cubes), None: f}   # None reads the whole term
 
 
-def _idx(index: tuple[int, ...]) -> str:
-    return "(" + ",".join(str(i) for i in index) + ")"
+def _through(total: StepFunction, is_one: bool, factor: StepFunction, bad: list) -> StepFunction:
+    """-(total - Σ d)·factor + Σ x over (d, x) in `bad`; see the module docstring."""
+    if is_one and not bad:
+        return factor.scale(-1)
+    rest = sum_functions([total] + [d.scale(-1) for d, _ in bad], total.domain)
+    return sum_functions([rest.multiply(factor).scale(-1)] + [x for _, x in bad], total.domain)
 
 
 class _Unit:
-    """Pair (e, e+1) at level n: its cubes, the constants its checks
-    compare against, and the heads its tails are products of."""
+    """Pair (e, e+1) at level n: role cubes, constants, heads, next-level heads."""
 
     def __init__(self, fam: Family, e: int, n: int):
         self.fam, self.e, self.n = fam, e, n
         self.c = 1 if e == 0 else 2 * e + 1
         self.roles = {PAIR: self.c, None: None}
+        s_next = fam.flat_size(e, n + 1)
+        self.bridge_value = {2 * e + 2: Fraction(1, s_next)}
         if e >= 1:
             self.roles[MID] = 2 * e
+            self.bridge_value[2 * e] = Fraction(-1, s_next * fam.flat_size(e - 1, n + 1))
         if e + 1 <= fam.points - 2:
             self.roles[TAIL_MID] = 2 * e + 2
         self.head, self.tail = fam.kinds[e], fam.kinds[e + 1]
         self.head_norm = Fraction(1, fam.flat_size(e, n))
         self.tail_norm = Fraction(1, fam.flat_size(e + 1, n))
-        s_next = fam.flat_size(e, n + 1)
-        self.bridge_value = {2 * e + 2: Fraction(1, s_next)}
-        if e >= 1:
-            self.bridge_value[2 * e] = Fraction(-1, s_next * fam.flat_size(e - 1, n + 1))
         self.fields = dict(n=n, n1=n + 1, head=self.head, tail=self.tail,
                            qc=cube_label(self.c), qmid=cube_label(2 * e),
                            qtail_mid=cube_label(2 * e + 2))
-        # parts of each head by flat index, at level n and at level n+1
-        self.heads: list[dict] = []
-        self.next_heads = [self.parts(_term_fn(fam, e, n + 1, idx))
-                           for idx in fam.index_tuples(e, n + 1)]
-        self.row = self.column = 0           # where the tail being checked sits
-
-    def parts(self, f: StepFunction) -> dict:
-        return {k: f if k is None else f.restrict(k) for k in self.roles.values()}
-
-    def factors(self) -> tuple[StepFunction, StepFunction]:
-        """The row's head and the column's next-level head, on the pair cube:
-        the tail there is minus their product."""
-        return self.heads[self.row][self.c], self.next_heads[self.column][self.c]
+        self.heads: list[dict] = []         # split, as are the next-level heads
+        self.next_heads: list[dict] = []
+        # the pair-cube parts of the row's head and the column's next-level
+        # head: the tail being checked is minus their product
+        self.factors: tuple[StepFunction, ...] = ()
 
 
-def _verify_unit(u: _Unit, report: AxiomReport) -> None:
-    fam, e, n = u.fam, u.e, u.n
+def _verify_unit(u: _Unit, tails: Iterable[dict], report: AxiomReport) -> None:
+    fam, e, n, c = u.fam, u.e, u.n, u.c
     checks: dict[str, list] = {}
     scopes = [(ck.id, ck.scope.format(**u.fields)) for ck in CHECKS]
     for i, ck in enumerate(CHECKS):
         for role in ck.roles:
             if role in u.roles:
                 checks.setdefault(ck.on, []).append((i, ck, u.roles[role]))
-    seen: set[int] = set()
+    seen = {i for on in (HEAD, TAIL) for i, _, _ in checks[on]}  # every unit has both
     failed: set[tuple[str, str]] = set()
 
-    def judge(on: str, items: dict) -> None:
-        """Run the `on` checks, each on the item of the cube it reads."""
+    def fail(i: int, ck: Check, where: str, f: StepFunction, other) -> None:
+        failed.add(scopes[i])
+        report.record(ck.id, where, False, ck.witness(u, f, other))
+
+    def each(g: int, on: str, idx: tuple[int, ...], parts: dict) -> tuple[str, ...]:
+        """Run the `on` checks on one term; the ids of those that failed."""
+        bad = ()
+        for i, ck, k in checks[on]:
+            if not ck.ok(u, parts[k], parts[None]):
+                bad += (ck.id,)
+                name = str(TermId(fam.kinds[g], n, idx))
+                fail(i, ck, name if k is None else f"{name} on {cube_label(k)}",
+                     parts[k], parts[None])
+        return bad
+
+    def judge(on: str, name: str | None, items: dict) -> bool:
+        """Whether the `on` checks pass on cube -> (sum, other) or None (proven)."""
+        ok = True
         for i, ck, k in checks.get(on, ()):
             seen.add(i)
-            x = items[k]
-            if not ck.ok(u, x):
-                failed.add(scopes[i])
-                report.record(ck.id, where(i, k, x.name), False, ck.witness(u, x))
+            if items[k] is not None and not ck.ok(u, *items[k]):
+                ok = False
+                fail(i, ck, scopes[i][1] if name is None else f"{name} on {cube_label(k)}",
+                     *items[k])
+        return ok
 
-    def where(i: int, k: int | None, name: str | None) -> str:
-        if name is None:  # a level sum, named by its check
-            return scopes[i][1]
-        return name if k is None else f"{name} on {cube_label(k)}"
+    # support measures are summed as ints, one sum per denominator
+    support: dict[int, int] = {}
+    for idx, parts in zip(fam.index_tuples(e, n), u.heads):
+        each(e, HEAD, idx, parts)
+        num, den = parts[c].support_ints(c)
+        support[den] = support.get(den, 0) + num
+    heads_sum = sum_functions([h[c] for h in u.heads], (c,))
+    # passing, partition-sums-to-one proves H = 1; failing, the sums are built
+    h_one = judge(HEADS, None, {c: (heads_sum, sum(Fraction(v, d) for d, v in support.items()))})
 
-    def sums(*kinds: str, chunk: int = 4096) -> dict[int, ChunkedSum]:
-        return {k: ChunkedSum((k,), chunk) for on in kinds for _, _, k in checks.get(on, ())}
-
-    def add(acc: dict, parts: dict, support: dict | None = None) -> None:
-        for k, s in acc.items():
-            s.add(parts[k])
-        for k in support or ():
-            support[k] += parts[k].support_measure(k)
-
-    def term(g: int, on: str, idx: tuple[int, ...]) -> dict:
-        parts = u.parts(_term_fn(fam, g, n, idx))
-        name = f"{fam.kinds[g]}^{n}{_idx(idx)}"
-        judge(on, {k: _Item(p, k, name, whole=parts[None]) for k, p in parts.items()})
-        return parts
-
-    def close(on: str, level: dict, support: dict) -> None:
-        judge(on, {k: _Item(s.total(), k, None, support=support.get(k))
-                   for k, s in level.items()})
-
-    level = sums(HEADS)
-    support = {u.c: 0}  # cell measures are checked on the pair cube
-    for idx in fam.index_tuples(e, n):
-        u.heads.append(term(e, HEAD, idx))
-        add(level, u.heads[-1], support)
-    close(HEADS, level, support)
-
-    s_next = len(u.next_heads)
-    columns = [sums(COLUMN, COUPLING, chunk=_COLUMN_CHUNK) for _ in range(s_next)]
-    level = sums(TAILS)
-    support = {u.c: 0}
-    for t, idx in enumerate(fam.index_tuples(e + 1, n)):
-        u.row, u.column = divmod(t, s_next)
-        if u.column == 0:
-            rows, row_name = sums(ROW), f"row {u.tail}^{n}{_idx(idx[:-1])}+*"
-        parts = term(e + 1, TAIL, idx)
-        add(rows, parts)
-        add(columns[u.column], parts)
-        add(level, parts, support)
-        if u.column == s_next - 1:
-            judge(ROW, {k: _Item(s.total(), k, row_name, cancel=u.heads[u.row][k])
-                        for k, s in rows.items()})
-    close(TAILS, level, support)
-
+    next_sum = sum_functions([g[c] for g in u.next_heads], (c,))
+    g_one = next_sum == cube_constants((c,), {c: 1})
+    bridges = [u.roles[k] for k in _BRIDGE if k in u.roles]
+    level = {b: Tally((b,)) for b in bridges}
     # coupling group j' pairs the level-(n+1) heads whose last index is j'
     # with the level-n columns under them
-    groups: dict[int, dict] = {}
-    for j, (idx, column) in enumerate(zip(fam.index_tuples(e, n + 1), columns)):
-        items = {k: _Item(s.total(), k, f"column {u.tail}^{n}(*,{j + 1})",
-                          cancel=u.next_heads[j][k]) for k, s in column.items()}
-        judge(COLUMN, items)
-        if MID in u.roles:
-            for k, x in items.items():
-                groups.setdefault(idx[-1], {}).setdefault(k, []).append(x)
-    for jp, group in sorted(groups.items()):
-        name = f"column {jp} of level {n + 1} {u.head} vs level {n} {u.tail}"
-        judge(COUPLING, {k: _Item(sum_functions([x.fn for x in xs], (k,)), k, name,
-                                  cancel=sum_functions([x.cancel for x in xs], (k,)))
-                         for k, xs in group.items()})
+    group_of = [idx[-1] for idx in fam.index_tuples(e, n + 1)]
+    mid = u.roles.get(MID)
+    groups = {j: Tally((mid,)) for j in sorted(set(group_of))} if mid else {}
+    s_next = len(u.next_heads)
+    support = {}
+    bad_rows: list = []                 # (head, row sum) of the rows with a failing tail
+    bad_columns: dict[int, list] = {}   # column -> (head, pair part) of its failing tails
+    for t, (idx, parts) in enumerate(zip(fam.index_tuples(e + 1, n), tails)):
+        r, k = divmod(t, s_next)
+        u.factors = (u.heads[r][c], u.next_heads[k][c])
+        if k == 0:
+            rows, row_bad = {b: Tally((b,)) for b in bridges}, []
+        if "product-structure" in each(e + 1, TAIL, idx, parts):
+            row_bad.append((u.next_heads[k][c], parts[c]))
+            bad_columns.setdefault(k, []).append((u.heads[r][c], parts[c]))
+        num, den = parts[c].support_ints(c)
+        support[den] = support.get(den, 0) + num
+        for b in bridges:
+            rows[b].add(parts[b])
+            level[b].add(parts[b])
+        if mid:
+            groups[group_of[k]].add(parts[mid])
+        if k == s_next - 1:
+            head = u.heads[r]
+            items = {b: (rows[b].total(), head[b]) for b in bridges}
+            items[c] = (_through(next_sum, g_one, head[c], row_bad), head[c])
+            if row_bad:
+                bad_rows.append((head[c], items[c][0]))
+            judge(ROW, f"row {TermId(u.tail, n, idx[:-1])}+*", items)
+    items = {b: (level[b].total(), None) for b in bridges}
+    items[c] = (_through(heads_sum, h_one, next_sum, bad_rows),
+                sum(Fraction(v, d) for d, v in support.items()))
+    judge(TAILS, None, items)
+
+    columns, failing = [], set()
+    for k, g in enumerate(u.next_heads):
+        columns.append(_through(heads_sum, h_one, g[c], bad_columns.get(k, [])))
+        if not judge(COLUMN, f"column {u.tail}^{n}(*,{k + 1})", {c: (columns[k], g[c])}):
+            failing.add(k)
+    for jp, tally in groups.items():
+        ks = [k for k, j in enumerate(group_of) if j == jp]
+        items = {mid: (tally.total(), sum_functions([u.next_heads[k][mid] for k in ks], (mid,))),
+                 c: None}
+        if failing.intersection(ks):
+            items[c] = (sum_functions([columns[k] for k in ks], (c,)),
+                        sum_functions([u.next_heads[k][c] for k in ks], (c,)))
+        judge(COUPLING, f"column {jp} of level {n + 1} {u.head} vs level {n} {u.tail}", items)
 
     for check, scope in dict.fromkeys(scopes[i] for i in sorted(seen)):
         if (check, scope) not in failed:

@@ -7,7 +7,9 @@ candidate value for every fiber.  The perturbation test then confirms
 optimality cell by cell through the step-function algebra alone.
 """
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,13 +28,16 @@ from sumrange.analysis import (
     run_drift_battery,
     run_fiber_suite,
     run_near_constancy_battery,
+    _random_fn,
 )
 from sumrange.families import ConfigError, build_kadets
 from sumrange.schedules import schedule_point
 from sumrange.stepfn import (
+    Box,
     StepFunction,
     constant,
     indicator,
+    make_bounds,
     step_on_coord,
 )
 
@@ -446,6 +451,122 @@ def test_drift_respects_family_term_order():
 
 
 # --- suites -----------------------------------------------------------------
+
+
+# --- the lattice lemma code against its Fraction references -----------------
+#
+# `_random_fn` and `fiber_best_approximation` run on lattice integers; the
+# functions below are their earlier `Fraction` versions, kept as references.
+
+
+def _reference_random_fn(rng, coords):
+    axes = []
+    for _ in coords:
+        cells = rng.randint(1, 8)
+        edges = [F(0)] + sorted(rng.sample([F(k, 8) for k in range(1, 8)], cells - 1)) + [F(1)]
+        axes.append(list(zip(edges, edges[1:])))
+    boxes = []
+    for spans in itertools.product(*axes):
+        v = rng.randint(-3, 3)
+        if v:
+            spec = {c: span for c, span in zip(coords, spans) if span != (F(0), F(1))}
+            boxes.append((Box(1, make_bounds(spec)), v))
+    return StepFunction((1,), boxes)
+
+
+def _reference_weighted_median(pairs, integer_only):
+    merged = {}
+    for v, w in pairs:
+        merged[v] = merged.get(v, F(0)) + w
+    values = sorted(merged)
+    half = F(1, 2)
+    lo = hi = values[-1]
+    cum = F(0)
+    for idx, v in enumerate(values):
+        prev = cum
+        cum += merged[v]
+        if cum >= half:
+            lo = values[idx - 1] if prev == half else v
+            hi = v
+            break
+    if not integer_only:
+        return lo
+    candidates = sorted({F(x) for bound in (lo, hi)
+                         for x in (bound.__floor__(), bound.__ceil__())})
+    return min(candidates, key=lambda c: (sum(w * abs(v - c) for v, w in merged.items()), c))
+
+
+def _reference_fiber(f, keep, integer_only=False):
+    cube = f.domain[0]
+    keep = sorted(set(int(c) for c in keep))
+    boxes = [(dict(box.bounds), value) for box, value in f.terms]
+    cuts = {c: {F(0), F(1)} for c in keep}
+    for bounds, _ in boxes:
+        for c in keep:
+            if c in bounds:
+                cuts[c].update(bounds[c])
+    grids = [list(zip(sorted(cuts[c]), sorted(cuts[c])[1:])) for c in keep]
+    out = []
+    for chosen in itertools.product(*grids):
+        pairs = []
+        covered = F(0)
+        for bounds, value in boxes:
+            weight = F(1)
+            for c, (lo, hi) in zip(keep, chosen):
+                if c in bounds and not (bounds[c][0] <= lo and hi <= bounds[c][1]):
+                    weight = F(0)
+                    break
+            if weight == 0:
+                continue
+            for c, iv in bounds.items():
+                if c not in keep:
+                    weight *= iv.hi - iv.lo
+            pairs.append((value, weight))
+            covered += weight
+        if covered < 1:
+            pairs.append((F(0), 1 - covered))
+        med = _reference_weighted_median(pairs, integer_only)
+        if med != 0:
+            spec = {c: span for c, span in zip(keep, chosen) if span != (F(0), F(1))}
+            out.append((Box(cube, make_bounds(spec) if spec else ()), med))
+    return StepFunction(f.domain, out)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_lattice_lemma_code_matches_fraction_reference(seed):
+    # the same draws as the fiber suite: 500 cases of two functions each
+    rng, ref = random.Random(seed), random.Random(seed)
+    for k in range(500):
+        f, g = _random_fn(rng, (1, 2)), _random_fn(rng, (2, 3))
+        rf, rg = _reference_random_fn(ref, (1, 2)), _reference_random_fn(ref, (2, 3))
+        assert f.terms == rf.terms and g.terms == rg.terms
+        integer_only = bool(k % 2)
+        for keep in ([2], [1]) if k % 5 else ([2], [1], [], [1, 2], [3]):
+            h = fiber_best_approximation(f, keep, integer_only)
+            assert h.terms == _reference_fiber(rf, keep, integer_only).terms, (k, keep)
+
+
+@pytest.mark.parametrize("f, keep, integer_only, want", [
+    # the fiber's weight splits exactly in half between 1 and 3
+    (indicator(DOM, 1, {1: (0, F(1, 2))}, 3) + indicator(DOM, 1, {1: (F(1, 2), 1)}, 1), [], False,
+     constant(DOM, 1)),
+    (indicator(DOM, 1, {1: (0, F(1, 2))}, -2), [2], False, constant(DOM, -2)),
+    # an all-zero fiber over x2 in [1/2, 1) keeps 0
+    (indicator(DOM, 1, {2: (0, F(1, 2))}, 2), [2], False, indicator(DOM, 1, {2: (0, F(1, 2))}, 2)),
+    (StepFunction.zero(DOM), [1, 2], True, StepFunction.zero(DOM)),
+    # an empty keep: one global median
+    (step_on_coord(DOM, 1, 1, [(0, F(1, 3), -1), (F(1, 3), 1, F(7, 3))]), [], False,
+     constant(DOM, F(7, 3))),
+    # integer rounding with tied costs goes to the smaller integer
+    (constant(DOM, F(1, 2)), [], True, StepFunction.zero(DOM)),
+    (constant(DOM, F(-1, 2)), [], True, constant(DOM, -1)),
+    (step_on_coord(DOM, 1, 2, [(0, F(1, 2), F(5, 2))]), [2], True,
+     indicator(DOM, 1, {2: (0, F(1, 2))}, 2)),
+], ids=["half-weight", "half-weight-zero", "all-zero-fiber", "zero-function", "empty-keep",
+        "tie-half", "tie-minus-half", "tie-five-halves"])
+def test_fiber_hand_cases_match_fraction_reference(f, keep, integer_only, want):
+    assert fiber_best_approximation(f, keep, integer_only) == want
+    assert _reference_fiber(f, keep, integer_only) == want
 
 
 def test_cross_variable_suite_clean():

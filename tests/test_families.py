@@ -6,6 +6,7 @@ count) corrections) before the builder existed; the tests freeze them.
 """
 
 import functools
+import re
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,17 @@ def test_size_rule_covers_the_verified_levels():
         build_multipoint(6, 1, sizes=(1, 1, 1, 1, 1, 2))
     assert size_problem(IndexSizes((1, 2, 2, 2, 2, 2)), 1, 6) is None
     assert build_multipoint(6, 1, sizes=(1, 2, 2, 2, 2, 2)).term_count() > 0
+
+
+@pytest.mark.parametrize("sizes", [[1.9, 2.5, 3.7], [1, 2.0, 3], [True, 2, 3], [1, "2", 3],
+                                   [1, F(2), 3]])
+def test_non_integer_sizes_refused(sizes):
+    # a size is an int, never truncated or read from a bool
+    with pytest.raises(ConfigError, match="must be integers, got"):
+        build_kadets(2, sizes)
+    bad = next(v for v in sizes if type(v) is not int)
+    with pytest.raises(ConfigError, match=re.escape(repr(bad))):
+        IndexSizes(sizes)
 
 
 def test_custom_sizes_change_cells():

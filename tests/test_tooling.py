@@ -70,7 +70,9 @@ print("load stepfn.StepFunction",
       after_load["stepfn.StepFunction.calls"] - before["stepfn.StepFunction.calls"])
 print("verify stepfn.multiply",
       after_verify["stepfn.multiply.calls"] - after_load["stepfn.multiply.calls"])
-print("verify families.fn", after_verify["families.fn.calls"] - after_load["families.fn.calls"])
+for span in ("stepfn.restrict", "families.fn"):
+    print("verify", span, after_verify[span + ".calls"] - after_load[span + ".calls"])
+print("verify terms", loaded.term_count())
 
 # a lemma suite run through the command line, which picks the runner by name
 import contextlib, io
@@ -114,11 +116,14 @@ def test_blocks_trace_builds_each_term_once_and_slices_per_block(traced_run):
 
 
 def test_loaded_family_verifies_without_fractions_per_term(traced_run):
-    # loading parses straight onto the lattice, and the product-structure
-    # check compares one-box parts without multiplying
+    # loading parses straight onto the lattice, the product-structure check
+    # compares one-box parts without multiplying, and the verifier fetches
+    # each term once and splits it by cube without one-cube copies
     assert traced_run["load"] == {"stepfn.StepFunction": 0}
-    assert traced_run["verify"]["stepfn.multiply"] == 0
-    assert traced_run["verify"]["families.fn"] > 0
+    verify = traced_run["verify"]
+    assert verify["stepfn.multiply"] == 0
+    assert verify["stepfn.restrict"] == 0
+    assert verify["families.fn"] == verify["terms"]
 
 
 def test_lemma_suites_run_inside_their_spans(traced_run):

@@ -21,10 +21,12 @@ from sumrange.families import (
     build_kadets,
     build_multipoint,
     build_three_kadets,
+    cube_label,
 )
 from sumrange.serialize import dump_family, family_to_lines, load_family
-from sumrange.stepfn import StepFunction, indicator, sum_functions
-from sumrange.verify import CHECKS, HEAD, TAIL, _Item, _Unit, verify_family
+from sumrange.stepfn import StepFunction, cube_constants, indicator, sum_functions
+from sumrange.verify import (
+    CHECKS, COLUMN, COUPLING, HEAD, HEADS, MID, ROW, TAIL, TAILS, _Unit, verify_family)
 
 PAIR_CHECKS = {
     "partition-sums-to-one", "cell-norm", "single-coordinate",
@@ -269,17 +271,19 @@ def test_clean_report_rows_in_table_order():
     ]
 
 
-@pytest.mark.parametrize("build", [lambda: build_multipoint(4, 1),
-                                   lambda: build_three_kadets(3)])
-def test_each_term_fetched_about_once(build, monkeypatch):
-    # one walk per (pair, level): a head is fetched again only as the tail
-    # of the pair below it or as a next-level head
+@pytest.mark.parametrize("build", [lambda: build_multipoint(4, 1), lambda: build_three_kadets(3),
+                                   lambda: build_kadets(4)],
+                         ids=["multipoint(4, 1)", "three-kadets(3)", "kadets(4)"])
+def test_each_term_fetched_once(build, monkeypatch):
+    # one walk by level: a term is kept, split, between its uses as a
+    # next-level head, a tail and a head
     fam = build()
     calls = []
     fetch = Family.fn
     monkeypatch.setattr(Family, "fn", lambda self, tid: calls.append(tid) or fetch(self, tid))
     assert verify_family(fam).ok
-    assert len(calls) < 1.15 * fam.term_count()
+    assert len(calls) == fam.term_count()
+    assert len(set(calls)) == fam.term_count()
 
 
 # --- the integer checks against their Fraction predicates -------------------
@@ -287,19 +291,19 @@ def test_each_term_fetched_about_once(build, monkeypatch):
 # Today's Fraction predicate of each check that compares lattice integers;
 # `allowed` holds the cubes the term's generation has pieces on.
 FRACTION_PREDICATES = {
-    "cell-norm": lambda u, x, allowed: x.fn.moment(1) == u.head_norm,
-    "pair-norm": lambda u, x, allowed: x.fn.moment(1) == u.tail_norm,
-    "bridge-norm": lambda u, x, allowed: x.fn.moment(1) == u.tail_norm,
-    "zero-one-valued": lambda u, x, allowed: x.fn.term_values() <= {1},
-    "zero-minus-one-valued": lambda u, x, allowed: x.fn.term_values() <= {-1},
-    "bridge-scaled-values": lambda u, x, allowed: (
-        x.fn.term_values() <= {u.bridge_value[x.cube]}),
-    "paired-integrals": lambda u, x, allowed: (
-        x.whole.integral(x.cube) == x.whole.integral(x.cube + 1)),
-    "cube-support": lambda u, x, allowed: not any(
-        x.fn.support_measure(c) != 0 for c in x.fn.domain if c not in allowed),
-    "product-structure": lambda u, x, allowed: x.fn == (
-        u.heads[u.row][u.c].multiply(u.next_heads[u.column][u.c]).scale(-1)),
+    "cell-norm": lambda u, f, whole, allowed: f.moment(1) == u.head_norm,
+    "pair-norm": lambda u, f, whole, allowed: f.moment(1) == u.tail_norm,
+    "bridge-norm": lambda u, f, whole, allowed: f.moment(1) == u.tail_norm,
+    "zero-one-valued": lambda u, f, whole, allowed: f.term_values() <= {1},
+    "zero-minus-one-valued": lambda u, f, whole, allowed: f.term_values() <= {-1},
+    "bridge-scaled-values": lambda u, f, whole, allowed: (
+        f.term_values() <= {u.bridge_value[f.domain[0]]}),
+    "paired-integrals": lambda u, f, whole, allowed: (
+        whole.integral(f.domain[0]) == whole.integral(f.domain[0] + 1)),
+    "cube-support": lambda u, f, whole, allowed: not any(
+        f.support_measure(c) != 0 for c in f.domain if c not in allowed),
+    "product-structure": lambda u, f, whole, allowed: f == (
+        u.factors[0].multiply(u.factors[1]).scale(-1)),
 }
 
 
@@ -318,12 +322,15 @@ def _copies(f):
     return (f, f.scale(3), f.scale(-1), f + indicator(f.domain, f.domain[-1], {}, Fraction(1, 7)))
 
 
+def _parts(f, cubes):
+    return {**f.split(cubes), None: f}
+
+
 def _agree(u, todo, parts, allowed, outcomes):
     """Run each converted check on one term's parts against its predicate."""
     for ck, k in todo:
-        x = _Item(parts[k], k, "term", whole=parts[None])
-        got = ck.ok(u, x)
-        assert got == FRACTION_PREDICATES[ck.id](u, x, allowed), ck.id
+        got = ck.ok(u, parts[k], parts[None])
+        assert got == FRACTION_PREDICATES[ck.id](u, parts[k], parts[None], allowed), ck.id
         outcomes.add((ck.id, got))
 
 
@@ -336,26 +343,29 @@ def test_integer_checks_match_fraction_predicates(build):
     for n in range(1, fam.depth + 1):
         for e in range(fam.points - 1):
             u = _Unit(fam, e, n)
+            cubes = [k for k in u.roles.values() if k is not None]
             todo = {on: [(ck, u.roles[role]) for ck in CHECKS if ck.on == on
                          and ck.id in FRACTION_PREDICATES for role in ck.roles if role in u.roles]
                     for on in (HEAD, TAIL)}
             heads = [fam.fn(TermId(u.head, n, idx)) for idx in fam.index_tuples(e, n)]
-            u.heads = [u.parts(f) for f in heads]
+            u.heads = [_parts(f, cubes) for f in heads]
+            u.next_heads = [_parts(fam.reference_fn(e, n + 1, idx), cubes)
+                            for idx in fam.index_tuples(e, n + 1)]
             allowed = _allowed_cubes(fam, e)
             for f in heads:
                 for copy in _copies(f):
-                    _agree(u, todo[HEAD], u.parts(copy), allowed, outcomes)
+                    _agree(u, todo[HEAD], _parts(copy, cubes), allowed, outcomes)
             s_next = len(u.next_heads)
             allowed = _allowed_cubes(fam, e + 1)
             for t, idx in enumerate(fam.index_tuples(e + 1, n)):
                 row, column = divmod(t, s_next)
                 f = fam.fn(TermId(u.tail, n, idx))
                 for copy in _copies(f):
-                    u.row, u.column = row, column
-                    _agree(u, todo[TAIL], u.parts(copy), allowed, outcomes)
+                    u.factors = (u.heads[row][u.c], u.next_heads[column][u.c])
+                    _agree(u, todo[TAIL], _parts(copy, cubes), allowed, outcomes)
                 # against the next column's head: one box each, the wrong box
-                u.row, u.column = row, (column + 1) % s_next
-                _agree(u, todo[TAIL], u.parts(f), allowed, outcomes)
+                u.factors = (u.heads[row][u.c], u.next_heads[(column + 1) % s_next][u.c])
+                _agree(u, todo[TAIL], _parts(f, cubes), allowed, outcomes)
     # every check a family has was seen both passing and failing, except
     # cube-support on the one cube of kadets
     passed = {ck for ck, ok in outcomes if ok}
@@ -385,3 +395,182 @@ def test_tail_of_two_boxes_takes_the_multiply_path(monkeypatch):
         "column-cancellation"}
     failed = [c for c in report.failures() if c.check == "product-structure"]
     assert [c.scope for c in failed] == ["b^2(1,2) on Q1"]
+
+
+# --- the sums against sum_functions -----------------------------------------
+
+# The fault families of the tests above, built the same way.
+def _negated_tail():
+    fam = build_kadets(3)
+    tid = TermId("b", 2, (1, 2))
+    return fam.with_replaced({tid: fam.fn(tid).scale(-1)})
+
+
+def _unequal_partition():
+    return build_kadets(3).with_replaced({
+        TermId("a", 2, (1,)): indicator((1,), 1, {2: (0, Fraction(1, 3))}),
+        TermId("a", 2, (2,)): indicator((1,), 1, {2: (Fraction(1, 3), 1)})})
+
+
+def _perturbed_mid_part():
+    fam = build_three_kadets(2)
+    tid = TermId("h", 1, (1, 1, 1))
+    bump = indicator((1, 2, 3), 2, {1: (0, Fraction(1, 2))}, Fraction(1, 7))
+    return fam.with_replaced({tid: fam.fn(tid) + bump})
+
+
+def _swapped_supports():
+    fam = build_three_kadets(2)
+    cell1 = indicator(fam.domain, 3, {1: (0, Fraction(1, 2))})
+    cell2 = indicator(fam.domain, 3, {1: (Fraction(1, 2), 1)})
+    g11, g12 = TermId("g", 1, (1, 1)), TermId("g", 1, (1, 2))
+    return fam.with_replaced({g11: fam.fn(g11) - cell1 + cell2, g12: fam.fn(g12) - cell2 + cell1})
+
+
+def _swapped_columns():
+    fam = build_three_kadets(2)
+    t1, t2 = TermId("h", 1, (1, 1, 1)), TermId("h", 1, (1, 1, 2))
+    return fam.with_replaced({t1: fam.fn(t2), t2: fam.fn(t1)})
+
+
+def _tail_of_two_boxes():
+    fam = build_kadets(3)
+    dom = fam.domain
+    left = indicator(dom, 1, {2: (0, Fraction(1, 4)), 3: (Fraction(1, 3), Fraction(2, 3))}, -1)
+    right = indicator(dom, 1, {2: (Fraction(1, 4), Fraction(1, 2)), 3: (0, Fraction(1, 3))}, -1)
+    return fam.with_replaced({TermId("b", 2, (1, 2)): left + right})
+
+
+def _negated_first_tail():
+    fam = build_kadets(2)
+    tid = TermId("b", 1, (1, 1))
+    return fam.with_replaced({tid: fam.fn(tid).scale(-1)})
+
+
+def _doubled_head(build, tid):
+    # a head that no longer partitions: H != 1 at its level, G != 1 below it
+    def doubled():
+        fam = build()
+        return fam.with_replaced({tid: fam.fn(tid).scale(2)})
+    return doubled
+
+
+def _doubled_with_products(build, kind, n, flat):
+    # that head doubled together with every tail that is its product: the
+    # product checks pass, but H != 1 at level n and G != 1 at level n-1
+    def doubled():
+        fam = build()
+        g = fam.generation(kind)
+        tail = fam.kinds[g + 1]
+        tids = [TermId(kind, n, fam.unflatten(g, n, flat))]
+        tids += [TermId(tail, n, idx) for idx in fam.index_tuples(g + 1, n)
+                 if fam.flat_index(g, n, idx[:-1]) == flat]
+        tids += [TermId(tail, n - 1, idx) for idx in fam.index_tuples(g + 1, n - 1)
+                 if idx[-1] == flat]
+        return fam.with_replaced({tid: fam.fn(tid).scale(2) for tid in tids})
+    return doubled
+
+
+def _cancels(s, cancel):
+    return (s + cancel).box_count() == 0
+
+
+def _is_constant(value):
+    return lambda s, _: s == cube_constants(s.domain, {s.domain[0]: value})
+
+
+# Each sum check's verdict, recomputed without the verifier's predicate.
+SUM_PREDICATES = {
+    "partition-sums-to-one": _is_constant(1),
+    "disjoint-cells": lambda s, measure: measure == 1,
+    "row-cancellation": _cancels,
+    "bridge-row-cancellation": _cancels,
+    "bridge-row-indicator": lambda s, _: s.value_set() <= {0, 1},
+    "rows-sum-to-minus-one": _is_constant(-1),
+    "bridge-sums-to-minus-one": _is_constant(-1),
+    "bridge-partition-sums-to-one": _is_constant(1),
+    "column-cancellation": _cancels,
+    "bridge-level-coupling": _cancels,
+}
+
+
+def _reference_sums(fam):
+    """(check, its unit's PASS scope, where it fails, sum, compared with) for
+    every row, column, level and coupling sum, each summed with
+    `sum_functions` over the terms' parts from `fam.fn`."""
+    for n in range(1, fam.depth + 1):
+        for e in range(fam.points - 1):
+            u = _Unit(fam, e, n)
+            cubes = [k for k in u.roles.values() if k is not None]
+            heads = [fam.fn(TermId(u.head, n, idx)) for idx in fam.index_tuples(e, n)]
+            next_ids = list(fam.index_tuples(e, n + 1))
+            nexts = [fam.fn(TermId(u.head, n + 1, idx)) if n < fam.depth
+                     else fam.reference_fn(e, n + 1, idx) for idx in next_ids]
+            tail_ids = list(fam.index_tuples(e + 1, n))
+            tails = [fam.fn(TermId(u.tail, n, idx)) for idx in tail_ids]
+            parts = {k: [t.restrict(k) for t in tails] for k in cubes}
+            s = len(nexts)
+
+            def sums(on, name, pick):
+                for ck in CHECKS:
+                    for role in ck.roles if ck.on == on else ():
+                        if role in u.roles:
+                            k = u.roles[role]
+                            scope = ck.scope.format(**u.fields)
+                            where = scope if name is None else f"{name} on {cube_label(k)}"
+                            yield (ck, scope, where, *pick(k))
+
+            def total(fns, k):
+                return sum_functions([f.restrict(k) for f in fns], (k,))
+
+            yield from sums(HEADS, None, lambda k: (
+                total(heads, k), sum(h.support_measure(k) for h in heads)))
+            for r, head in enumerate(heads):
+                row = range(r * s, (r + 1) * s)
+                name = f"row {u.tail}^{n}({','.join(map(str, tail_ids[r * s][:-1]))})+*"
+                yield from sums(ROW, name, lambda k: (
+                    sum_functions([parts[k][t] for t in row], (k,)), head.restrict(k)))
+            yield from sums(TAILS, None, lambda k: (
+                sum_functions(parts[k], (k,)),
+                sum(p.support_measure(k) for p in parts[k]) if k == u.c else None))
+            for j, g in enumerate(nexts):
+                yield from sums(COLUMN, f"column {u.tail}^{n}(*,{j + 1})", lambda k: (
+                    sum_functions(parts[k][j::s], (k,)), g.restrict(k)))
+            if MID not in u.roles:
+                continue
+            for jp in sorted({idx[-1] for idx in next_ids}):
+                group = [j for j, idx in enumerate(next_ids) if idx[-1] == jp]
+                yield from sums(
+                    COUPLING, f"column {jp} of level {n + 1} {u.head} vs level {n} {u.tail}",
+                    lambda k: (sum_functions([p for j in group for p in parts[k][j::s]], (k,)),
+                               total([nexts[j] for j in group], k)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_kadets(4), lambda: build_three_kadets(3), lambda: build_multipoint(4, 2),
+    _negated_tail, _unequal_partition, _perturbed_mid_part, _swapped_supports,
+    _swapped_columns, _tail_of_two_boxes, _negated_first_tail,
+    _doubled_head(lambda: build_kadets(3), TermId("a", 2, (1,))),
+    _doubled_head(lambda: build_three_kadets(2), TermId("g", 2, (1, 1))),
+    _doubled_with_products(lambda: build_kadets(3), "a", 2, 1),
+    _doubled_with_products(lambda: build_three_kadets(2), "g", 2, 1),
+], ids=["kadets(4)", "three-kadets(3)", "multipoint(4, 2)", "negated-tail",
+        "unequal-partition", "perturbed-mid-part", "swapped-supports", "swapped-columns",
+        "tail-of-two-boxes", "negated-first-tail", "doubled-head", "doubled-bridge-head",
+        "doubled-products", "doubled-bridge-products"])
+def test_sums_match_sum_functions(build):
+    # the verifier derives the pair-cube sums from the product checks and
+    # the bridge sums from distinct parts; each must judge as the plain sum
+    fam = build()
+    report = verify_family(fam)
+    assert not report.suppressed
+    failures = {(c.check, c.scope): c.witness for c in report.failures()}
+    passes = {(c.check, c.scope) for c in report.checks if c.passed}
+    want_failures, scopes, failed_scopes = {}, set(), set()
+    for ck, scope, where, total, other in _reference_sums(fam):
+        scopes.add((ck.id, scope))
+        if not SUM_PREDICATES[ck.id](total, other):
+            want_failures[ck.id, where] = ck.witness(None, total, other)
+            failed_scopes.add((ck.id, scope))
+    assert {key: w for key, w in failures.items() if key[0] in SUM_PREDICATES} == want_failures
+    assert {key for key in passes if key[0] in SUM_PREDICATES} == scopes - failed_scopes
