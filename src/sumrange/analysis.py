@@ -124,16 +124,15 @@ def fiber_best_approximation(f: StepFunction, keep: Iterable[int],
                 merged[v] = merged.get(v, 0) + weight
                 merged[0] -= weight
         values = sorted(v for v, w in merged.items() if w)
+        # the first value whose cumulative weight reaches half the fiber
         cum = 0
-        for i, v in enumerate(values):
-            prev, cum = cum, cum + merged[v]
+        for med in values:
+            cum += merged[med]
             if 2 * cum >= whole:
-                # 2 * prev == whole: the minimum is flat back to the previous value
-                low, high = (values[i - 1] if 2 * prev == whole else v), v
                 break
-        med, den = low, vden
+        den = vden
         if integer_only:
-            med = min(sorted({x for b in (low, high) for x in (b // vden, -(-b // vden))}),
+            med = min((med // vden, -(-med // vden)),
                       key=lambda c: (sum(w * abs(v - c * vden) for v, w in merged.items()), c))
             den = 1
         if med:

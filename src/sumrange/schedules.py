@@ -15,7 +15,10 @@ boxes in the canonical deviation, which measures how complicated the
 partial sum is at that moment.
 
 In steps mode each term is added to the running deviation cube by cube
-and every step is measured.  In blocks mode the block's terms go whole
+and every step gets a row.  Only the cubes the term touches are
+measured again; every other cube carries its moment and box count over
+from the previous row, which is exact, since its deviation is the same
+function.  In blocks mode the block's terms go whole
 into one `ChunkedSum` over the family's domain, together with the
 running deviation; its total is the deviation at the block's end.  The
 canonical form is computed cube by cube, so restricting that total to a
@@ -330,21 +333,22 @@ def run_trace(fam: Family, schedule: Schedule,
     rows: list[TraceRow] = []
     step = 0
 
-    def measure(tid: TermId, block: Block, marker: bool, per_cube) -> None:
-        devs = tuple(f.moment(p) for f in per_cube)
-        boxes = tuple(f.box_count() for f in per_cube)
-        rows.append(TraceRow(step, tid, block.label, block.level, marker, devs, boxes))
-
     if record == "steps":
         diffs = {c: cube_constants((c,), {c: -goal[ci]}) for ci, c in enumerate(cubes)}
+        index = {c: ci for ci, c in enumerate(cubes)}
+        devs = [diffs[c].moment(p) for c in cubes]
+        boxes = [diffs[c].box_count() for c in cubes]
         for block in schedule.blocks():
             last = len(block.ids) - 1
             for pos, tid in enumerate(block.ids):
                 step += 1
                 fn = fam.fn(tid)
-                for c in fn.support_cubes():
-                    diffs[c] = diffs[c] + fn.restrict(c)
-                measure(tid, block, pos == last, [diffs[c] for c in cubes])
+                for c, part in fn.split(fn.support_cubes()).items():
+                    diff = diffs[c] = diffs[c] + part
+                    devs[index[c]] = diff.moment(p)
+                    boxes[index[c]] = diff.box_count()
+                rows.append(TraceRow(step, tid, block.label, block.level, pos == last,
+                                     tuple(devs), tuple(boxes)))
     else:
         dev = cube_constants(cubes, {c: -goal[ci] for ci, c in enumerate(cubes)})
         for block in schedule.blocks():
@@ -354,7 +358,10 @@ def run_trace(fam: Family, schedule: Schedule,
                 total.add(fam.fn(tid))
             total.add(dev)
             dev = total.total()
-            measure(tid, block, True, [dev.restrict(c) for c in cubes])
+            per_cube = [dev.restrict(c) for c in cubes]
+            rows.append(TraceRow(step, tid, block.label, block.level, True,
+                                 tuple(f.moment(p) for f in per_cube),
+                                 tuple(f.box_count() for f in per_cube)))
     if not rows:
         raise ConfigError("schedule has no terms")
     return Trace(schedule, goal, p, record, rows)

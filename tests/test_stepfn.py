@@ -14,6 +14,7 @@ import pytest
 
 from sumrange.stepfn import (
     Box,
+    ChunkedSum,
     DomainError,
     Interval,
     StepFunction,
@@ -533,3 +534,126 @@ def test_equal_functions_on_different_lattices():
         assert other.terms == halves.terms
     assert len({halves, quarters, thirds}) == 1
     assert halves != indicator(dom, 1, {1: (0, F(3, 4))})
+
+
+# --- the merge behind `add` -------------------------------------------------
+# `add` merges two canonical forms; `StepFunction._summed` sweeps their
+# boxes.  Both must give the same entries on the same lattice.
+
+
+def assert_add_matches_sweep(fa, fb):
+    total = fa + fb
+    if fa._entries and fb._entries:
+        swept = StepFunction._summed(fa.domain, (fa, fb))
+        assert total._entries == swept._entries
+        assert total._dens == swept._dens and total._vden == swept._vden
+    else:  # an empty operand: `add` returns the other one as it is
+        assert total == StepFunction._summed(fa.domain, (fa, fb))
+    assert_canonical_shape(total)
+    return total
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("case", sorted(LATTICE_CASES))
+def test_add_merge_matches_sweep_on_lattice_cases(case, seed):
+    rng = random.Random(f"merge-{case}-{seed}")
+    dom = (1, 2)
+    raw_a = lattice_raw(rng, dom, **LATTICE_CASES[case], max_boxes=8)
+    raw_b = lattice_raw(rng, dom, **LATTICE_CASES[case], max_boxes=rng.choice((1, 3, 8)))
+    fa, fb = build(raw_a, dom), build(raw_b, dom)
+    assert_matches_oracle(raw_a + raw_b, assert_add_matches_sweep(fa, fb))
+    assert_add_matches_sweep(fb, fa)
+    assert assert_add_matches_sweep(fa, -fa).terms == ()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_add_merge_matches_sweep_on_random_chains(seed):
+    # a running sum of random functions, as a trace in steps mode builds
+    # one, compared with the sweep at every step
+    rng = random.Random(f"merge-chain-{seed}")
+    dom = (1, 2)
+    raw: list = []
+    total = StepFunction.zero(dom)
+    for _ in range(6):
+        step = random_raw(rng, dom, max_boxes=rng.choice((1, 2, 4)))
+        if rng.random() < 0.25:  # cancel part of what is there
+            step += [(cu, bd, -v) for cu, bd, v in rng.sample(raw, len(raw) // 2)]
+        total = assert_add_matches_sweep(total, build(step, dom))
+        raw += step
+    assert_matches_oracle(raw, total)
+
+
+MERGE_CASES = {
+    # a + (-a) with a spread over three coordinates
+    "exact-cancellation": (
+        [(1, {1: (F(0), F(1, 2)), 3: (F(1, 3), F(1))}, F(2)), (1, {2: (F(1, 4), F(3, 4))}, F(-1))],
+        [(1, {1: (F(0), F(1, 2)), 3: (F(1, 3), F(1))}, F(-2)), (1, {2: (F(1, 4), F(3, 4))}, F(1))],
+    ),
+    # the second operand fills the first one's holes: cells join level by
+    # level until the sum is the constant 1 and every coordinate is dropped
+    "re-merge-to-constant": (
+        [(1, {1: (F(0), F(1, 2)), 2: (F(0), F(1, 3))}, F(1)),
+         (1, {1: (F(1, 2), F(1))}, F(1))],
+        [(1, {1: (F(0), F(1, 2)), 2: (F(1, 3), F(1))}, F(1))],
+    ),
+    # joined cells drop coordinate 1 but keep coordinate 2
+    "re-merge-drops-a-coordinate": (
+        [(1, {1: (F(0), F(1, 3)), 2: (F(0), F(1, 2))}, F(3))],
+        [(1, {1: (F(1, 3), F(1)), 2: (F(0), F(1, 2))}, F(3))],
+    ),
+    # the second operand is free on coordinate 1, the first one's top
+    # coordinate, and constrained on coordinate 2, below it
+    "free-on-top-constrained-below": (
+        [(1, {1: (F(1, 4), F(1, 2)), 3: (F(0), F(1, 2))}, F(1)),
+         (1, {1: (F(1, 2), F(1)), 2: (F(0), F(1, 3))}, F(-1))],
+        [(1, {2: (F(1, 3), F(2, 3)), 4: (F(1, 5), F(1))}, F(1, 2))],
+    ),
+    "disjoint-cubes": (
+        [(1, {1: (F(0), F(1, 2))}, F(1))],
+        [(2, {2: (F(1, 3), F(1))}, F(-1)), (2, {}, F(1, 7))],
+    ),
+    # thirds against quarters: the sum lives on twelfths
+    "different-lattices": (
+        [(1, {1: (F(1, 3), F(2, 3)), 2: (F(0), F(2, 3))}, F(1, 3))],
+        [(1, {1: (F(1, 4), F(3, 4))}, F(3, 4)), (1, {1: (F(3, 4), F(1)), 2: (F(1, 4), F(1))}, F(2))],
+    ),
+    "constant-plus-box": (
+        [(1, {}, F(5)), (2, {}, F(-1))],
+        [(1, {2: (F(1, 6), F(1, 2)), 3: (F(0), F(1, 4))}, F(-5))],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MERGE_CASES))
+def test_add_merge_cases_match_oracle(case):
+    dom = (1, 2)
+    raw_a, raw_b = MERGE_CASES[case]
+    fa, fb = build(raw_a, dom), build(raw_b, dom)
+    for raw, total in ((raw_a + raw_b, assert_add_matches_sweep(fa, fb)),
+                       (raw_b + raw_a, assert_add_matches_sweep(fb, fa))):
+        assert_matches_oracle(raw, total)
+    if case == "exact-cancellation":
+        assert (fa + fb).terms == ()
+    elif case == "re-merge-to-constant":
+        assert (fa + fb).terms == ((Box(1, ()), F(1)),)
+    elif case == "re-merge-drops-a-coordinate":
+        assert (fa + fb).footprint() == frozenset({(1, 2)})
+
+
+# --- ChunkedSum -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chunked_sum_matches_sum_functions(seed):
+    # the chunk size only decides when the pending functions are folded in
+    rng = random.Random(f"chunked-{seed}")
+    dom = (1, 2, 3)
+    spec = dict(coords=(1, 2), dens=(2, 3, 4), values=(F(1), F(-1), F(1, 2)), max_boxes=3)
+    stream = [build(lattice_raw(rng, dom, **spec), dom)
+              for _ in range(rng.choice((1, 7, 40, 200)))]
+    want = sum_functions(stream)
+    for chunk in (1, 3, None):
+        total = ChunkedSum(dom) if chunk is None else ChunkedSum(dom, chunk)
+        for f in stream:
+            total.add(f)
+        assert total.total()._entries == want._entries

@@ -31,7 +31,7 @@ def test_tracer_installs_on_current_package():
 
 _TRACED_RUN = """
 from tracer import Tracer, install, layer_metrics
-from sumrange.families import build_kadets, build_multipoint
+from sumrange.families import build_kadets, build_multipoint, build_three_kadets
 from sumrange.schedules import random_schedule, run_trace, schedule_point
 from sumrange.verify import verify_family
 
@@ -73,6 +73,18 @@ print("verify stepfn.multiply",
 for span in ("stepfn.restrict", "families.fn"):
     print("verify", span, after_verify[span + ".calls"] - after_load[span + ".calls"])
 print("verify terms", loaded.term_count())
+
+# steps traces on one cube and on three: the moments each one computes
+for fam in (build_kadets(3), build_three_kadets(3)):
+    sch = random_schedule(fam, 2)
+    before = layer_metrics(tracer, 0.0)
+    run_trace(fam, sch, record="steps")
+    after = layer_metrics(tracer, 0.0)
+    name = f"{fam.structure}-{len(fam.domain)}"
+    print("steps", name, after["stepfn.moment.calls"] - before["stepfn.moment.calls"])
+    print("steps", name + "-touched", len(fam.domain) + sum(
+        len(fam.fn(tid).support_cubes()) for tid in sch.term_ids()))
+    print("steps", name + "-rows", sch.term_count * len(fam.domain))
 
 # a lemma suite run through the command line, which picks the runner by name
 import contextlib, io
@@ -124,6 +136,16 @@ def test_loaded_family_verifies_without_fractions_per_term(traced_run):
     assert verify["stepfn.multiply"] == 0
     assert verify["stepfn.restrict"] == 0
     assert verify["families.fn"] == verify["terms"]
+
+
+def test_steps_trace_measures_only_touched_cubes(traced_run):
+    # a row re-measures the cubes its term touches and carries the other
+    # cubes over, so the moments are one per cube to start with plus one
+    # per cube of each term, fewer than one per cube and row
+    got = traced_run["steps"]
+    for name in ("kadets-1", "three-kadets-3"):
+        assert got[name] == got[name + "-touched"]
+    assert got["three-kadets-3"] < got["three-kadets-3-rows"]
 
 
 def test_lemma_suites_run_inside_their_spans(traced_run):
