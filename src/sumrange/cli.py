@@ -161,7 +161,7 @@ def _merge(args: argparse.Namespace) -> RunConfig:
 
 def _load_or_build(cfg: RunConfig):
     if cfg.family:
-        return load_family(cfg.family)
+        return load_family(cfg.family, max_terms=cfg.max_terms)
     if cfg.flavor == "kadets":
         return build_kadets(cfg.levels, cfg.sizes)
     if cfg.flavor == "three-kadets":
@@ -190,7 +190,7 @@ def cmd_build(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     if not cfg.family:
         raise ConfigError("verify needs --family FILE")
-    fam = load_family(cfg.family)
+    fam = load_family(cfg.family, max_terms=cfg.max_terms)
     report = verify_family(fam, max_terms=cfg.max_terms)
     for line in report.lines():
         print(line)

@@ -7,14 +7,26 @@ serializes to identical bytes.  Writes go to a temporary file in the
 target directory and are renamed into place.
 
 The codec works on the integer lattice of `stepfn`.  The writer formats
-each endpoint lo/D_k and value v/V straight from a function's entries,
-reduced as `Fraction` reduces, so the bytes are those of its `Fraction`
-terms.  The reader parses each "n/d" to reduced ints and validates every
-box (0 <= lo < hi <= 1, coordinates >= 1 and named once, cubes in the
-domain), then hands the ints to `stepfn.lattice_entries`, the lattice
-constructor `StepFunction` itself uses; terms with equal lattices share
-one `dens` dict.  No `Fraction` is built per box, except to format an
-error message.
+each record's text straight from a function's entries, byte for byte as
+`json.dumps(sort_keys=True)` formats the record, with each endpoint lo/D_k
+and value v/V reduced as `Fraction` reduces it, so the bytes are those of
+its `Fraction` terms.  The reader parses each "n/d" to reduced ints and
+validates every box (0 <= lo < hi <= 1, coordinates >= 1 and named once,
+cubes in the domain), then hands the ints to `stepfn.lattice_entries`, the
+lattice constructor `StepFunction` itself uses; terms with equal lattices
+share one `dens` dict.  No `Fraction` is built per box, except to format
+an error message.
+
+`load_family` streams the writer's layout: a header line ending
+`,"terms":[`, one term record per line (each after the first led by a
+comma), then a closing `]}` line and the end of the file.  It holds one
+line at a time, so its peak memory is about the table it returns.  A file
+that does not open with that header line, such as a one-line or a
+pretty-printed dump of the same document, is read whole with one
+`json.loads`.  Both layouts go through one header check and one
+term-record parser.  The header's closed-form term count is checked
+against `max_terms` before any term is parsed, and the records are
+counted against it as they are read.
 """
 
 from __future__ import annotations
@@ -25,10 +37,11 @@ import re
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from .families import (
     MAX_TERMS,
+    ConfigError,
     Family,
     IndexSizes,
     TermId,
@@ -46,6 +59,10 @@ MATRIX_FORMAT = "sumrange-matrix-1"
 _FLAVORS = ("kadets", "three-kadets", "multipoint", "transformed")
 _FRAC_RE = re.compile(r"(-?\d+)/(\d+)")
 _COORD_RE = re.compile(r"\d+")
+# the end of the writer's header line, and its closing line
+_TERMS_OPEN = ',"terms":[\n'
+_TERMS_CLOSE = "]}\n"
+_decode = json.JSONDecoder().raw_decode
 
 
 class ParseError(ValueError):
@@ -88,30 +105,72 @@ def text_to_frac(text) -> Fraction:
 # --- step functions ---------------------------------------------------------
 
 
-def _boxes_to_obj(f: StepFunction) -> list[dict]:
-    """The box records of f, formatted from its lattice entries."""
-    dens, vden = f._dens, f._vden
-    return [{"box": {str(c): [_ratio_text(lo, dens[c]), _ratio_text(hi, dens[c])]
-                     for c, lo, hi in bounds},
-             "cube": cube_label(cube),
-             "value": _ratio_text(v, vden)}
-            for cube, bounds, v in f._entries]
+class _Writer:
+    """Formats box lists straight from the integer lattice.
+
+    The text is what `json.dumps(sort_keys=True, separators=(",", ":"))`
+    makes of the records {"box": {coord: [lo, hi]}, "cube", "value"}, so
+    coordinates are in string order ("10" before "9").  Each bound and
+    value is formatted once per distinct (ints, denominator)."""
+
+    def __init__(self):
+        self._bounds: dict[tuple[int, int, int, int], str] = {}
+        self._values: dict[tuple[int, int], str] = {}
+
+    def boxes(self, f: StepFunction) -> str:
+        """The JSON text of the box records of f."""
+        dens, vden = f._dens, f._vden
+        bound_texts, value_texts = self._bounds, self._values
+        out = []
+        for cube, bounds, v in f._entries:
+            if bounds and bounds[-1][0] >= 10:  # bounds are in int order
+                bounds = sorted(bounds, key=lambda b: str(b[0]))
+            parts = []
+            for c, lo, hi in bounds:
+                d = dens[c]
+                text = bound_texts.get((c, lo, hi, d))
+                if text is None:
+                    text = bound_texts[c, lo, hi, d] = \
+                        f'"{c}":["{_ratio_text(lo, d)}","{_ratio_text(hi, d)}"]'
+                parts.append(text)
+            value = value_texts.get((v, vden))
+            if value is None:
+                value = value_texts[v, vden] = _ratio_text(v, vden)
+            out.append(f'{{"box":{{{",".join(parts)}}},"cube":"Q{cube}","value":"{value}"}}')
+        return f"[{','.join(out)}]"
 
 
 def stepfn_to_obj(f: StepFunction) -> dict:
-    return {"boxes": _boxes_to_obj(f), "domain": [cube_label(c) for c in f.domain]}
+    return {"boxes": json.loads(_Writer().boxes(f)),
+            "domain": [cube_label(c) for c in f.domain]}
+
+
+def _bound(coord, pair, ratio) -> tuple[int, int, int, int, int]:
+    """(k, lo_num, lo_den, hi_num, hi_den) of one box constraint, validated."""
+    if not _COORD_RE.fullmatch(str(coord)):
+        raise ParseError(f"bad coordinate index {coord!r}")
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ParseError(f"interval for coordinate {coord} must be [lo, hi]")
+    k = int(coord)
+    (lo, lo_den), (hi, hi_den) = ratio(pair[0]), ratio(pair[1])
+    if k < 1:
+        raise ParseError(f"coordinate index must be >= 1, got {k}")
+    if not (lo >= 0 and lo * hi_den < hi * lo_den and hi <= hi_den):
+        raise ParseError(f"bad interval [{Fraction(lo, lo_den)}, {Fraction(hi, hi_den)})")
+    return k, lo, lo_den, hi, hi_den
 
 
 class _Reader:
     """Parses box lists straight onto the integer lattice.
 
-    Each rational and cube label is parsed once per distinct text.
-    Functions whose lattices are equal share one `dens` dict, so sums and
-    comparisons of them skip the rescale."""
+    Each rational, cube label and box constraint is parsed and validated
+    once per distinct text.  Functions whose lattices are equal share one
+    `dens` dict, so sums and comparisons of them skip the rescale."""
 
     def __init__(self):
         self._ratios: dict[str, tuple[int, int]] = {}
         self._cubes: dict[str, int] = {}
+        self._bounds: dict[tuple, tuple[int, int, int, int, int]] = {}
         self._lattices: dict[tuple, dict[int, int]] = {}
 
     def ratio(self, text) -> tuple[int, int]:
@@ -126,6 +185,18 @@ class _Reader:
             got = self._cubes[label] = parse_cube_label(label)
         return got
 
+    def bound(self, coord, pair) -> tuple[int, int, int, int, int]:
+        # only a list of two strings is cached, so no other shape of
+        # `pair` can hit the entry of a valid one
+        if type(pair) is list and len(pair) == 2 and type(pair[0]) is str \
+                and type(pair[1]) is str:
+            key = (coord, pair[0], pair[1])
+            got = self._bounds.get(key)
+            if got is None:
+                got = self._bounds[key] = _bound(coord, pair, self.ratio)
+            return got
+        return _bound(coord, pair, self.ratio)
+
     def box(self, box_obj) -> tuple[int, list, tuple[int, int]]:
         """(cube, [(coord, lo_num, lo_den, hi_num, hi_den), ...] in
         coordinate order, value) of one box record, validated."""
@@ -139,25 +210,12 @@ class _Reader:
             raise ParseError(f"bad box record: {exc}") from exc
         if not isinstance(raw, dict):
             raise ParseError("box constraints must be an object")
-        bounds = []
-        seen = set()
-        for coord, pair in raw.items():
-            if not _COORD_RE.fullmatch(str(coord)):
-                raise ParseError(f"bad coordinate index {coord!r}")
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ParseError(f"interval for coordinate {coord} must be [lo, hi]")
-            k = int(coord)
-            if k in seen:
-                raise ParseError(f"coordinate {k} constrained twice in one box")
-            seen.add(k)
-            bounds.append((k, *self.ratio(pair[0]), *self.ratio(pair[1])))
-        bounds.sort()
-        for k, lo, lo_den, hi, hi_den in bounds:
-            if k < 1:
-                raise ParseError(f"coordinate index must be >= 1, got {k}")
-            if not (lo >= 0 and lo * hi_den < hi * lo_den and hi <= hi_den):
-                raise ParseError(
-                    f"bad interval [{Fraction(lo, lo_den)}, {Fraction(hi, hi_den)})")
+        bounds = [self.bound(coord, pair) for coord, pair in raw.items()]
+        if len(bounds) > 1:
+            bounds.sort()
+            for a, b in zip(bounds, bounds[1:]):
+                if a[0] == b[0]:
+                    raise ParseError(f"coordinate {a[0]} constrained twice in one box")
         return cube, bounds, value
 
     def stepfn(self, box_objs: list, domain: tuple[int, ...]) -> StepFunction:
@@ -208,19 +266,16 @@ def family_to_lines(fam: Family) -> Iterator[str]:
         head["matrix"] = [[frac_to_text(x) for x in row] for row in fam.transform.rows]
         head["structure"] = fam.structure
     head_text = json.dumps(head, sort_keys=True, separators=(",", ":"))
-    yield head_text[:-1] + ',"terms":[\n'
-    first = True
+    yield head_text[:-1] + _TERMS_OPEN
+    kinds = {kind: json.dumps(kind) for kind in fam.kinds}
+    writer = _Writer()
+    lead = ""
     for tid in fam.term_ids():
-        record = {
-            "boxes": _boxes_to_obj(fam.fn(tid)),
-            "index": list(tid.index),
-            "kind": tid.kind,
-            "level": tid.level,
-        }
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        yield line + "\n" if first else "," + line + "\n"
-        first = False
-    yield "]}\n"
+        index = ",".join(map(str, tid.index))
+        yield (f'{lead}{{"boxes":{writer.boxes(fam.fn(tid))},"index":[{index}],'
+               f'"kind":{kinds[tid.kind]},"level":{tid.level}}}\n')
+        lead = ","
+    yield _TERMS_CLOSE
 
 
 def dump_family(fam: Family, path: str | Path, *, max_terms: int = MAX_TERMS) -> None:
@@ -230,19 +285,56 @@ def dump_family(fam: Family, path: str | Path, *, max_terms: int = MAX_TERMS) ->
     atomic_write_lines(path, family_to_lines(fam))
 
 
-def load_family(path: str | Path) -> Family:
+def load_family(path: str | Path, *, max_terms: int = MAX_TERMS) -> Family:
+    """Read a family file; one whose header counts more than `max_terms`
+    terms is refused before any term is parsed."""
+    where = str(path)
     try:
-        text = Path(path).read_text()
+        with open(path, encoding="utf-8") as fh:
+            first = fh.readline()
+            if first.endswith(_TERMS_OPEN):
+                head = _header(_json_loads(first[:-1] + "]}", where), where)
+                return _filled(head, _term_lines(fh, where), where, max_terms)
+            text = first + fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{where}: not UTF-8 text: {exc}") from exc
+    obj = _json_loads(text, where)
+    return _filled(_header(obj, where), obj["terms"], where, max_terms)
+
+
+def _json_loads(text: str, where: str):
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-    return family_from_obj(obj, str(path))
+        raise ParseError(f"{where}: not valid JSON: {exc}") from exc
 
 
-def family_from_obj(obj, where: str = "<data>") -> Family:
+def _term_lines(fh: TextIO, where: str) -> Iterator:
+    """The decoded term records that follow the writer's header line: one
+    per line, each after the first led by ',', then ']}' and the end."""
+    lead = ""
+    for n, line in enumerate(fh, 2):
+        if line in (_TERMS_CLOSE, _TERMS_CLOSE[:-1]):
+            if fh.read(1):
+                raise ParseError(f"{where}: data after the closing ']}}' on line {n}")
+            return
+        try:
+            if not line.startswith(lead):
+                raise ValueError("expected a leading ','")
+            rec, end = _decode(line, len(lead))
+            if line[end:] != "\n":
+                raise ValueError(f"expected the end of the line at column {end + 1}")
+        except ValueError as exc:  # a json.JSONDecodeError too
+            raise ParseError(f"{where}: line {n} is not a term record: {exc}") from exc
+        yield rec
+        lead = ","
+    raise ParseError(f"{where}: ends before the closing ']}}'")
+
+
+def _header(obj, where: str) -> Family:
+    """The family, without its terms, that a file's header fields describe."""
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: family file must hold a JSON object")
     try:
@@ -254,7 +346,8 @@ def family_from_obj(obj, where: str = "<data>") -> Family:
         sizes = [_json_int(v, f"{where}: sizes") for v in obj["sizes"]]
         cubes = tuple(parse_cube_label(c) for c in obj["cubes"])
         kinds = tuple(obj["kinds"])
-        terms = obj["terms"]
+        if not isinstance(obj["terms"], list):
+            raise ParseError(f"{where}: 'terms' must be a list")
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ParseError):
             raise
@@ -283,11 +376,21 @@ def family_from_obj(obj, where: str = "<data>") -> Family:
         raise ParseError(f"{where}: kinds {kinds} do not match flavor {flavor!r}")
     if cubes != tuple(range(1, 2 * points - 2)):
         raise ParseError(f"{where}: cube list does not match {points} points")
-    if not isinstance(terms, list):
-        raise ParseError(f"{where}: 'terms' must be a list")
+    try:
+        return Family(flavor, points, depth, IndexSizes(sizes), transform=transform,
+                      structure=None if structure == flavor else structure)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
+def _filled(head: Family, records: Iterable, where: str, max_terms: int) -> Family:
+    """The family `head` with its table parsed from the term records.  A
+    header count over `max_terms` is refused before any record is read,
+    and so are more than `max_terms` records as they arrive."""
+    check_term_budget("family", head.term_count(), max_terms)
     table: dict[TermId, StepFunction] = {}
     reader = _Reader()
-    for rec in terms:
+    for rec in records:
         if not isinstance(rec, dict):
             raise ParseError(f"{where}: term record must be an object")
         try:
@@ -296,20 +399,19 @@ def family_from_obj(obj, where: str = "<data>") -> Family:
             boxes = rec["boxes"]
             if not isinstance(boxes, list):
                 raise ParseError("'boxes' must be a list")
-            fn = reader.stepfn(boxes, cubes)
+            fn = reader.stepfn(boxes, head.domain)
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ParseError):
                 raise ParseError(f"{where}: term {rec.get('kind')}: {exc}") from exc
             raise ParseError(f"{where}: malformed term record: {exc}") from exc
         if tid in table:
             raise ParseError(f"{where}: duplicate term {tid}")
+        if len(table) == max_terms:
+            raise ConfigError(f"{where} has more than max_terms {max_terms} term records")
         table[tid] = fn
-    try:
-        return Family(flavor, points, depth, IndexSizes(sizes), table=table,
-                      transform=transform,
-                      structure=None if structure == flavor else structure)
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    return Family(head.flavor, head.points, head.depth, head.sizes, table=table,
+                  transform=head.transform,
+                  structure=None if head.structure == head.flavor else head.structure)
 
 
 # --- matrices ---------------------------------------------------------------

@@ -142,7 +142,7 @@ def _sweep(entries: list[tuple[LatticeBounds, int]], dens: Mapping[int, int]
     """
     if len(entries) == 1:
         bounds, v = entries[0]
-        return [(tuple(b for b in bounds if b[1] or b[2] != dens[b[0]]), v)]
+        return [(tuple([b for b in bounds if b[1] or b[2] != dens[b[0]]]), v)]
     if not entries:
         return []
     c = None
@@ -365,7 +365,8 @@ def _canonical(domain: tuple[int, ...], per_cube: Mapping[int, list],
     for cube in domain:
         got = per_cube.get(cube)
         if got:
-            out.extend((cube, b, v) for b, v in _sweep(got, dens))
+            for b, v in _sweep(got, dens):
+                out.append((cube, b, v))
     return tuple(out)
 
 
@@ -392,8 +393,8 @@ def lattice_entries(domain: tuple[int, ...], boxes: list, lattices: dict | None 
     per_cube: dict[int, list] = {}
     for cube, bounds, (num, den) in boxes:
         per_cube.setdefault(cube, []).append((
-            tuple((k, lo * (dens[k] // lo_den), hi * (dens[k] // hi_den))
-                  for k, lo, lo_den, hi, hi_den in bounds),
+            tuple([(k, lo * (dens[k] // lo_den), hi * (dens[k] // hi_den))
+                   for k, lo, lo_den, hi, hi_den in bounds]),
             num * (vden // den)))
     return _canonical(domain, per_cube, dens), dens, vden
 

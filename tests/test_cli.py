@@ -64,6 +64,19 @@ def test_max_terms_flag(tmp_path, capsys):
     assert run(capsys, "trace", *small, "--max-terms", "0")[0] == 2
 
 
+def test_max_terms_is_checked_before_any_term_line(tmp_path, capsys):
+    out_file = tmp_path / "k.family"
+    assert run(capsys, "build", "--flavor", "kadets", "--levels", "3",
+               "--out", str(out_file))[0] == 0
+    head, *terms, close = out_file.read_text().splitlines(keepends=True)
+    out_file.write_text("".join([head, *("garbage\n" for _ in terms), close]))
+    code, _, err = run(capsys, "verify", "--family", str(out_file), "--max-terms", "25")
+    assert code == 2 and "26 terms, more than max_terms 25" in err
+    assert run(capsys, "verify", "--family", str(out_file), "--max-terms", "26")[0] == 3
+    code, _, err = run(capsys, "trace", "--family", str(out_file), "--max-terms", "25")
+    assert code == 2 and "26 terms, more than max_terms 25" in err
+
+
 def test_build_multipoint_lists_cubes(tmp_path, capsys):
     out_file = tmp_path / "m.family"
     code, out, _ = run(capsys, "build", "--flavor", "multi", "--levels", "1",

@@ -1,13 +1,16 @@
 """Round trips, byte stability and corruption handling for the text formats."""
 
 import hashlib
+import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from sumrange.families import (
+    ConfigError,
     TermId,
     TransformSpec,
     apply_transform,
@@ -91,6 +94,18 @@ def test_stepfn_parse_errors():
         stepfn_from_obj(twice)
 
 
+@pytest.mark.parametrize("pair", [["0/1", "1/2", "1/1"], {"0/1": "1/2"}, ("0/1", "1/2", "1/1")],
+                         ids=["longer-list", "object", "longer-tuple"])
+def test_interval_shape_is_checked_after_a_cached_interval(pair):
+    # the reader validates each distinct interval once; an interval of
+    # another shape with the same texts must not pass as that one
+    obj = {"domain": ["Q1"], "boxes": [
+        {"box": {"2": ["0/1", "1/2"]}, "cube": "Q1", "value": "1/1"},
+        {"box": {"2": pair}, "cube": "Q1", "value": "1/1"}]}
+    with pytest.raises(ParseError, match="must be \\[lo, hi\\]"):
+        stepfn_from_obj(obj)
+
+
 def test_family_roundtrip(tmp_path):
     fam = build_three_kadets(2)
     path = tmp_path / "fam.json"
@@ -131,6 +146,23 @@ def test_transformed_family_roundtrip(tmp_path):
         assert loaded.fn(tid) == fam.fn(tid)
 
 
+def streamed(obj) -> str:
+    """A family document in the writer's layout, formatted with `json.dumps`:
+    the header line, one term per line and the closing line."""
+    def dumps(x):
+        return json.dumps(x, sort_keys=True, separators=(",", ":"))
+    head = dumps({k: v for k, v in obj.items() if k != "terms"})
+    return "".join([head[:-1] + ',"terms":[\n',
+                    *(("," if i else "") + dumps(t) + "\n" for i, t in enumerate(obj["terms"])),
+                    "]}\n"])
+
+
+def layouts(obj) -> dict[str, str]:
+    """One family document as the writer lays it out, on one line and indented."""
+    return {"streamed": streamed(obj), "one-line": json.dumps(obj),
+            "indented": json.dumps(obj, indent=2)}
+
+
 def test_family_corruption(tmp_path):
     fam = build_kadets(1)
     path = tmp_path / "fam.json"
@@ -142,8 +174,18 @@ def test_family_corruption(tmp_path):
         p.write_text(mutated)
         with pytest.raises(ParseError):
             load_family(p)
+        try:
+            obj = json.loads(mutated)
+        except ValueError:
+            return
+        if isinstance(obj, dict):  # and the same document in every layout
+            for other in layouts(obj).values():
+                p.write_text(other)
+                with pytest.raises(ParseError):
+                    load_family(p)
 
-    reject(text[: len(text) // 2], "truncated.json")
+    for layout, whole in layouts(json.loads(text)).items():
+        reject(whole[: len(whole) // 2], f"truncated-{layout}.json")
     reject(text.replace('"sumrange-family-1"', '"other-1"'), "fmt.json")
     reject(text.replace('"flavor":"kadets"', '"flavor":"weird"'), "flavor.json")
     reject(text.replace('"kinds":["a","b"]', '"kinds":["f","g"]'), "kinds.json")
@@ -257,10 +299,16 @@ def test_lattice_parse_matches_fraction_parse(case):
         "domain": ["Q1", "Q2"]}
 
 
-def test_loaded_terms_share_their_lattices(tmp_path):
-    path = tmp_path / "m.family"
+@pytest.fixture(scope="module")
+def multipoint_file(tmp_path_factory):
+    """The family file of multipoint(4, 2): 18,239 terms, 3.4 MiB."""
+    path = tmp_path_factory.mktemp("families") / "m.family"
     dump_family(build_multipoint(4, 2), path)
-    loaded = load_family(path)
+    return path
+
+
+def test_loaded_terms_share_their_lattices(multipoint_file):
+    loaded = load_family(multipoint_file)
     fns = [loaded.fn(tid) for tid in loaded.table_ids()]
     objects = {id(f._dens) for f in fns}
     lattices = {tuple(sorted(f._dens.items())) for f in fns}
@@ -273,14 +321,24 @@ FAMILY_DIGESTS = {
     "kadets(4)": "d2f5ef873e6f85b0234e4bda81a9d8a436db6af8423603da563fdee0f6052749",
     "three-kadets(3)": "9edaa58470b6dc681ad824dc3400d43445210ae5597e8d09daa2557c3f86df33",
     "multipoint(4, 1)": "c075e9801b70a39f9b2ad6f50c27a38a32eb7f41914249ddcb07ec89ae49cbe5",
+    # a box whose keys sort "10" before "9", and matrix entries in the header
+    "kadets(9)": "75168c2226fe46015f3cb1a5eee5ececb858b93f3b3390d78d6bb256f05aeeb6",
+    "three-kadets(2) transformed":
+        "26a965cb9c2da82ba122edd2c458f9715496b2e18c2b3a37d26129b9d53c6939",
+}
+PINNED = {
+    "kadets(4)": lambda: build_kadets(4),
+    "three-kadets(3)": lambda: build_three_kadets(3),
+    "multipoint(4, 1)": lambda: build_multipoint(4, 1),
+    "kadets(9)": lambda: build_kadets(9),
+    "three-kadets(2) transformed": lambda: apply_transform(
+        build_three_kadets(2), TransformSpec([["-1/2", "1/3"], ["0/1", "2/1"]])),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FAMILY_DIGESTS))
 def test_family_bytes_are_pinned(name):
-    fam = {"kadets(4)": lambda: build_kadets(4), "three-kadets(3)": lambda: build_three_kadets(3),
-           "multipoint(4, 1)": lambda: build_multipoint(4, 1)}[name]()
-    data = "".join(family_to_lines(fam)).encode()
+    data = "".join(family_to_lines(PINNED[name]())).encode()
     assert hashlib.sha256(data).hexdigest() == FAMILY_DIGESTS[name]
 
 
@@ -306,3 +364,101 @@ def test_loader_refuses_non_integer_numbers(tmp_path, field, mutate):
     path.write_text(json.dumps(obj))
     with pytest.raises(ParseError, match=f"{field} must be an integer"):
         load_family(path)
+
+
+# --- the streamed reader ----------------------------------------------------
+
+
+def write_text(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+def test_truncated_streamed_files_are_refused(tmp_path):
+    # cut at the start and in the middle of a line; each load parses the
+    # whole cut, so the lines are sampled: the first and last twelve
+    # (header, first terms, last terms, closing line) and every tenth
+    text = "".join(family_to_lines(build_multipoint(4, 1)))
+    ends = list(itertools.accumulate(map(len, text.splitlines(keepends=True))))
+    starts = [0, *ends[:-1]]
+    path = tmp_path / "cut.family"
+    for i, (a, b) in enumerate(zip(starts, ends)):
+        if i < 12 or i >= len(ends) - 12 or i % 10 == 0:
+            for cut in (a, (a + b) // 2):
+                path.write_text(text[:cut])
+                with pytest.raises(ParseError):
+                    load_family(path)
+    path.write_text(text[:-1])  # the closing line may lack its newline
+    assert sum(1 for _ in load_family(path).table_ids()) == 879
+
+
+@pytest.mark.parametrize("extra", ["\n", " ", "]}\n", ',{"x":1}\n', "x"],
+                         ids=["newline", "space", "closing", "record", "text"])
+def test_data_after_the_closing_line_is_refused(tmp_path, extra):
+    text = "".join(family_to_lines(build_kadets(2)))
+    with pytest.raises(ParseError, match="after the closing"):
+        load_family(write_text(tmp_path, "k.family", text + extra))
+
+
+def test_non_utf8_bytes_are_a_parse_error(tmp_path):
+    text = "".join(family_to_lines(build_kadets(2)))
+    for layout, other in layouts(json.loads(text)).items():
+        path = tmp_path / layout
+        data = other.encode()
+        path.write_bytes(data[:-20] + b"\xff" + data[-20:])
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_family(path)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_every_layout_loads_the_same_table(tmp_path, name):
+    text = "".join(family_to_lines(PINNED[name]()))
+    # the writer formats records directly; json.dumps is the reference
+    assert streamed(json.loads(text)) == text
+    loaded = {layout: load_family(write_text(tmp_path, layout, other))
+              for layout, other in layouts(json.loads(text)).items()}
+    want = loaded.pop("streamed")
+    ids = list(want.table_ids())
+    for fam in loaded.values():
+        assert list(fam.table_ids()) == ids
+        assert fam.transform == want.transform and fam.structure == want.structure
+        for tid in ids:
+            a, b = want.fn(tid), fam.fn(tid)
+            assert (a._entries, a._dens, a._vden) == (b._entries, b._dens, b._vden)
+
+
+def test_load_refuses_over_budget_before_reading_terms(tmp_path):
+    fam = build_kadets(3)  # 26 terms
+    text = "".join(family_to_lines(fam))
+    head, *terms, close = text.splitlines(keepends=True)
+    garbage = {"streamed": "".join([head, *("garbage\n" for _ in terms), close]),
+               "one-line": json.dumps({**json.loads(text), "terms": ["garbage"] * 26})}
+    for layout, other in garbage.items():
+        path = write_text(tmp_path, layout, other)
+        with pytest.raises(ConfigError, match="has 26 terms, more than max_terms 25"):
+            load_family(path, max_terms=25)
+        with pytest.raises(ParseError):
+            load_family(path, max_terms=26)
+    # records past the header's count load up to the budget, for the
+    # verifier's table-complete check to report
+    extra = [',{"boxes":[],"index":[%d],"kind":"a","level":9}\n' % i for i in (1, 2)]
+    for layout, other in layouts(json.loads("".join([head, *terms, *extra, close]))).items():
+        path = write_text(tmp_path, layout, other)
+        assert sum(1 for _ in load_family(path, max_terms=28).table_ids()) == 28
+        with pytest.raises(ConfigError, match="more than max_terms 27 term records"):
+            load_family(path, max_terms=27)
+
+
+def test_load_peak_memory_is_near_the_table(multipoint_file):
+    # the whole-document read peaked at 3.5x the loaded table on this file
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fam = load_family(multipoint_file)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fam.term_count() == 18239
+    assert peak - before <= 1.25 * (kept - before)
