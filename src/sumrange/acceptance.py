@@ -260,7 +260,9 @@ _CRITERIA = {
     10: ("running sums stay compact and cancel to zero", _compact_running_sums),
 }
 
-TIME_BUDGETS = {1: 30.0, 2: 60.0, 7: 120.0}
+# Criterion 8's budget is about twice the slowest of three runs (48.1 s on
+# a 2-vCPU host with Python 3.11.7), so a slowdown of about 2x fails.
+TIME_BUDGETS = {1: 30.0, 2: 60.0, 7: 120.0, 8: 100.0}
 
 CRITERION_NUMBERS = tuple(sorted(_CRITERIA))
 

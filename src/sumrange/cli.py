@@ -26,11 +26,10 @@ from . import analysis
 from .families import (
     MAX_TERMS,
     ConfigError,
+    Family,
     StructuralError,
     apply_transform,
-    build_kadets,
     build_multipoint,
-    build_three_kadets,
     cube_label,
     expected_sum_range,
     parse_term_id,
@@ -162,11 +161,9 @@ def _merge(args: argparse.Namespace) -> RunConfig:
 def _load_or_build(cfg: RunConfig):
     if cfg.family:
         return load_family(cfg.family, max_terms=cfg.max_terms)
-    if cfg.flavor == "kadets":
-        return build_kadets(cfg.levels, cfg.sizes)
-    if cfg.flavor == "three-kadets":
-        return build_three_kadets(cfg.levels, cfg.sizes)
-    return build_multipoint(cfg.r, cfg.levels, cfg.sizes)
+    if cfg.flavor == "multipoint":
+        return build_multipoint(cfg.r, cfg.levels, cfg.sizes)
+    return Family(2 if cfg.flavor == "kadets" else 3, cfg.levels, cfg.sizes)
 
 
 def _write_lines(path: str, lines) -> None:

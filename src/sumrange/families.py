@@ -41,10 +41,14 @@ checks the index and computes F_0..F_g in one loop, then writes each
 piece as the lattice box [(F-1)*factor, F*factor).  One box per cube is
 canonical already, so the entries go into the `StepFunction` unswept.
 
-The classic two-kind family (kinds "a", "b", one cube, sum range {0, 1})
-is the r=2 case; the three-kind family (kinds "f", "g", "h", three cubes,
-three limits) is r=3; general r gives r limit points.  An affine transform
-acting on cube-wise averages yields the "transformed" flavor.
+Shape.  A family's shape follows from r and whether it carries an affine
+transform, and `Family` alone derives it.  The classic two-kind family
+(structure "kadets", kinds "a", "b", one cube, sum range {0, 1}) is the
+r=2 case; the three-kind family (structure "three-kadets", kinds "f",
+"g", "h", three cubes, three limits) is r=3; any other r is structure
+"multipoint" with kinds "d0".."d{r-1}" and r limit points.  The flavor is
+the structure, or "transformed" for a family shifted by an affine
+transform acting on cube-wise averages.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ import itertools
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .stepfn import StepFunction, cube_constants
 
@@ -159,18 +163,6 @@ def parse_term_id(text: str) -> TermId:
     return TermId(kind, int(level), tuple(int(p) for p in idx.split(",")))
 
 
-_KINDS = {
-    "kadets": ("a", "b"),
-    "three-kadets": ("f", "g", "h"),
-}
-
-
-def kinds_for(flavor: str, points: int) -> tuple[str, ...]:
-    if flavor in _KINDS:
-        return _KINDS[flavor]
-    return tuple(f"d{g}" for g in range(points))
-
-
 def cube_label(cube: int) -> str:
     return f"Q{cube}"
 
@@ -203,50 +195,64 @@ class _Plan(NamedTuple):
     parts: tuple[tuple[int, tuple[tuple[int, int, int], ...], int], ...]
 
 
+# The chains with a name of their own, by generation count, and the kinds
+# of their terms; every other chain is "multipoint", with kinds d0, d1, ...
+_NAMED = {2: ("kadets", ("a", "b")), 3: ("three-kadets", ("f", "g", "h"))}
+
+
 class Family:
     """An immutable indexed collection of step functions.
 
-    Terms are normally produced from the generation formulas on demand;
-    families loaded from a file carry an explicit term table instead, and
-    `with_replaced` overlays individual substitutes for fault injection.
+    Its shape follows from its generation count `points` alone: the cubes
+    1..2*points-3 (`domain`), the `structure` ("kadets" for 2 points,
+    "three-kadets" for 3, "multipoint" otherwise) and the `kinds` of its
+    terms.  The `flavor` is "transformed" when the family carries a
+    transform, and its structure otherwise.
+
+    Terms are produced from the generation formulas on demand.  A family
+    with a `base` shifts the base's terms by the transform of their cube
+    averages; one with a `table` (a loaded file, or `with_replaced`) reads
+    its terms from the table.
     """
 
-    def __init__(self, flavor: str, points: int, depth: int,
-                 sizes: IndexSizes | None = None, *,
+    def __init__(self, points: int, depth: int,
+                 sizes: IndexSizes | Sequence[int] | None = None, *,
                  table: Mapping[TermId, StepFunction] | None = None,
-                 overrides: Mapping[TermId, StepFunction] | None = None,
                  base: "Family | None" = None,
-                 transform: "TransformSpec | None" = None,
-                 structure: str | None = None):
+                 transform: "TransformSpec | None" = None):
         if points < 2:
-            raise ConfigError(f"need at least 2 generations, got {points}")
+            raise ConfigError(f"point count must be at least 2, got {points}")
         if depth < 1:
             raise ConfigError(f"depth must be at least 1, got {depth}")
-        self.flavor = flavor
         self.points = points
         self.depth = depth
-        self.sizes = sizes if sizes is not None else IndexSizes()
+        self.sizes = sizes if isinstance(sizes, IndexSizes) else IndexSizes(sizes)
         problem = size_problem(self.sizes, depth, points)
         if problem is not None:
             raise ConfigError(problem)
         self.domain = tuple(range(1, 2 * points - 2))
-        self.kinds = kinds_for(base.flavor if base is not None else flavor, points)
+        self._structure, self._kinds = _NAMED.get(points) or (
+            "multipoint", tuple(f"d{g}" for g in range(points)))
         self._table = dict(table) if table is not None else None
-        self._overrides = dict(overrides) if overrides else None
         self._base = base
         self._transform = transform
-        self._structure = structure
         self._flat_sizes: dict[tuple[int, int], int] = {}
         self._plans: dict[tuple[int, int], _Plan] = {}
 
-    # --- structure ---
+    # --- shape ---
 
     @property
     def structure(self) -> str:
         """The underlying construction, ignoring an applied transform."""
-        if self._structure is not None:
-            return self._structure
-        return self._base.structure if self._base is not None else self.flavor
+        return self._structure
+
+    @property
+    def flavor(self) -> str:
+        return "transformed" if self._transform is not None else self._structure
+
+    @property
+    def kinds(self) -> tuple[str, ...]:
+        return self._kinds
 
     @property
     def transform(self) -> "TransformSpec | None":
@@ -254,9 +260,9 @@ class Family:
 
     def generation(self, kind: str) -> int:
         try:
-            return self.kinds.index(kind)
+            return self._kinds.index(kind)
         except ValueError:
-            raise KeyError(f"unknown kind {kind!r}; family has {self.kinds}") from None
+            raise KeyError(f"unknown kind {kind!r}; family has {self._kinds}") from None
 
     def flat_size(self, g: int, n: int) -> int:
         """Cell count of the generation-g partition at level n."""
@@ -278,14 +284,6 @@ class Family:
             flat = (flat - 1) * self.flat_size(i - 1, n + 1) + index[i]
         return flat
 
-    def unflatten(self, g: int, n: int, flat: int) -> tuple[int, ...]:
-        if not 1 <= flat <= self.flat_size(g, n):
-            raise ValueError(f"flat index {flat} out of range for generation {g} level {n}")
-        if g == 0:
-            return (flat,)
-        q, rem = divmod(flat - 1, self.flat_size(g - 1, n + 1))
-        return self.unflatten(g - 1, n, q + 1) + (rem + 1,)
-
     def index_ranges(self, g: int, n: int) -> tuple[int, ...]:
         """Maximum of each index component for generation g at level n."""
         if g == 0:
@@ -303,15 +301,10 @@ class Family:
         return sum(self.flat_size(g, n)
                    for n in range(1, self.depth + 1) for g in range(self.points))
 
-    def term_ids(self, level: int | None = None,
-                 kinds: Iterable[str] | None = None) -> Iterator[TermId]:
+    def term_ids(self) -> Iterator[TermId]:
         """All term ids in canonical order: level, then kind, then index."""
-        levels = range(1, self.depth + 1) if level is None else (level,)
-        wanted = tuple(kinds) if kinds is not None else self.kinds
-        for n in levels:
-            for g, kind in enumerate(self.kinds):
-                if kind not in wanted:
-                    continue
+        for n in range(1, self.depth + 1):
+            for g, kind in enumerate(self._kinds):
                 for idx in self.index_tuples(g, n):
                     yield TermId(kind, n, idx)
 
@@ -369,7 +362,7 @@ class Family:
             else:
                 reads.append(index[-1])
                 return plan, reads
-        raise KeyError(f"index of {TermId(self.kinds[g], n, index)} outside ranges {ranges}")
+        raise KeyError(f"index of {TermId(self._kinds[g], n, index)} outside ranges {ranges}")
 
     def _emit(self, g: int, n: int, index: tuple[int, ...]) -> StepFunction:
         """The formula term (g, n, index), on the lattice of its plan."""
@@ -385,8 +378,6 @@ class Family:
 
     def fn(self, tid: TermId) -> StepFunction:
         """The step function of one term."""
-        if self._overrides is not None and tid in self._overrides:
-            return self._overrides[tid]
         if self._table is not None:
             try:
                 return self._table[tid]
@@ -402,18 +393,20 @@ class Family:
         return self._emit(g, tid.level, tid.index)
 
     def reference_fn(self, g: int, n: int, index: tuple[int, ...]) -> StepFunction:
-        """Formula value for any level, including beyond the truncation depth."""
-        if self._base is not None:
-            return self._base.reference_fn(g, n, index)
+        """Formula value for any level, including beyond the truncation
+        depth, with no transform."""
         return self._emit(g, n, index)
 
-    def with_replaced(self, overrides: Mapping[TermId, StepFunction]) -> "Family":
-        merged = dict(self._overrides or {})
-        merged.update(overrides)
-        return Family(self.flavor, self.points, self.depth, self.sizes,
-                      table=self._table, overrides=merged,
-                      base=self._base, transform=self._transform,
-                      structure=self._structure)
+    def with_replaced(self, subs: Mapping[TermId, StepFunction]) -> "Family":
+        """A table-backed copy of this family: every term of it, with the
+        functions of `subs` in place of (or besides) its own."""
+        if self._table is not None:
+            table = {**self._table, **subs}
+        else:
+            table = {tid: self.fn(tid) for tid in self.term_ids()}
+            table.update(subs)
+        return Family(self.points, self.depth, self.sizes, table=table,
+                      transform=self._transform)
 
     @property
     def is_table_backed(self) -> bool:
@@ -439,30 +432,18 @@ def _transformed_fn(fam: Family, base_fn: StepFunction) -> StepFunction:
 
 def build_kadets(depth: int, sizes: IndexSizes | Sequence[int] | None = None) -> Family:
     """Two kinds a, b on one cube; the series can be rearranged to 0 or to 1."""
-    return Family("kadets", 2, depth, _as_sizes(sizes))
+    return Family(2, depth, sizes)
 
 
 def build_three_kadets(depth: int, sizes: IndexSizes | Sequence[int] | None = None) -> Family:
     """Three kinds f, g, h on three cubes; three reachable limits."""
-    return Family("three-kadets", 3, depth, _as_sizes(sizes))
+    return Family(3, depth, sizes)
 
 
 def build_multipoint(points: int, depth: int,
                      sizes: IndexSizes | Sequence[int] | None = None) -> Family:
     """A generation chain with the given number of reachable limits (>= 2)."""
-    if points < 2:
-        raise ConfigError(f"point count must be at least 2, got {points}")
-    if points == 2:
-        return build_kadets(depth, sizes)
-    if points == 3:
-        return build_three_kadets(depth, sizes)
-    return Family("multipoint", points, depth, _as_sizes(sizes))
-
-
-def _as_sizes(sizes) -> IndexSizes | None:
-    if sizes is None or isinstance(sizes, IndexSizes):
-        return sizes
-    return IndexSizes(sizes)
+    return Family(points, depth, sizes)
 
 
 # --- cube averages and affine transforms ------------------------------------
@@ -553,8 +534,7 @@ def apply_transform(fam: Family, spec: TransformSpec, *,
             if len(vals) > 1:
                 raise StructuralError(
                     f"term {tid} breaks the cube pairing on {tuple(map(cube_label, group))}")
-    return Family("transformed", fam.points, fam.depth, fam.sizes,
-                  base=fam, transform=spec)
+    return Family(fam.points, fam.depth, fam.sizes, base=fam, transform=spec)
 
 
 # --- advertised limits ------------------------------------------------------

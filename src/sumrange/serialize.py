@@ -1,4 +1,4 @@
-"""Text formats for step functions, families and transform matrices.
+"""Text formats for families, their step functions, and transform matrices.
 
 Rationals are written as "numerator/denominator" strings, never floats.
 Family files are JSON with one term per line, keys in a fixed order and a
@@ -24,7 +24,9 @@ line at a time, so its peak memory is about the table it returns.  A file
 that does not open with that header line, such as a one-line or a
 pretty-printed dump of the same document, is read whole with one
 `json.loads`.  Both layouts go through one header check and one
-term-record parser.  The header's closed-form term count is checked
+term-record parser.  The header check builds the family from the points,
+depth, sizes and (for a transformed family) matrix, and refuses a header
+whose flavor, structure, kinds or cubes are not that family's.  The header's closed-form term count is checked
 against `max_terms` before any term is parsed, and the records are
 counted against it as they are read.
 """
@@ -43,12 +45,10 @@ from .families import (
     MAX_TERMS,
     ConfigError,
     Family,
-    IndexSizes,
     TermId,
     TransformSpec,
     check_term_budget,
     cube_label,
-    kinds_for,
     parse_cube_label,
 )
 from .stepfn import StepFunction, lattice_entries
@@ -56,7 +56,6 @@ from .stepfn import StepFunction, lattice_entries
 FAMILY_FORMAT = "sumrange-family-1"
 MATRIX_FORMAT = "sumrange-matrix-1"
 
-_FLAVORS = ("kadets", "three-kadets", "multipoint", "transformed")
 _FRAC_RE = re.compile(r"(-?\d+)/(\d+)")
 _COORD_RE = re.compile(r"\d+")
 # the end of the writer's header line, and its closing line
@@ -140,11 +139,6 @@ class _Writer:
         return f"[{','.join(out)}]"
 
 
-def stepfn_to_obj(f: StepFunction) -> dict:
-    return {"boxes": json.loads(_Writer().boxes(f)),
-            "domain": [cube_label(c) for c in f.domain]}
-
-
 def _bound(coord, pair, ratio) -> tuple[int, int, int, int, int]:
     """(k, lo_num, lo_den, hi_num, hi_den) of one box constraint, validated."""
     if not _COORD_RE.fullmatch(str(coord)):
@@ -225,26 +219,6 @@ class _Reader:
             if cube not in domain:
                 raise ParseError(f"box on unknown cube {cube}; domain is {domain}")
         return StepFunction._raw(domain, *lattice_entries(domain, boxes, self._lattices))
-
-
-def stepfn_from_obj(obj, domain: tuple[int, ...] | None = None) -> StepFunction:
-    if not isinstance(obj, dict) or "boxes" not in obj:
-        raise ParseError("step function record needs a 'boxes' list")
-    if domain is None:
-        try:
-            domain = tuple(parse_cube_label(c) for c in obj["domain"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad step function domain: {exc}") from exc
-    if not isinstance(obj["boxes"], list):
-        raise ParseError("'boxes' must be a list")
-    if not domain or len(set(domain)) != len(domain):
-        raise ParseError(f"domain must be a non-empty tuple of distinct cubes, got {domain}")
-    try:
-        return _Reader().stepfn(obj["boxes"], domain)
-    except ParseError:
-        raise
-    except ValueError as exc:  # such as an integer too long to convert
-        raise ParseError(str(exc)) from exc
 
 
 # --- families ---------------------------------------------------------------
@@ -334,7 +308,8 @@ def _term_lines(fh: TextIO, where: str) -> Iterator:
 
 
 def _header(obj, where: str) -> Family:
-    """The family, without its terms, that a file's header fields describe."""
+    """The family, without its terms, that a file's header fields describe.
+    Its shape comes from `Family`; a header that names another is refused."""
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: family file must hold a JSON object")
     try:
@@ -344,22 +319,17 @@ def _header(obj, where: str) -> Family:
         points = _json_int(obj["points"], f"{where}: points")
         depth = _json_int(obj["depth"], f"{where}: depth")
         sizes = [_json_int(v, f"{where}: sizes") for v in obj["sizes"]]
-        cubes = tuple(parse_cube_label(c) for c in obj["cubes"])
-        kinds = tuple(obj["kinds"])
+        shape = {"flavor": flavor, "kinds": tuple(obj["kinds"]),
+                 "cubes": tuple(parse_cube_label(c) for c in obj["cubes"])}
         if not isinstance(obj["terms"], list):
             raise ParseError(f"{where}: 'terms' must be a list")
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ParseError):
             raise
         raise ParseError(f"{where}: missing or malformed field: {exc}") from exc
-    if flavor not in _FLAVORS:
-        raise ParseError(f"{where}: unknown flavor {flavor!r}")
-    structure = flavor
     transform = None
     if flavor == "transformed":
-        structure = obj.get("structure")
-        if structure not in _FLAVORS[:3]:
-            raise ParseError(f"{where}: transformed family needs a base structure")
+        shape["structure"] = obj.get("structure")
         try:
             transform = TransformSpec(
                 [[text_to_frac(x) for x in row] for row in obj["matrix"]])
@@ -367,20 +337,17 @@ def _header(obj, where: str) -> Family:
             if isinstance(exc, ParseError):
                 raise
             raise ParseError(f"{where}: bad matrix: {exc}") from exc
-    wanted_points = {"kadets": 2, "three-kadets": 3}.get(structure)
-    if wanted_points is not None and points != wanted_points:
-        raise ParseError(f"{where}: structure {structure!r} implies {wanted_points} points")
-    if structure == "multipoint" and points < 4:
-        raise ParseError(f"{where}: multipoint files need at least 4 points")
-    if kinds != kinds_for(structure, points):
-        raise ParseError(f"{where}: kinds {kinds} do not match flavor {flavor!r}")
-    if cubes != tuple(range(1, 2 * points - 2)):
-        raise ParseError(f"{where}: cube list does not match {points} points")
     try:
-        return Family(flavor, points, depth, IndexSizes(sizes), transform=transform,
-                      structure=None if structure == flavor else structure)
+        fam = Family(points, depth, sizes, transform=transform)
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from exc
+    want = {"flavor": fam.flavor, "structure": fam.structure, "kinds": fam.kinds,
+            "cubes": fam.domain}
+    for field, got in shape.items():
+        if got != want[field]:
+            raise ParseError(f"{where}: {field} {got!r} does not match a family of "
+                             f"{points} points, which has {want[field]!r}")
+    return fam
 
 
 def _filled(head: Family, records: Iterable, where: str, max_terms: int) -> Family:
@@ -409,9 +376,7 @@ def _filled(head: Family, records: Iterable, where: str, max_terms: int) -> Fami
         if len(table) == max_terms:
             raise ConfigError(f"{where} has more than max_terms {max_terms} term records")
         table[tid] = fn
-    return Family(head.flavor, head.points, head.depth, head.sizes, table=table,
-                  transform=head.transform,
-                  structure=None if head.structure == head.flavor else head.structure)
+    return Family(head.points, head.depth, head.sizes, table=table, transform=head.transform)
 
 
 # --- matrices ---------------------------------------------------------------

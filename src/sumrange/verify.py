@@ -274,8 +274,9 @@ def _check_table_complete(fam: Family, report: AxiomReport) -> bool:
 def _split(fam: Family, g: int, n: int) -> Iterator[dict]:
     """Generation g at level n: each term's parts on the cubes it is read on."""
     cubes = [k for k in fam.domain if abs(k - 2 * g) <= 2]   # the roles of pairs g-1, g
+    kind = fam.kinds[g]
     for i in fam.index_tuples(g, n):
-        f = fam.fn(TermId(fam.kinds[g], n, i)) if n <= fam.depth else fam.reference_fn(g, n, i)
+        f = fam.fn(TermId(kind, n, i)) if n <= fam.depth else fam.reference_fn(g, n, i)
         yield {**f.split(cubes), None: f}   # None reads the whole term
 
 

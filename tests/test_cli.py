@@ -9,12 +9,24 @@ import signal
 import subprocess
 import sys
 from concurrent.futures import Future
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from sumrange import cli
 from sumrange.cli import main
-from sumrange.families import TermId, TransformSpec, build_kadets
-from sumrange.serialize import dump_family, dump_matrix
+from sumrange.families import (
+    TermId,
+    TransformSpec,
+    apply_transform,
+    build_kadets,
+    build_multipoint,
+    build_three_kadets,
+    expected_sum_range,
+)
+from sumrange.schedules import run_trace, schedule_point
+from sumrange.serialize import dump_family, dump_matrix, load_family
 
 
 def run(capsys, *argv):
@@ -466,6 +478,62 @@ def test_transform_errors(tmp_path, capsys):
     bad.write_text("{}")
     assert run(capsys, "transform", "--flavor", "kadets", "--levels", "2",
                "--matrix", str(bad))[0] == 3
+
+
+# Transformed families written by `transform --out`, with the flags that
+# build the base and the base's convergent point schedules.
+TRANSFORMED = {
+    "kadets(2)": (lambda: build_kadets(2), ("--flavor", "kadets", "--levels", "2"),
+                  ("sigma", "tau")),
+    "three-kadets(2)": (lambda: build_three_kadets(2),
+                        ("--flavor", "three-kadets", "--levels", "2"), ("p00", "p10", "p11")),
+    "multipoint(4, 1)": (lambda: build_multipoint(4, 1),
+                         ("--flavor", "multipoint", "--r", "4", "--levels", "1"),
+                         (0, 1)),
+}
+
+
+@pytest.fixture(params=sorted(TRANSFORMED))
+def transformed_file(request, tmp_path, capsys):
+    """(built transformed family, its file written by `transform --out`,
+    its schedule names)"""
+    build, flags, schedules = TRANSFORMED[request.param]
+    base = build()
+    d = base.points - 1
+    spec = TransformSpec([[Fraction(1, 2) if j == i else Fraction(-1, 3) if j == i + 1 else 0
+                           for j in range(d)] for i in range(d)])
+    matrix, path = tmp_path / "t.matrix", tmp_path / "t.family"
+    dump_matrix(spec, matrix)
+    code, out, _ = run(capsys, "transform", *flags, "--matrix", str(matrix), "--out", str(path))
+    assert code == 0, out
+    return apply_transform(base, spec), path, schedules
+
+
+def test_transformed_file_keeps_its_shape(transformed_file, tmp_path, capsys):
+    fam, path, _ = transformed_file
+    loaded = load_family(path)
+    assert (loaded.flavor, loaded.structure, loaded.kinds) == (fam.flavor, fam.structure, fam.kinds)
+    assert len(list(loaded.term_ids())) == loaded.term_count() == fam.term_count()
+    assert set(loaded.term_ids()) == set(loaded.table_ids())
+    again = tmp_path / "again.family"
+    code, out, err = run(capsys, "build", "--family", str(path), "--out", str(again))
+    assert code == 0, err
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_transformed_file_traces_to_its_limits(transformed_file, tmp_path, capsys):
+    fam, path, schedules = transformed_file
+    assert expected_sum_range(load_family(path)) == expected_sum_range(fam)
+    csv = tmp_path / "trace.csv"
+    zero = "(" + ", ".join("0" for _ in fam.domain) + ")"
+    for point in schedules:
+        name = point if isinstance(point, str) else f"point{point}"
+        code, out, err = run(capsys, "trace", "--family", str(path), "--schedule", name,
+                             "--record", "blocks", "--out", str(csv))
+        assert code == 0, err
+        assert f"final {zero}," in out
+        want = run_trace(fam, schedule_point(fam, point), record="blocks").to_csv_lines()
+        assert csv.read_text() == "".join(line + "\n" for line in want)
 
 
 # --- parser plumbing --------------------------------------------------------

@@ -6,6 +6,7 @@ count) corrections) before the builder existed; the tests freeze them.
 """
 
 import functools
+import math
 import re
 from fractions import Fraction
 
@@ -144,8 +145,6 @@ def test_flat_index_is_lexicographic_bijection():
         for n in (1, 2, 3):
             flats = [fam.flat_index(g, n, idx) for idx in fam.index_tuples(g, n)]
             assert flats == list(range(1, fam.flat_size(g, n) + 1))
-            for flat in (1, fam.flat_size(g, n)):
-                assert fam.flat_index(g, n, fam.unflatten(g, n, flat)) == flat
 
 
 def test_three_kadets_flat_map_matches_row_major_rule():
@@ -153,7 +152,7 @@ def test_three_kadets_flat_map_matches_row_major_rule():
     # (m, j) at level n sits at position (m-1)(n+1)+j among n(n+1) cells
     assert fam.flat_index(1, 2, (1, 2)) == 2
     assert fam.flat_index(1, 2, (2, 3)) == 6
-    assert fam.unflatten(1, 3, 5) == (2, 1)
+    assert list(fam.index_tuples(1, 3))[5 - 1] == (2, 1)
 
 
 def test_term_counts():
@@ -169,7 +168,7 @@ def test_term_order_is_level_kind_index():
     fam = build_kadets(2)
     first = [str(t) for t in fam.term_ids()][:6]
     assert first == ["a^1(1)", "b^1(1,1)", "b^1(1,2)", "a^2(1)", "a^2(2)", "b^2(1,1)"]
-    only_b = list(fam.term_ids(level=2, kinds=("b",)))
+    only_b = [t for t in fam.term_ids() if t.level == 2 and t.kind == "b"]
     assert len(only_b) == 6
     assert only_b[0] == tid("b", 2, 1, 1)
     assert only_b[-1] == tid("b", 2, 2, 3)
@@ -340,14 +339,14 @@ def test_kadets_b_is_negated_product():
 def test_kadets_row_and_total_sums():
     fam = build_kadets(3)
     for n in (1, 2, 3):
-        level_a = sum_functions([fam.fn(t) for t in fam.term_ids(level=n, kinds=("a",))])
+        level_a = sum_functions([fam.fn(t) for t in fam.term_ids() if t[:2] == ("a", n)])
         assert level_a == constant((1,), 1)
-        level_b = sum_functions([fam.fn(t) for t in fam.term_ids(level=n, kinds=("b",))])
+        level_b = sum_functions([fam.fn(t) for t in fam.term_ids() if t[:2] == ("b", n)])
         assert level_b == constant((1,), -1)
     everything = sum_functions([fam.fn(t) for t in fam.term_ids()])
     assert everything == StepFunction.zero((1,))
-    head = [fam.fn(t) for t in fam.term_ids(kinds=("a",))]
-    tail = [fam.fn(t) for n in (1, 2) for t in fam.term_ids(level=n, kinds=("b",))]
+    head = [fam.fn(t) for t in fam.term_ids() if t.kind == "a"]
+    tail = [fam.fn(t) for t in fam.term_ids() if t.kind == "b" and t.level <= 2]
     assert sum_functions(head + tail) == constant((1,), 1)
 
 
@@ -418,6 +417,37 @@ def test_three_kadets_level_sums_vanish():
 # --- generic chain consistency ----------------------------------------------
 
 
+@pytest.mark.parametrize("points,depth,sizes", [
+    (2, 3, None), (3, 2, None), (4, 2, None), (5, 1, (1, 2, 2, 2, 2, 2)),
+    (6, 1, (1, 2, 2, 2, 2, 2, 2))],
+    ids=["kadets(3)", "three-kadets(2)", "multipoint(4, 2)", "multipoint(5, 1, sizes)",
+         "multipoint(6, 1, sizes)"])
+def test_shape_follows_the_point_count(points, depth, sizes):
+    built = [build_multipoint(points, depth, sizes), Family(points, depth, sizes)]
+    built += {2: [build_kadets(depth, sizes)], 3: [build_three_kadets(depth, sizes)]}.get(points, [])
+    structure = {2: "kadets", 3: "three-kadets"}.get(points, "multipoint")
+    for fam in built:
+        assert len(set(fam.kinds)) == points
+        assert fam.domain == tuple(range(1, 2 * points - 2))
+        assert fam.structure == fam.flavor == structure
+        assert fam.kinds == built[0].kinds
+        # term_ids() walks the product of the index ranges of each (g, n)
+        assert sum(math.prod(fam.index_ranges(g, n)) for g in range(points)
+                   for n in range(1, depth + 1)) == fam.term_count()
+        if fam.term_count() < 50_000:  # six points have 2,147,516,555
+            ids = list(fam.term_ids())
+            assert len(set(ids)) == len(ids) == fam.term_count()
+            assert {t.kind for t in ids} == set(fam.kinds)
+        for g, kind in enumerate(fam.kinds):
+            first = TermId(kind, 1, next(fam.index_tuples(g, 1)))
+            assert fam.fn(first).support_cubes() <= set(fam.domain)
+        # a transform changes the flavor and nothing else of the shape
+        shifted = Family(points, depth, sizes, transform=TransformSpec.zero(points - 1))
+        assert shifted.flavor == "transformed"
+        assert (shifted.structure, shifted.kinds, shifted.domain) == (
+            structure, fam.kinds, fam.domain)
+
+
 def test_multipoint_small_points_reuse_flavors():
     assert build_multipoint(2, 3).flavor == "kadets"
     assert build_multipoint(3, 3).flavor == "three-kadets"
@@ -471,7 +501,7 @@ def test_formula_terms_are_already_canonical():
 
 def test_multipoint_level_sums_vanish():
     four = build_multipoint(4, 1)
-    total = sum_functions([four.fn(t) for t in four.term_ids(level=1)])
+    total = sum_functions([four.fn(t) for t in four.term_ids() if t.level == 1])
     assert total == StepFunction.zero(four.domain)
 
 
@@ -495,6 +525,13 @@ def test_with_replaced_overrides_one_term():
     assert poked.fn(tid("b", 1, 1, 1)) == bad
     assert poked.fn(tid("b", 1, 1, 2)) == fam.fn(tid("b", 1, 1, 2))
     assert fam.fn(tid("b", 1, 1, 1)) != bad
+    # a table of every term, with the substitute in place
+    assert poked.is_table_backed and not fam.is_table_backed
+    assert list(poked.table_ids()) == list(fam.term_ids())
+    shifted = apply_transform(fam, TransformSpec.identity(1))
+    poked = shifted.with_replaced({tid("b", 1, 1, 1): bad})
+    assert poked.flavor == "transformed" and poked.transform == shifted.transform
+    assert poked.fn(tid("a", 2, 2)) == shifted.fn(tid("a", 2, 2))
 
 
 # --- cube averages and transforms -------------------------------------------

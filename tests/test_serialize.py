@@ -26,8 +26,6 @@ from sumrange.serialize import (
     frac_to_text,
     load_family,
     load_matrix,
-    stepfn_from_obj,
-    stepfn_to_obj,
     text_to_frac,
 )
 from sumrange.stepfn import Box, StepFunction, indicator, make_bounds
@@ -46,64 +44,93 @@ def test_fraction_text():
             text_to_frac(bad)
 
 
-def test_stepfn_roundtrip():
-    f = indicator((1, 2), 1, {2: (0, F(1, 2)), 5: (F(1, 3), F(2, 3))}, value=F(-3, 7))
-    g = indicator((1, 2), 2, {1: (F(1, 4), 1)})
-    obj = stepfn_to_obj(f + g)
-    assert obj["domain"] == ["Q1", "Q2"]
-    back = stepfn_from_obj(obj)
-    assert back == f + g
-    assert stepfn_from_obj(json.loads(json.dumps(obj))) == f + g
-    zero = StepFunction.zero((1,))
-    assert stepfn_from_obj(stepfn_to_obj(zero)) == zero
+# Box records go through the one family reader: as the boxes of the first
+# term of a small family file.
+
+
+def family_obj(build=build_kadets) -> dict:
+    """The document of the family file of build(1)."""
+    return json.loads("".join(family_to_lines(build(1))))
+
+
+def load_obj(tmp_path, obj):
+    return load_family(write_text(tmp_path, "fam.family", streamed(obj)))
+
+
+def load_boxes(tmp_path, boxes) -> StepFunction:
+    """The function that `boxes` load to as the first term of kadets(1)."""
+    obj = family_obj()
+    obj["terms"][0]["boxes"] = boxes
+    return load_obj(tmp_path, obj).fn(TermId("a", 1, (1,)))
+
+
+def test_stepfn_roundtrip(tmp_path):
+    dom = (1, 2, 3)
+    f = indicator(dom, 1, {2: (0, F(1, 2)), 5: (F(1, 3), F(2, 3))}, value=F(-3, 7))
+    g = indicator(dom, 2, {1: (F(1, 4), 1)})
+    fam = build_three_kadets(1)
+    first = TermId("f", 1, (1,))
+    for h in (f + g, StepFunction.zero(dom)):
+        text = "".join(family_to_lines(fam.with_replaced({first: h})))
+        assert json.loads(text)["cubes"] == ["Q1", "Q2", "Q3"]
+        for layout, other in layouts(json.loads(text)).items():
+            loaded = load_family(write_text(tmp_path, layout, other))
+            assert loaded.fn(first) == h
+            assert "".join(family_to_lines(loaded)) == text
 
 
 def test_stepfn_object_shape():
     f = indicator((1,), 1, {2: (0, F(1, 2))}, value=-1)
-    obj = stepfn_to_obj(f)
-    assert obj["boxes"] == [
-        {"box": {"2": ["0/1", "1/2"]}, "cube": "Q1", "value": "-1/1"}
-    ]
+    first = TermId("a", 1, (1,))
+    text = "".join(family_to_lines(build_kadets(1).with_replaced({first: f})))
+    assert json.loads(text)["terms"][0] == {
+        "boxes": [{"box": {"2": ["0/1", "1/2"]}, "cube": "Q1", "value": "-1/1"}],
+        "index": [1], "kind": "a", "level": 1}
 
 
-def test_stepfn_parse_errors():
-    good = {"domain": ["Q1"], "boxes": [
-        {"box": {"2": ["0/1", "1/2"]}, "cube": "Q1", "value": "1/1"}]}
-    stepfn_from_obj(good)
+def test_stepfn_parse_errors(tmp_path):
+    good = [{"box": {"2": ["0/1", "1/2"]}, "cube": "Q1", "value": "1/1"}]
+    assert load_boxes(tmp_path, good) == indicator((1,), 1, {2: (0, F(1, 2))})
     cases = [
-        {"domain": ["Q1"]},
-        {"domain": ["X1"], "boxes": []},
-        {"domain": ["Q1"], "boxes": "nope"},
-        {"domain": ["Q1"], "boxes": [{"cube": "Q1", "value": "1/1"}]},
-        {"domain": ["Q1"], "boxes": [{"box": {}, "cube": "Q2", "value": "1/1"}]},
-        {"domain": ["Q1"], "boxes": [{"box": {"x": ["0/1", "1/2"]}, "cube": "Q1", "value": "1/1"}]},
-        {"domain": ["Q1"], "boxes": [{"box": {"2": ["1/2", "1/2"]}, "cube": "Q1", "value": "1/1"}]},
-        {"domain": ["Q1"], "boxes": [{"box": {"2": ["0/1"]}, "cube": "Q1", "value": "1/1"}]},
-        {"domain": ["Q1"], "boxes": [{"box": {"2": ["0/1", "3/2"]}, "cube": "Q1", "value": "1/1"}]},
-        {"domain": ["Q1"], "boxes": [{"box": {}, "cube": "Q1", "value": "0.5"}]},
-        {"domain": ["Q1"], "boxes": [{"box": {}, "cube": "Q1", "value": "1/00"}]},
-        {"domain": ["Q1"], "boxes": [{"box": {}, "cube": 1, "value": "1/1"}]},
+        "nope",
+        [{"cube": "Q1", "value": "1/1"}],
+        [{"box": {}, "cube": "Q2", "value": "1/1"}],
+        [{"box": {"x": ["0/1", "1/2"]}, "cube": "Q1", "value": "1/1"}],
+        [{"box": {"2": ["1/2", "1/2"]}, "cube": "Q1", "value": "1/1"}],
+        [{"box": {"2": ["0/1"]}, "cube": "Q1", "value": "1/1"}],
+        [{"box": {"2": ["0/1", "3/2"]}, "cube": "Q1", "value": "1/1"}],
+        [{"box": {}, "cube": "Q1", "value": "0.5"}],
+        [{"box": {}, "cube": "Q1", "value": "1/00"}],
+        [{"box": {}, "cube": 1, "value": "1/1"}],
     ]
-    for obj in cases:
+    for boxes in cases:
         with pytest.raises(ParseError):
-            stepfn_from_obj(obj)
+            load_boxes(tmp_path, boxes)
+    # a term record without boxes, and the domain: cubes that are not
+    # labels, repeated, or none
+    obj = family_obj()
+    del obj["terms"][0]["boxes"]
+    with pytest.raises(ParseError):
+        load_obj(tmp_path, obj)
+    for cubes in (["X1"], ["Q1", "Q1"], []):
+        with pytest.raises(ParseError):
+            load_obj(tmp_path, {**family_obj(), "cubes": cubes})
     # one coordinate named twice, the second time with a leading zero
-    twice = {"domain": ["Q1"], "boxes": [
-        {"box": {"2": ["0/1", "1/2"], "02": ["1/2", "1/1"]}, "cube": "Q1", "value": "1/1"}]}
+    twice = [{"box": {"2": ["0/1", "1/2"], "02": ["1/2", "1/1"]}, "cube": "Q1", "value": "1/1"}]
     with pytest.raises(ParseError, match="coordinate 2 "):
-        stepfn_from_obj(twice)
+        load_boxes(tmp_path, twice)
 
 
+# through a file a tuple is a JSON array, as the list is
 @pytest.mark.parametrize("pair", [["0/1", "1/2", "1/1"], {"0/1": "1/2"}, ("0/1", "1/2", "1/1")],
                          ids=["longer-list", "object", "longer-tuple"])
-def test_interval_shape_is_checked_after_a_cached_interval(pair):
+def test_interval_shape_is_checked_after_a_cached_interval(tmp_path, pair):
     # the reader validates each distinct interval once; an interval of
     # another shape with the same texts must not pass as that one
-    obj = {"domain": ["Q1"], "boxes": [
-        {"box": {"2": ["0/1", "1/2"]}, "cube": "Q1", "value": "1/1"},
-        {"box": {"2": pair}, "cube": "Q1", "value": "1/1"}]}
+    boxes = [{"box": {"2": ["0/1", "1/2"]}, "cube": "Q1", "value": "1/1"},
+             {"box": {"2": pair}, "cube": "Q1", "value": "1/1"}]
     with pytest.raises(ParseError, match="must be \\[lo, hi\\]"):
-        stepfn_from_obj(obj)
+        load_boxes(tmp_path, boxes)
 
 
 def test_family_roundtrip(tmp_path):
@@ -191,6 +218,16 @@ def test_family_corruption(tmp_path):
     reject(text.replace('"kinds":["a","b"]', '"kinds":["f","g"]'), "kinds.json")
     reject(text.replace('"1/2"', '"x/2"', 1), "frac.json")
     reject(text.replace('"sizes":[1,2]', '"sizes":[1]'), "sizes.json")
+    # a shape other than the one the point count gives
+    reject(text.replace('"flavor":"kadets"', '"flavor":"multipoint"'), "flavor-points.json")
+    reject(text.replace('"kinds":["a","b"]', '"kinds":["d0","d1"]'), "kinds-points.json")
+    reject(text.replace('"cubes":["Q1"]', '"cubes":["Q1","Q2","Q3"]'), "cubes.json")
+    shifted = "".join(family_to_lines(apply_transform(fam, TransformSpec.zero(1))))
+    assert ',"structure":"kadets",' in shifted
+    reject(shifted.replace(',"structure":"kadets"', ""), "no-structure.json")
+    for other in ("three-kadets", "multipoint", "transformed"):
+        reject(shifted.replace('"structure":"kadets"', f'"structure":"{other}"'),
+               f"structure-{other}.json")
     obj = json.loads(text)
     obj["terms"].append(dict(obj["terms"][0]))
     reject(json.dumps(obj), "dup.json")
@@ -242,13 +279,12 @@ def test_lines_stream_matches_file(tmp_path):
 # --- the lattice codec against the Fraction parse ----------------------------
 
 
-def fraction_parse(obj) -> StepFunction:
+def fraction_parse(boxes, domain) -> StepFunction:
     """The reference: every rational through `Fraction`, then the constructor."""
-    domain = tuple(int(c[1:]) for c in obj["domain"])
     terms = [(Box(int(b["cube"][1:]), make_bounds(
                  {int(k): (text_to_frac(lo), text_to_frac(hi)) for k, (lo, hi) in b["box"].items()})),
               text_to_frac(b["value"]))
-             for b in obj["boxes"]]
+             for b in boxes]
     return StepFunction(domain, terms)
 
 
@@ -276,7 +312,7 @@ ADVERSARIAL = {
 
 
 @pytest.mark.parametrize("case", [*ADVERSARIAL, *(f"random-{seed}" for seed in range(40))])
-def test_lattice_parse_matches_fraction_parse(case):
+def test_lattice_parse_matches_fraction_parse(tmp_path, case):
     rng = random.Random(case)
     dom = (1, 2)
     if case in ADVERSARIAL:
@@ -284,19 +320,21 @@ def test_lattice_parse_matches_fraction_parse(case):
     else:  # the instances of test_stepfn.py's oracle test of the same seed
         raw = random_raw(random.Random(int(case[len("random-"):])), dom)
     least = 2 if case == "unreduced" else 1
-    obj = {"domain": ["Q1", "Q2"], "boxes": [box_record(c, b, v, rng, least) for c, b, v in raw]}
-    got, want = stepfn_from_obj(obj), fraction_parse(obj)
+    boxes = [box_record(c, b, v, rng, least) for c, b, v in raw]
+    obj = family_obj(build_three_kadets)  # cubes 1, 2, 3
+    obj["terms"][0]["boxes"] = boxes
+    loaded = load_obj(tmp_path, obj)
+    got, want = loaded.fn(TermId("f", 1, (1,))), fraction_parse(boxes, loaded.domain)
     # the reader and the constructor share their lattice step, so the
     # canonical shape is checked on its own
     assert_canonical_shape(got)
     assert got == want
     assert got.terms == want.terms
     # and written back from the lattice, as the Fraction terms write
-    assert stepfn_to_obj(got) == {
-        "boxes": [{"box": {str(k): [frac_to_text(iv.lo), frac_to_text(iv.hi)]
-                           for k, iv in box.bounds},
-                   "cube": f"Q{box.cube}", "value": frac_to_text(v)} for box, v in want.terms],
-        "domain": ["Q1", "Q2"]}
+    written = json.loads("".join(family_to_lines(loaded)))["terms"][0]["boxes"]
+    assert written == [{"box": {str(k): [frac_to_text(iv.lo), frac_to_text(iv.hi)]
+                                for k, iv in box.bounds},
+                        "cube": f"Q{box.cube}", "value": frac_to_text(v)} for box, v in want.terms]
 
 
 @pytest.fixture(scope="module")

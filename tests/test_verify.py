@@ -91,8 +91,9 @@ def test_identities_match_direct_sums():
     # a level-2 column couples against the matching level-1 children
     lhs = [fam.fn(TermId("g", 2, (m, 1))) for m in range(1, fam.sizes(2) + 1)]
     rhs = []
+    level2 = list(fam.index_tuples(1, 2))  # by flat index - 1
     for idx in fam.index_tuples(2, 1):
-        if fam.unflatten(1, 2, idx[-1])[-1] == 1:
+        if level2[idx[-1] - 1][-1] == 1:
             rhs.append(fam.fn(TermId("h", 1, idx)))
     total = sum_functions(lhs + rhs, domain=dom)
     assert total.restrict(2).terms == ()
@@ -155,6 +156,19 @@ def test_swapped_supports_detected():
     }))
     assert failing_checks(report) == {"product-structure", "row-cancellation"}
     assert all("Q3" in c.scope for c in report.failures())
+
+
+def test_substitutes_are_checked_as_a_table():
+    # a fault family is a table of every term: it passes table-complete,
+    # and a substitute for an id outside the family is an unexpected term
+    fam = build_kadets(2)
+    tid = TermId("b", 1, (1, 1))
+    report = verify_family(fam.with_replaced({tid: fam.fn(tid).scale(-1)}))
+    assert ("table-complete", True) in {(c.check, c.passed) for c in report.checks}
+    report = verify_family(fam.with_replaced({TermId("b", 1, (1, 9)): fam.fn(tid)}))
+    assert failing_checks(report) == {"table-complete"}
+    assert [(c.scope, c.witness) for c in report.failures()] == [
+        ("b^1(1,9)", "unexpected term in table")]
 
 
 def test_swapped_columns_detected():
@@ -462,7 +476,7 @@ def _doubled_with_products(build, kind, n, flat):
         fam = build()
         g = fam.generation(kind)
         tail = fam.kinds[g + 1]
-        tids = [TermId(kind, n, fam.unflatten(g, n, flat))]
+        tids = [TermId(kind, n, list(fam.index_tuples(g, n))[flat - 1])]
         tids += [TermId(tail, n, idx) for idx in fam.index_tuples(g + 1, n)
                  if fam.flat_index(g, n, idx[:-1]) == flat]
         tids += [TermId(tail, n - 1, idx) for idx in fam.index_tuples(g + 1, n - 1)
