@@ -36,10 +36,21 @@ which are also the strides of the flat indices; the terms' lattice (the
 lcm of the cell counts on each coordinate, and one value denominator);
 and the pieces sorted by cube, each with its integer value on that
 lattice and, per coordinate, which of F_0..F_g (or ig) it reads and the
-factor from that cell count to the coordinate's denominator.  `fn`
-checks the index and computes F_0..F_g in one loop, then writes each
-piece as the lattice box [(F-1)*factor, F*factor).  One box per cube is
-canonical already, so the entries go into the `StepFunction` unswept.
+factor from that cell count to the coordinate's denominator.  A piece
+is the lattice box [(F-1)*factor, F*factor) on each coordinate it
+reads.  One box per cube is canonical already, so the entries go into
+the `StepFunction` unswept, on the plan's shared lattice.
+
+Bulk readers take whole sections: `section(g, n, prefix)` yields the
+terms of (g, n) whose index starts with `prefix`, in index order.  The
+plan lookup and the check of the prefix happen once per section.  The
+flat index F_{g-1} of the terms under a prefix runs over consecutive
+values, so a prefix odometer steps it in an outer loop, derives
+F_0..F_{g-2} and the index from it, and builds the boxes that read
+them once; its inner loop steps ig and builds only the boxes that read
+F_g or ig.  A whole index is a one-term section, and `fn(tid)` reads
+one term that way.  A table-backed family looks its section up in
+index order; a transformed one shifts the section of its base.
 
 Shape.  A family's shape follows from r and whether it carries an affine
 transform, and `Family` alone derives it.  The classic two-kind family
@@ -53,10 +64,10 @@ transform acting on cube-wise averages.
 
 from __future__ import annotations
 
-import itertools
+from itertools import product, repeat
 import re
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .stepfn import StepFunction, cube_constants
@@ -233,6 +244,9 @@ class Family:
         self.domain = tuple(range(1, 2 * points - 2))
         self._structure, self._kinds = _NAMED.get(points) or (
             "multipoint", tuple(f"d{g}" for g in range(points)))
+        if transform is not None and transform.dim != points - 1:
+            raise ConfigError(f"matrix dimension {transform.dim} != "
+                              f"{points - 1} independent cube values")
         self._table = dict(table) if table is not None else None
         self._base = base
         self._transform = transform
@@ -293,9 +307,12 @@ class Family:
             out.append(self.flat_size(i - 1, n + 1))
         return tuple(out)
 
-    def index_tuples(self, g: int, n: int) -> Iterator[tuple[int, ...]]:
-        ranges = [range(1, top + 1) for top in self.index_ranges(g, n)]
-        return itertools.product(*ranges)
+    def index_tuples(self, g: int, n: int, prefix: tuple[int, ...] = ()
+                     ) -> Iterator[tuple[int, ...]]:
+        """The index tuples of generation g at level n that start with
+        `prefix`, in order; the prefix is not checked."""
+        ranges = self.index_ranges(g, n)[len(prefix):]
+        return product(*[(i,) for i in prefix], *[range(1, top + 1) for top in ranges])
 
     def term_count(self) -> int:
         return sum(self.flat_size(g, n)
@@ -345,28 +362,54 @@ class Family:
                   for cube, cells, num, den in parts))
         return plan
 
-    def _reads(self, g: int, n: int, index: tuple[int, ...]) -> tuple[_Plan, list[int]]:
-        """The plan of (g, n) and what its parts read from `index`: the flat
-        index of each prefix (i0..ik), as `flat_index` gives it, then the
-        last component.  KeyError for an index outside the plan's ranges."""
+    def _prefix_reads(self, g: int, n: int, prefix: tuple[int, ...]) -> tuple[_Plan, list[int]]:
+        """The plan of (g, n) and the flat indices F_0.. of `prefix`, as
+        `flat_index` gives them.  KeyError for a prefix outside the plan's
+        ranges."""
+        if not 0 <= g < self.points:
+            raise KeyError(f"generation {g} outside 0..{self.points - 1}")
         plan = self._plans.get((g, n)) or self._new_plan(g, n)
         ranges = plan.ranges
-        if len(index) == len(ranges):
+        if len(prefix) <= len(ranges):
             reads = []
             flat = 1
-            for i, top in zip(index, ranges):
+            for i, top in zip(prefix, ranges):
                 if not 1 <= i <= top:
                     break
                 flat = (flat - 1) * top + i
                 reads.append(flat)
             else:
-                reads.append(index[-1])
                 return plan, reads
-        raise KeyError(f"index of {TermId(self._kinds[g], n, index)} outside ranges {ranges}")
+        raise KeyError(f"index of {TermId(self._kinds[g], n, prefix)} outside ranges {ranges}")
 
-    def _emit(self, g: int, n: int, index: tuple[int, ...]) -> StepFunction:
-        """The formula term (g, n, index), on the lattice of its plan."""
-        plan, reads = self._reads(g, n, index)
+    def section(self, g: int, n: int,
+                prefix: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], StepFunction]]:
+        """(index, function) of every term of generation g at level n whose
+        index starts with `prefix`, in index order.  The level and the
+        prefix are checked at the call: KeyError, with `fn`'s text, for
+        either outside the family's ranges."""
+        # a generation outside the family is _prefix_reads' KeyError
+        if 0 <= g < self.points and not 1 <= n <= self.depth:
+            raise KeyError(f"level of {TermId(self._kinds[g], n, prefix)} outside 1..{self.depth}")
+        if self._table is not None:
+            self._prefix_reads(g, n, prefix)
+            return self._looked_up(g, n, prefix)
+        if self._base is not None:
+            return ((i, _transformed_fn(self, f)) for i, f in self._base.section(g, n, prefix))
+        return self.reference_section(g, n, prefix)
+
+    def reference_section(self, g: int, n: int,
+                          prefix: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], StepFunction]]:
+        """`section` of the formula terms, at any level (past the
+        truncation depth too), with no table or transform."""
+        plan, reads = self._prefix_reads(g, n, prefix)
+        if len(reads) > g:  # a whole index: one term
+            reads.append(prefix[-1])
+            return iter([(prefix, self._emit(plan, reads))])
+        return self._odometer(plan, g, prefix, reads[-1] if reads else 1)
+
+    def _emit(self, plan: _Plan, reads: list[int]) -> StepFunction:
+        """The formula term whose parts read `reads`: F_0..F_g, then ig."""
         entries = []
         for cube, cells, value in plan.parts:
             bounds = []
@@ -376,6 +419,58 @@ class Family:
             entries.append((cube, tuple(bounds), value))
         return StepFunction._raw(self.domain, tuple(entries), plan.dens, plan.vden)
 
+    def _odometer(self, plan: _Plan, g: int, prefix: tuple[int, ...], flat: int
+                  ) -> Iterator[tuple[tuple[int, ...], StepFunction]]:
+        """The formula terms under a checked prefix, shorter than an index,
+        of flat index `flat`.  The outer loop steps F_{g-1}, which runs
+        over consecutive values, and builds the boxes that read
+        F_0..F_{g-1} once; the inner loop steps ig and builds only the
+        boxes that read F_g or ig."""
+        ranges, dens, vden, domain = plan.ranges, plan.dens, plan.vden, self.domain
+        top = ranges[g]
+        span = prod(ranges[len(prefix):g])
+        lasts = range(1, top + 1)
+        tails = [(i,) for i in lasts]
+        raw = StepFunction._raw
+        for outer in range((flat - 1) * span + 1, flat * span + 1):
+            # F_0..F_{g-1} of this outer flat index, and its index components
+            reads, head = [outer] * g, [outer] * g
+            for k in range(g - 1, 0, -1):
+                up, i = divmod(reads[k] - 1, ranges[k])
+                head[k] = i + 1
+                reads[k - 1] = head[k - 1] = up + 1
+            base = (outer - 1) * top  # F_g = base + ig
+            columns = []
+            for cube, cells, value in plan.parts:
+                bounds, inner = [], False
+                for coord, k, scale in cells:
+                    if k < 0 or k == g:
+                        first = base if k == g else 0
+                        bounds.append([(coord, (first + i - 1) * scale, (first + i) * scale)
+                                       for i in lasts])
+                        inner = True
+                    else:
+                        hi = reads[k] * scale
+                        bounds.append((coord, hi - scale, hi))
+                if inner:
+                    columns.append([(cube, bs, value) for bs in zip(
+                        *(b if type(b) is list else repeat(b) for b in bounds))])
+                else:
+                    columns.append(repeat((cube, tuple(bounds), value)))
+            head = tuple(head)
+            for tail, entries in zip(tails, zip(*columns)):
+                yield head + tail, raw(domain, entries, dens, vden)
+
+    def _looked_up(self, g: int, n: int, prefix: tuple[int, ...]
+                   ) -> Iterator[tuple[tuple[int, ...], StepFunction]]:
+        """A table's section: its terms looked up in index order."""
+        kind, table = self._kinds[g], self._table
+        for index in self.index_tuples(g, n, prefix):
+            f = table.get(TermId(kind, n, index))
+            if f is None:
+                raise KeyError(f"term {TermId(kind, n, index)} missing from the loaded table")
+            yield index, f
+
     def fn(self, tid: TermId) -> StepFunction:
         """The step function of one term."""
         if self._table is not None:
@@ -384,18 +479,10 @@ class Family:
             except KeyError:
                 raise KeyError(f"term {tid} missing from the loaded table") from None
         g = self.generation(tid.kind)
-        # reference_fn plans levels past the depth too, so check the level here
-        if not 1 <= tid.level <= self.depth:
-            raise KeyError(f"level of {tid} outside 1..{self.depth}")
-        if self._base is not None:
-            self._reads(g, tid.level, tid.index)  # this family's KeyError, whatever the base
-            return _transformed_fn(self, self._base.fn(tid))
-        return self._emit(g, tid.level, tid.index)
-
-    def reference_fn(self, g: int, n: int, index: tuple[int, ...]) -> StepFunction:
-        """Formula value for any level, including beyond the truncation
-        depth, with no transform."""
-        return self._emit(g, n, index)
+        terms = self.section(g, tid.level, tid.index)
+        if len(tid.index) != g + 1:
+            raise KeyError(f"index of {tid} outside ranges {self.index_ranges(g, tid.level)}")
+        return next(terms)[1]
 
     def with_replaced(self, subs: Mapping[TermId, StepFunction]) -> "Family":
         """A table-backed copy of this family: every term of it, with the
@@ -403,7 +490,9 @@ class Family:
         if self._table is not None:
             table = {**self._table, **subs}
         else:
-            table = {tid: self.fn(tid) for tid in self.term_ids()}
+            table = {TermId(kind, n, index): f
+                     for n in range(1, self.depth + 1) for g, kind in enumerate(self._kinds)
+                     for index, f in self.section(g, n)}
             table.update(subs)
         return Family(self.points, self.depth, self.sizes, table=table,
                       transform=self._transform)
@@ -523,18 +612,18 @@ def apply_transform(fam: Family, spec: TransformSpec, *,
     `max_terms` terms is refused first."""
     if fam.flavor == "transformed":
         raise StructuralError("family already carries a transform")
-    if spec.dim != fam.points - 1:
-        raise ConfigError(
-            f"matrix dimension {spec.dim} != {fam.points - 1} independent cube values")
+    # built first: it refuses a matrix of another size before any term is read
+    out = Family(fam.points, fam.depth, fam.sizes, base=fam, transform=spec)
     check_term_budget("family", fam.term_count(), max_terms)
-    for tid in fam.term_ids():
-        f = fam.fn(tid)
-        for group in y_groups(fam.points):
-            vals = {f.integral(c) for c in group}
-            if len(vals) > 1:
-                raise StructuralError(
-                    f"term {tid} breaks the cube pairing on {tuple(map(cube_label, group))}")
-    return Family(fam.points, fam.depth, fam.sizes, base=fam, transform=spec)
+    for n in range(1, fam.depth + 1):
+        for g, kind in enumerate(fam.kinds):
+            for index, f in fam.section(g, n):
+                for group in y_groups(fam.points):
+                    if len({f.integral(c) for c in group}) > 1:
+                        raise StructuralError(
+                            f"term {TermId(kind, n, index)} breaks the cube pairing "
+                            f"on {tuple(map(cube_label, group))}")
+    return out
 
 
 # --- advertised limits ------------------------------------------------------

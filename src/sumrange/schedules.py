@@ -9,6 +9,15 @@ divergent schedule instead pairs each head with child rows one level
 down, which makes the running sum sweep away from and back toward a
 point outside the attainable set.
 
+A block is a sequence of runs (g, n, prefix): the terms of generation g
+at level n whose index starts with `prefix`, in index order, which is
+what `Family.section` yields.  A one-term run is a whole index.  A
+point block is its head and column members, one run each, then every
+later generation under each last member as one prefix run; the ramp is
+whole (generation, level) runs.  `Block.ids` and `Schedule.term_ids`
+list the term ids the runs stand for.  Traces read the runs through
+`section` and build a `TermId` only for a row they write.
+
 Traces record, per step or per block boundary, the exact per-cube
 moment of (partial sum - target) as a `Fraction`, plus the number of
 boxes in the canonical deviation, which measures how complicated the
@@ -30,7 +39,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .families import (
@@ -43,13 +51,24 @@ from .families import (
     cube_label,
     expected_sum_range,
 )
-from .stepfn import ChunkedSum, Rational, StepFunction, as_fraction, cube_constants, sum_functions
+from .stepfn import ChunkedSum, Rational, as_fraction, cube_constants
+
+
+Run = tuple[int, int, tuple[int, ...]]   # (g, n, prefix); see the module docstring
 
 
 class Block(NamedTuple):
     label: str
     level: int | None
-    ids: tuple[TermId, ...]
+    family: Family
+    runs: tuple[Run, ...]
+
+    @property
+    def ids(self) -> tuple[TermId, ...]:
+        """The block's term ids, run by run."""
+        fam = self.family
+        return tuple(TermId(fam.kinds[g], n, index) for g, n, prefix in self.runs
+                     for index in fam.index_tuples(g, n, prefix))
 
 
 class Schedule:
@@ -126,19 +145,14 @@ def schedule_point(fam: Family, point: int | str) -> Schedule:
         raise ConfigError(
             f"depth {fam.depth} cannot reach point {point}; need depth >= {point}")
     target = expected_sum_range(fam)[point]
-    kinds = fam.kinds
 
     def blocks() -> Iterator[Block]:
         if point >= 1:
-            ramp = []
-            for e in range(point):
-                for lev in range(1, point - e + 1):
-                    ramp.extend(TermId(kinds[e], lev, idx)
-                                for idx in fam.index_tuples(e, lev))
-            yield Block("ramp", None, tuple(ramp))
+            yield Block("ramp", None, fam, tuple((e, lev, ()) for e in range(point)
+                                                 for lev in range(1, point - e + 1)))
         for n in range(point + 1, fam.depth + 1):
             for m in range(1, fam.sizes(n) + 1):
-                yield Block(f"({n},{m})", n, _point_block(fam, point, n, m))
+                yield Block(f"({n},{m})", n, fam, _point_block(fam, point, n, m))
 
     count = sum(fam.flat_size(e, lev)
                 for e in range(point + 1)
@@ -149,21 +163,19 @@ def schedule_point(fam: Family, point: int | str) -> Schedule:
     return Schedule(label, fam, target, blocks, count)
 
 
-def _point_block(fam: Family, point: int, n: int, m: int) -> tuple[TermId, ...]:
-    kinds = fam.kinds
-    out = [TermId(kinds[0], n, (m,))]
+def _point_block(fam: Family, point: int, n: int, m: int) -> tuple[Run, ...]:
+    """Head m at level n, the column members of generations 1..point, one
+    run each, then every later generation under each last member as one
+    prefix run."""
+    out = [(0, n, (m,))]
     members: list[tuple[int, ...]] = [(m,)]
     for e in range(1, point + 1):
         lev = n - e
         flats = {fam.flat_index(e - 1, lev + 1, idx) for idx in members}
         members = [idx for idx in fam.index_tuples(e, lev) if idx[-1] in flats]
-        out.extend(TermId(kinds[e], lev, idx) for idx in members)
+        out.extend((e, lev, idx) for idx in members)
     lev = n - point
-    for group in members:
-        for g in range(point + 1, fam.points):
-            tails = fam.index_ranges(g, lev)[point + 1:]
-            out.extend(TermId(kinds[g], lev, group + suffix)
-                       for suffix in product(*(range(1, s + 1) for s in tails)))
+    out.extend((g, lev, group) for group in members for g in range(point + 1, fam.points))
     return tuple(out)
 
 
@@ -181,21 +193,18 @@ def schedule_divergent(fam: Family) -> Schedule:
     if fam.flavor == "transformed":
         raise StructuralError("the divergent schedule runs on untransformed families")
     target = (Fraction(0), Fraction(1), Fraction(1))
-    kinds = fam.kinds
 
     def blocks() -> Iterator[Block]:
         for n in range(1, fam.depth + 1):
             for m in range(1, fam.sizes(n) + 1):
-                ids = [TermId(kinds[0], n, (m,))]
-                ids.extend(TermId(kinds[1], n, (m, j))
-                           for j in range(1, fam.sizes(n + 1) + 1))
+                runs = [(0, n, (m,)), (1, n, (m,))]
                 if n >= 2:
                     for j in range(1, fam.sizes(n + 1) + 1):
                         kappa = fam.flat_index(1, n, (m, j))
-                        ids.extend(TermId(kinds[2], n - 1, (mp, jp, kappa))
-                                   for mp in range(1, fam.sizes(n - 1) + 1)
-                                   for jp in range(1, fam.sizes(n) + 1))
-                yield Block(f"({n},{m})", n, tuple(ids))
+                        runs.extend((2, n - 1, (mp, jp, kappa))
+                                    for mp in range(1, fam.sizes(n - 1) + 1)
+                                    for jp in range(1, fam.sizes(n) + 1))
+                yield Block(f"({n},{m})", n, fam, tuple(runs))
 
     count = sum(fam.flat_size(0, lev) + fam.flat_size(1, lev)
                 for lev in range(1, fam.depth + 1))
@@ -233,9 +242,10 @@ def schedule_custom(fam: Family, order: Iterable[TermId],
     check_term_budget("family", fam.term_count(), max_terms)
     given = _validated_full_order(fam, order)
     target = tuple(Fraction(0) for _ in fam.domain)
+    runs = tuple((fam.generation(tid.kind), tid.level, tid.index) for tid in given)
 
     def blocks() -> Iterator[Block]:
-        yield Block(label, None, given)
+        yield Block(label, None, fam, runs)
 
     return Schedule(label, fam, target, blocks, len(given))
 
@@ -330,6 +340,7 @@ def run_trace(fam: Family, schedule: Schedule,
     check_term_budget(f"schedule {schedule.label}", schedule.term_count, max_terms)
     goal = schedule.target if target is None else _as_target(fam, target)
     cubes = fam.domain
+    kinds = fam.kinds
     rows: list[TraceRow] = []
     step = 0
 
@@ -339,27 +350,30 @@ def run_trace(fam: Family, schedule: Schedule,
         devs = [diffs[c].moment(p) for c in cubes]
         boxes = [diffs[c].box_count() for c in cubes]
         for block in schedule.blocks():
-            last = len(block.ids) - 1
-            for pos, tid in enumerate(block.ids):
-                step += 1
-                fn = fam.fn(tid)
-                for c, part in fn.split(fn.support_cubes()).items():
-                    diff = diffs[c] = diffs[c] + part
-                    devs[index[c]] = diff.moment(p)
-                    boxes[index[c]] = diff.box_count()
-                rows.append(TraceRow(step, tid, block.label, block.level, pos == last,
-                                     tuple(devs), tuple(boxes)))
+            first = len(rows)
+            for g, n, prefix in block.runs:
+                for idx, fn in fam.section(g, n, prefix):
+                    step += 1
+                    for c, part in fn.split(fn.support_cubes()).items():
+                        diff = diffs[c] = diffs[c] + part
+                        devs[index[c]] = diff.moment(p)
+                        boxes[index[c]] = diff.box_count()
+                    rows.append(TraceRow(step, TermId(kinds[g], n, idx), block.label,
+                                         block.level, False, tuple(devs), tuple(boxes)))
+            if len(rows) > first:
+                rows[-1] = rows[-1]._replace(is_marker=True)
     else:
         dev = cube_constants(cubes, {c: -goal[ci] for ci, c in enumerate(cubes)})
         for block in schedule.blocks():
             total = ChunkedSum(cubes)
-            for tid in block.ids:
-                step += 1
-                total.add(fam.fn(tid))
+            for g, n, prefix in block.runs:
+                for idx, fn in fam.section(g, n, prefix):
+                    step += 1
+                    total.add(fn)
             total.add(dev)
             dev = total.total()
             per_cube = [dev.restrict(c) for c in cubes]
-            rows.append(TraceRow(step, tid, block.label, block.level, True,
+            rows.append(TraceRow(step, TermId(kinds[g], n, idx), block.label, block.level, True,
                                  tuple(f.moment(p) for f in per_cube),
                                  tuple(f.box_count() for f in per_cube)))
     if not rows:

@@ -241,14 +241,15 @@ def family_to_lines(fam: Family) -> Iterator[str]:
         head["structure"] = fam.structure
     head_text = json.dumps(head, sort_keys=True, separators=(",", ":"))
     yield head_text[:-1] + _TERMS_OPEN
-    kinds = {kind: json.dumps(kind) for kind in fam.kinds}
     writer = _Writer()
     lead = ""
-    for tid in fam.term_ids():
-        index = ",".join(map(str, tid.index))
-        yield (f'{lead}{{"boxes":{writer.boxes(fam.fn(tid))},"index":[{index}],'
-               f'"kind":{kinds[tid.kind]},"level":{tid.level}}}\n')
-        lead = ","
+    for n in range(1, fam.depth + 1):
+        for g, kind in enumerate(fam.kinds):
+            tail = f'"kind":{json.dumps(kind)},"level":{n}}}\n'
+            for index, f in fam.section(g, n):
+                yield (f'{lead}{{"boxes":{writer.boxes(f)},'
+                       f'"index":[{",".join(map(str, index))}],{tail}')
+                lead = ","
     yield _TERMS_CLOSE
 
 

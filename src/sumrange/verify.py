@@ -274,9 +274,9 @@ def _check_table_complete(fam: Family, report: AxiomReport) -> bool:
 def _split(fam: Family, g: int, n: int) -> Iterator[dict]:
     """Generation g at level n: each term's parts on the cubes it is read on."""
     cubes = [k for k in fam.domain if abs(k - 2 * g) <= 2]   # the roles of pairs g-1, g
-    kind = fam.kinds[g]
-    for i in fam.index_tuples(g, n):
-        f = fam.fn(TermId(kind, n, i)) if n <= fam.depth else fam.reference_fn(g, n, i)
+    # the heads one level past the depth come from the formulas
+    terms = fam.section(g, n) if n <= fam.depth else fam.reference_section(g, n)
+    for _, f in terms:
         yield {**f.split(cubes), None: f}   # None reads the whole term
 
 

@@ -22,6 +22,7 @@ _SLUGS = {
     8: "multipoint-limits",
     9: "affine-transforms",
     10: "compact-running-sums",
+    11: "five-point-limits",
 }
 
 

@@ -536,6 +536,20 @@ def test_transformed_file_traces_to_its_limits(transformed_file, tmp_path, capsy
         assert csv.read_text() == "".join(line + "\n" for line in want)
 
 
+def test_transformed_file_with_a_matrix_of_another_size_is_refused(tmp_path, capsys):
+    # a three-kadets file needs a 2x2 matrix; a 1x1 one is a bad file, not bad flags
+    matrix, path = tmp_path / "t.matrix", tmp_path / "t.family"
+    dump_matrix(TransformSpec.identity(2), matrix)
+    assert run(capsys, "transform", "--flavor", "three-kadets", "--levels", "2",
+               "--matrix", str(matrix), "--out", str(path))[0] == 0
+    text = path.read_text()
+    assert '"matrix":[["1/1","0/1"],["0/1","1/1"]]' in text
+    path.write_text(text.replace('"matrix":[["1/1","0/1"],["0/1","1/1"]]', '"matrix":[["1/2"]]'))
+    code, _, err = run(capsys, "trace", "--family", str(path), "--schedule", "p00")
+    assert code == 3
+    assert "matrix dimension 1 != 2 independent cube values" in err
+
+
 # --- parser plumbing --------------------------------------------------------
 
 

@@ -202,11 +202,14 @@ def test_fn_errors_keep_their_text():
             with pytest.raises(KeyError) as caught:
                 family.fn(t)
             assert caught.value.args == (text,)
-    # reference_fn plans level depth+1; fn must refuse it all the same
-    assert fam.reference_fn(0, 4, (1,)).moment(1) == F(1, 4)
+    # reference_section plans level depth+1; fn and section must refuse it all the same
+    assert next(fam.reference_section(0, 4, (1,)))[1].moment(1) == F(1, 4)
     with pytest.raises(KeyError) as caught:
         fam.fn(tid("a", 4, 1))
     assert caught.value.args == ("level of a^4(1) outside 1..3",)
+    with pytest.raises(KeyError) as caught:
+        fam.section(0, 4)
+    assert caught.value.args == ("level of a^4() outside 1..3",)
 
 
 def test_term_budget_refuses_before_enumerating(tmp_path, monkeypatch):
@@ -221,7 +224,7 @@ def test_term_budget_refuses_before_enumerating(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a term was enumerated")
 
-    for name in ("fn", "term_ids", "index_tuples", "reference_fn"):
+    for name in ("fn", "term_ids", "index_tuples", "section", "reference_section"):
         monkeypatch.setattr(Family, name, refuse)
     too_many = "has 2503268159 terms, more than max_terms 5000000"
     path = tmp_path / "fam.json"
@@ -290,16 +293,108 @@ def formula_terms(fam, g, n, index):
 def test_every_term_matches_the_formulas(make):
     fam = make()
     checked = 0
-    for t in fam.term_ids():
-        g = fam.generation(t.kind)
-        assert fam.fn(t).terms == formula_terms(fam, g, t.level, t.index), str(t)
-        checked += 1
+    # each term as fn gives it and as its whole (g, n) section yields it
+    ids = iter(fam.term_ids())
+    for n in range(1, fam.depth + 1):
+        for g, kind in enumerate(fam.kinds):
+            for index, f in fam.section(g, n):
+                t = next(ids)
+                assert t == TermId(kind, n, index)
+                want = formula_terms(fam, g, n, index)
+                assert f.terms == want, str(t)
+                assert fam.fn(t).terms == want, str(t)
+                checked += 1
+    assert next(ids, None) is None
     assert checked == fam.term_count()
     # the verifier reads heads of generations 0..r-2 one level past the depth
     n = fam.depth + 1
     for g in range(fam.points - 1):
-        for index in fam.index_tuples(g, n):
-            assert fam.reference_fn(g, n, index).terms == formula_terms(fam, g, n, index)
+        heads = list(fam.reference_section(g, n))
+        assert [index for index, _ in heads] == list(fam.index_tuples(g, n))
+        for index, f in heads:
+            assert f.terms == formula_terms(fam, g, n, index)
+
+
+# --- sections ---------------------------------------------------------------
+
+
+def _loaded(fam, tmp_path):
+    from sumrange.serialize import dump_family, load_family
+
+    dump_family(fam, tmp_path / "fam.json")
+    return load_family(tmp_path / "fam.json")
+
+
+SECTION_FAMILIES = {
+    "kadets(4)": lambda tmp: build_kadets(4),
+    "three-kadets(3)": lambda tmp: build_three_kadets(3),
+    "multipoint(4, 2)": lambda tmp: build_multipoint(4, 2),
+    "transformed": lambda tmp: apply_transform(build_three_kadets(3),
+                                               TransformSpec([[1, 2], [F(1, 3), -1]])),
+    "loaded": lambda tmp: _loaded(build_multipoint(4, 1), tmp),
+    "with_replaced": lambda tmp: build_three_kadets(3).with_replaced(
+        {tid("g", 2, 1, 2): cube_constants((1, 2, 3), {2: 1})}),
+}
+
+
+@pytest.mark.parametrize("name", SECTION_FAMILIES)
+def test_sections_match_fn(name, tmp_path):
+    # every prefix of every length 0..g+1 yields, in index order, the
+    # terms under it with fn's entries on fn's lattice
+    fam = SECTION_FAMILIES[name](tmp_path)
+    compared = 0
+    for n in range(1, fam.depth + 1):
+        for g, kind in enumerate(fam.kinds):
+            ids = list(fam.index_tuples(g, n))
+            for length in range(g + 2):
+                got = [term for prefix in dict.fromkeys(index[:length] for index in ids)
+                       for term in fam.section(g, n, prefix)]
+                assert [index for index, _ in got] == ids
+                for index, f in got:
+                    want = fam.fn(TermId(kind, n, index))
+                    assert (f._entries, f._dens, f._vden) == \
+                        (want._entries, want._dens, want._vden), (kind, n, index)
+                    compared += 1
+    assert compared == sum(fam.generation(kind) + 2 for kind, _, _ in fam.term_ids())
+
+
+def test_section_refuses_what_fn_refuses(tmp_path):
+    fam = build_kadets(3)
+    families = (fam, apply_transform(fam, TransformSpec.zero(1)), fam.with_replaced({}),
+                _loaded(fam, tmp_path))
+    cases = {
+        (1, 2, (3,)): "index of b^2(3) outside ranges (2, 3)",
+        (1, 2, (1, 4)): "index of b^2(1,4) outside ranges (2, 3)",
+        (1, 2, (1, 1, 1)): "index of b^2(1,1,1) outside ranges (2, 3)",
+        (0, 2, (0,)): "index of a^2(0) outside ranges (2,)",
+        (0, 0, ()): "level of a^0() outside 1..3",
+        (0, 4, (1,)): "level of a^4(1) outside 1..3",
+        (2, 1, ()): "generation 2 outside 0..1",
+        (-1, 1, ()): "generation -1 outside 0..1",
+    }
+    for family in families:
+        for (g, n, prefix), text in cases.items():
+            with pytest.raises(KeyError) as caught:
+                family.section(g, n, prefix)  # refused at the call, before any term
+            assert caught.value.args == (text,), (family, g, n, prefix)
+    # fn refuses the whole ids under those prefixes with the same text
+    for family in families[:2]:
+        for t, text in {tid("b", 2, 3, 1): "index of b^2(3,1) outside ranges (2, 3)",
+                        tid("a", 4, 1): "level of a^4(1) outside 1..3"}.items():
+            with pytest.raises(KeyError) as caught:
+                family.fn(t)
+            assert caught.value.args == (text,)
+    # a table without a term: the section stops there with fn's text
+    table = {t: fam.fn(t) for t in fam.term_ids() if t != tid("b", 2, 1, 3)}
+    holed = Family(2, 3, table=table)
+    got = []
+    with pytest.raises(KeyError) as caught:
+        got.extend(index for index, _ in holed.section(1, 2, (1,)))
+    assert got == [(1, 1), (1, 2)]
+    assert caught.value.args == ("term b^2(1,3) missing from the loaded table",)
+    with pytest.raises(KeyError) as caught:
+        holed.fn(tid("b", 2, 1, 3))
+    assert caught.value.args == ("term b^2(1,3) missing from the loaded table",)
 
 
 # --- two-kind family values -------------------------------------------------
@@ -332,7 +427,7 @@ def test_kadets_b_is_negated_product():
     for n in (1, 2):
         for m in range(1, n + 1):
             for j in range(1, n + 2):
-                prod = fam.fn(tid("a", n, m)) * fam.reference_fn(0, n + 1, (j,))
+                prod = fam.fn(tid("a", n, m)) * next(fam.reference_section(0, n + 1, (j,)))[1]
                 assert fam.fn(tid("b", n, m, j)) == -prod
 
 

@@ -221,6 +221,28 @@ def test_blocks_traces_are_pinned():
         assert digest(trace.to_csv_lines()) == want, (name, point)
 
 
+def test_point_blocks_are_runs_and_blocks_traces_build_one_id_per_row(monkeypatch):
+    # a point block is its head and column members, then prefix runs of the
+    # later generations; the blocks trace names only each row's last term
+    import sumrange.schedules as schedules
+
+    fam = build_multipoint(4, 2)
+    blocks = {b.label: b for b in schedule_point(fam, 1).blocks()}
+    assert blocks["ramp"].runs == ((0, 1, ()),)
+    assert blocks["(2,1)"].runs == ((0, 2, (1,)), (1, 1, (1, 1)), (2, 1, (1, 1)), (3, 1, (1, 1)))
+    assert blocks["(2,1)"].ids[:3] == (TermId("d0", 2, (1,)), TermId("d1", 1, (1, 1)),
+                                       TermId("d2", 1, (1, 1, 1)))
+    made = []
+    monkeypatch.setattr(schedules, "TermId", lambda *a: made.append(a) or TermId(*a))
+    for point in range(3):  # depth 2 reaches points 0..2
+        sch = schedule_point(fam, point)
+        assert sum(len(b.runs) for b in sch.blocks()) < sch.term_count
+        assert made == []
+        trace = run_trace(fam, sch, record="blocks")
+        assert len(made) == len(trace.rows)
+        made.clear()
+
+
 def test_permutation_invariance():
     fam = build_three_kadets(2)
     lex = schedule_custom(fam, fam.term_ids())

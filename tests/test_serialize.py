@@ -228,6 +228,10 @@ def test_family_corruption(tmp_path):
     for other in ("three-kadets", "multipoint", "transformed"):
         reject(shifted.replace('"structure":"kadets"', f'"structure":"{other}"'),
                f"structure-{other}.json")
+    # a matrix whose size is not the point count less one
+    assert '"matrix":[["0/1"]]' in shifted
+    reject(shifted.replace('"matrix":[["0/1"]]', '"matrix":[["0/1","0/1"],["0/1","0/1"]]'),
+           "matrix-size.json")
     obj = json.loads(text)
     obj["terms"].append(dict(obj["terms"][0]))
     reject(json.dumps(obj), "dup.json")

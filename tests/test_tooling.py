@@ -35,6 +35,25 @@ from sumrange.families import build_kadets, build_multipoint, build_three_kadets
 from sumrange.schedules import random_schedule, run_trace, schedule_point
 from sumrange.verify import verify_family
 
+# the tracer times Family.fn, not sections: count what sections yield here
+from sumrange.families import Family
+yields = []
+section = Family.section
+
+def counted_section(self, g, n, prefix=()):
+    for index, f in section(self, g, n, prefix):
+        yields.append((id(self), g, n, index))
+        yield index, f
+
+Family.section = counted_section
+
+def built(group, since, since_yields):
+    # terms built since a point: fn calls, section yields, distinct yields
+    now = layer_metrics(tracer, 0.0)
+    print(group, "families.fn", now["families.fn.calls"] - since["families.fn.calls"])
+    print(group, "section", len(yields) - since_yields)
+    print(group, "section distinct", len(set(yields[since_yields:])))
+
 tracer = Tracer()
 install(tracer)
 fam = build_kadets(3)
@@ -42,16 +61,18 @@ run_trace(fam, random_schedule(fam, 1), record="steps")
 run_trace(fam, schedule_point(fam, 1), record="blocks")
 assert verify_family(fam).ok
 metrics = layer_metrics(tracer, 0.0)
-for span in ("stepfn.add", "stepfn.ChunkedSum.total", "stepfn.moment", "families.fn"):
+for span in ("stepfn.add", "stepfn.ChunkedSum.total", "stepfn.moment"):
     print("span", span, metrics[span + ".calls"])
+print("span", "families.fn+section", metrics["families.fn.calls"] + len(yields))
 
 # a blocks trace alone: the calls it adds to the two spans
 fam = build_multipoint(4, 1)
 sch = schedule_point(fam, 0)
+since_yields = len(yields)
 run_trace(fam, sch, record="blocks")
 after = layer_metrics(tracer, 0.0)
-for span in ("stepfn.restrict", "families.fn"):
-    print("blocks", span, after[span + ".calls"] - metrics[span + ".calls"])
+print("blocks", "stepfn.restrict", after["stepfn.restrict.calls"] - metrics["stepfn.restrict.calls"])
+built("blocks", metrics, since_yields)
 print("blocks cubes*blocks", len(fam.domain) * sum(1 for _ in sch.blocks()))
 print("blocks terms", sch.term_count)
 
@@ -64,14 +85,16 @@ with tempfile.TemporaryDirectory() as tmp:
     before = layer_metrics(tracer, 0.0)
     loaded = load_family(path)
 after_load = layer_metrics(tracer, 0.0)
+since_yields = len(yields)
 assert verify_family(loaded).ok
 after_verify = layer_metrics(tracer, 0.0)
 print("load stepfn.StepFunction",
       after_load["stepfn.StepFunction.calls"] - before["stepfn.StepFunction.calls"])
 print("verify stepfn.multiply",
       after_verify["stepfn.multiply.calls"] - after_load["stepfn.multiply.calls"])
-for span in ("stepfn.restrict", "families.fn"):
-    print("verify", span, after_verify[span + ".calls"] - after_load[span + ".calls"])
+print("verify stepfn.restrict",
+      after_verify["stepfn.restrict.calls"] - after_load["stepfn.restrict.calls"])
+built("verify", after_load, since_yields)
 print("verify terms", loaded.term_count())
 
 # steps traces on one cube and on three: the moments each one computes
@@ -114,17 +137,18 @@ def test_traced_run_records_the_kernel_spans(traced_run):
     # the traced benchmark run could not say where the time went
     calls = traced_run["span"]
     assert set(calls) == {"stepfn.add", "stepfn.ChunkedSum.total", "stepfn.moment",
-                          "families.fn"}
+                          "families.fn+section"}
     for span, count in calls.items():
         assert count >= 1, span
 
 
 def test_blocks_trace_builds_each_term_once_and_slices_per_block(traced_run):
     # blocks mode sums whole terms: no one-cube copy of each term, and
-    # each term built exactly once
+    # each term built exactly once, by the sections of the block's runs
     got = traced_run["blocks"]
     assert got["stepfn.restrict"] <= got["cubes*blocks"]
-    assert got["families.fn"] == got["terms"]
+    assert got["families.fn"] == 0
+    assert got["section"] == got["section distinct"] == got["terms"]
 
 
 def test_loaded_family_verifies_without_fractions_per_term(traced_run):
@@ -135,7 +159,8 @@ def test_loaded_family_verifies_without_fractions_per_term(traced_run):
     verify = traced_run["verify"]
     assert verify["stepfn.multiply"] == 0
     assert verify["stepfn.restrict"] == 0
-    assert verify["families.fn"] == verify["terms"]
+    assert verify["families.fn"] == 0
+    assert verify["section"] == verify["section distinct"] == verify["terms"]
 
 
 def test_steps_trace_measures_only_touched_cubes(traced_run):

@@ -293,8 +293,16 @@ def test_each_term_fetched_once(build, monkeypatch):
     # next-level head, a tail and a head
     fam = build()
     calls = []
-    fetch = Family.fn
+    fetch, section = Family.fn, Family.section
+
+    def counted_section(self, g, n, prefix=()):
+        for index, f in section(self, g, n, prefix):
+            calls.append(TermId(self.kinds[g], n, index))
+            yield index, f
+
+    # a term built by fn and a term yielded by a section count alike
     monkeypatch.setattr(Family, "fn", lambda self, tid: calls.append(tid) or fetch(self, tid))
+    monkeypatch.setattr(Family, "section", counted_section)
     assert verify_family(fam).ok
     assert len(calls) == fam.term_count()
     assert len(set(calls)) == fam.term_count()
@@ -363,8 +371,7 @@ def test_integer_checks_match_fraction_predicates(build):
                     for on in (HEAD, TAIL)}
             heads = [fam.fn(TermId(u.head, n, idx)) for idx in fam.index_tuples(e, n)]
             u.heads = [_parts(f, cubes) for f in heads]
-            u.next_heads = [_parts(fam.reference_fn(e, n + 1, idx), cubes)
-                            for idx in fam.index_tuples(e, n + 1)]
+            u.next_heads = [_parts(f, cubes) for _, f in fam.reference_section(e, n + 1)]
             allowed = _allowed_cubes(fam, e)
             for f in heads:
                 for copy in _copies(f):
@@ -519,7 +526,7 @@ def _reference_sums(fam):
             heads = [fam.fn(TermId(u.head, n, idx)) for idx in fam.index_tuples(e, n)]
             next_ids = list(fam.index_tuples(e, n + 1))
             nexts = [fam.fn(TermId(u.head, n + 1, idx)) if n < fam.depth
-                     else fam.reference_fn(e, n + 1, idx) for idx in next_ids]
+                     else next(fam.reference_section(e, n + 1, idx))[1] for idx in next_ids]
             tail_ids = list(fam.index_tuples(e + 1, n))
             tails = [fam.fn(TermId(u.tail, n, idx)) for idx in tail_ids]
             parts = {k: [t.restrict(k) for t in tails] for k in cubes}
