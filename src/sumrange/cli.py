@@ -116,9 +116,11 @@ _FIELD_PARSERS = {
 
 def _read_config(path: str) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path}: not UTF-8 text: {exc}") from exc
     out = {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -218,9 +220,11 @@ def _make_schedule(fam, cfg: RunConfig) -> Schedule:
 
 def _read_order(path: str) -> list:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     ids = []
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()

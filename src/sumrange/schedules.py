@@ -286,12 +286,6 @@ class Trace:
     def markers(self) -> list[TraceRow]:
         return [row for row in self.rows if row.is_marker]
 
-    def marker(self, block: str) -> TraceRow:
-        for row in self.rows:
-            if row.is_marker and row.block == block:
-                return row
-        raise KeyError(f"no marker for block {block!r}")
-
     @property
     def final_deviations(self) -> tuple[Fraction, ...]:
         return self.rows[-1].deviations

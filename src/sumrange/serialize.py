@@ -393,9 +393,11 @@ def dump_matrix(spec: TransformSpec, path: str | Path) -> None:
 
 def load_matrix(path: str | Path) -> TransformSpec:
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("format") != MATRIX_FORMAT:

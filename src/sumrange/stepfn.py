@@ -14,20 +14,20 @@ that stand for the box with [lo/D_k, hi/D_k) on each listed coordinate
 and the value v/V.  Sums, products and comparisons first bring their
 operands onto one lattice (the lcm of the denominators, coordinate by
 coordinate); an operand whose lattice is already that one is used as it
-is.  The public view of `Box`/`Interval`/`Fraction` terms is built from
-the entries the first time a caller reads `terms`.
+is.  The entries are the only representation: `Box` and `Interval` are
+the constructor's input types, and measurements build a `Fraction` only
+for the number they return.
 
 Canonical form, per cube: boxes are pairwise disjoint, no box carries the
 value 0, constraints spanning the whole unit interval are dropped, and
 adjacent cells whose residual structure coincides are re-merged greedily
-coordinate by coordinate (smallest coordinate outermost).  Two functions
-on the same domain agree almost everywhere iff their canonical term lists
-are identical.  The canonical form does not depend on the lattice it was
-computed on: a finer lattice multiplies every endpoint of a coordinate
-by one factor, which keeps their order and equalities, so the sweep cuts
-and merges in the same places.  On a common lattice the integer entries
-of two canonical functions are therefore equal exactly when their
-`Fraction` terms are, and ``==`` is exact a.e. equality.
+coordinate by coordinate (smallest coordinate outermost).  The canonical
+form does not depend on the lattice it was computed on: a finer lattice
+multiplies every endpoint of a coordinate by one factor, which keeps
+their order and equalities, so the sweep cuts and merges in the same
+places.  Two functions on the same domain therefore agree almost
+everywhere iff their entries are equal once both are brought onto one
+lattice, and ``==`` is exact a.e. equality.
 
 The sweep (`_sweep`) canonicalizes any list of boxes: the raw boxes of
 the constructor, of `multiply` and of the loader, and the n-ary sums of
@@ -46,14 +46,12 @@ integers without building a `Fraction`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 Rational = Union[Fraction, int, str]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class DomainError(ValueError):
@@ -69,13 +67,6 @@ class Interval(NamedTuple):
 
     lo: Fraction
     hi: Fraction
-
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
-
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x < self.hi
 
 
 def make_interval(lo: Rational, hi: Rational) -> Interval:
@@ -93,16 +84,6 @@ class Box(NamedTuple):
 
     cube: int
     bounds: tuple[Bound, ...]
-
-    @property
-    def measure(self) -> Fraction:
-        m = _ONE
-        for _, iv in self.bounds:
-            m *= iv.length
-        return m
-
-    def contains(self, point: Mapping[int, Fraction]) -> bool:
-        return all(iv.contains(point.get(coord, _ZERO)) for coord, iv in self.bounds)
 
 
 def make_bounds(spec: Mapping[int, tuple[Rational, Rational]]) -> tuple[Bound, ...]:
@@ -476,7 +457,7 @@ def _intersect(a: LatticeBounds, b: LatticeBounds) -> LatticeBounds | None:
 class StepFunction:
     """Canonical rational step function on an ordered tuple of cubes."""
 
-    __slots__ = ("_domain", "_entries", "_dens", "_vden", "_view", "_hash")
+    __slots__ = ("_domain", "_entries", "_dens", "_vden", "_hash")
 
     def __init__(self, domain: Sequence[int], terms: Iterable[tuple[Box, Rational]] = ()):
         dom = tuple(int(c) for c in domain)
@@ -497,7 +478,6 @@ class StepFunction:
         self._entries = entries
         self._dens = dens
         self._vden = vden
-        self._view = None
         self._hash = None
 
     @classmethod
@@ -532,19 +512,16 @@ class StepFunction:
         return self._domain
 
     @property
-    def terms(self) -> tuple[tuple[Box, Fraction], ...]:
-        """The canonical terms as (`Box`, value) pairs of exact `Fraction`s."""
-        view = self._view
-        if view is None:
-            dens, vden = self._dens, self._vden
-            view = self._view = tuple(
-                (Box(cube, tuple((c, Interval(Fraction(lo, dens[c]), Fraction(hi, dens[c])))
-                                 for c, lo, hi in bounds)), Fraction(v, vden))
-                for cube, bounds, v in self._entries)
-        return view
+    def terms(self) -> tuple[Entry, ...]:
+        """The canonical entries (cube, ((k, lo, hi), ...), v), as `_entries`.
+
+        Kept only because the benchmark tracer takes the length of this
+        property after each constructor call; it goes with that read.  Use
+        `box_count()` instead."""
+        return self._entries
 
     def box_count(self) -> int:
-        """Number of boxes in the canonical form, `len(self.terms)`."""
+        """Number of boxes in the canonical form."""
         return len(self._entries)
 
     def support_cubes(self) -> frozenset[int]:
@@ -745,12 +722,14 @@ class StepFunction:
         return frozenset({(cube, c) for cube, bounds, _ in self._entries for c, _, _ in bounds})
 
     def evaluate(self, cube: int, point: Mapping[int, Fraction]) -> Fraction:
+        """The value at `point` of `cube`; a coordinate `point` omits is 0."""
         self._require_cube(cube)
-        total = _ZERO
-        for b, v in self.terms:
-            if b.cube == cube and b.contains(point):
+        dens = self._dens
+        total = 0
+        for cu, bounds, v in self._entries:
+            if cu == cube and all(lo <= point.get(c, 0) * dens[c] < hi for c, lo, hi in bounds):
                 total += v
-        return total
+        return Fraction(total, self._vden)
 
     def restrict(self, cube: int) -> "StepFunction":
         """The same function viewed on a single cube of the domain."""
@@ -800,28 +779,15 @@ class StepFunction:
                 == _rescaled(other._entries, _factors(other._dens, dens), vden // other._vden))
 
     def __hash__(self) -> int:
-        # the Fraction terms do not depend on the lattice, as equality does not
+        # equal canonical forms on different lattices have the same cubes
+        # and coordinates, entry for entry: only endpoints and values scale
         if self._hash is None:
-            self._hash = hash((self._domain, self.terms))
+            self._hash = hash((self._domain, tuple((cube, tuple([c for c, _, _ in bounds]))
+                                                   for cube, bounds, _ in self._entries)))
         return self._hash
 
     def __repr__(self) -> str:
         return f"StepFunction(domain={self._domain}, boxes={len(self._entries)})"
-
-
-@lru_cache(maxsize=None)
-def equal_cells(size: int) -> tuple[Interval, ...]:
-    """The partition of [0,1) into `size` equal half-open cells."""
-    if size < 1:
-        raise ValueError(f"cell count must be positive, got {size}")
-    return tuple(Interval(Fraction(i, size), Fraction(i + 1, size)) for i in range(size))
-
-
-def cell(index: int, size: int) -> Interval:
-    """Cell number `index` (1-based) of the equal partition into `size` cells."""
-    if not 1 <= index <= size:
-        raise ValueError(f"cell index {index} out of range 1..{size}")
-    return equal_cells(size)[index - 1]
 
 
 # --- convenience constructors ----------------------------------------------
@@ -846,15 +812,6 @@ def cube_constants(domain: Sequence[int], values: Mapping[int, Rational]) -> Ste
     return StepFunction(domain, terms)
 
 
-def step_on_coord(domain: Sequence[int], cube: int, coord: int,
-                  pieces: Iterable[tuple[Rational, Rational, Rational]]) -> StepFunction:
-    """Piecewise function of one coordinate: pieces are (lo, hi, value)."""
-    terms = []
-    for lo, hi, v in pieces:
-        terms.append((Box(int(cube), make_bounds({coord: (lo, hi)})), v))
-    return StepFunction(domain, terms)
-
-
 def sum_functions(fns: Iterable[StepFunction], domain: Sequence[int] | None = None) -> StepFunction:
     """Exact sum of many functions, canonicalized once."""
     fns = list(fns)
@@ -871,28 +828,29 @@ def sum_functions(fns: Iterable[StepFunction], domain: Sequence[int] | None = No
     return StepFunction._summed(dom, fns)
 
 
+# ChunkedSum folds its pending functions in every _CHUNK additions.  The
+# chunk is small because the pending functions are what the cyclic
+# garbage collector keeps scanning: each holds its entry tuples.  With a
+# chunk of 4096 the blocks traces of multipoint(4, 3) set off 2,785 young
+# and 23 full collections, with 128 only 495 and 4.  Best of six runs of
+# those traces on a 2-vCPU host, in CPU seconds: 1.06 at 32, 1.01 at 64,
+# 0.93 at 128, 1.05 at 256, 1.16 at 512 and 1.34 at 4096; smaller chunks
+# fold the running total in more often.
+_CHUNK = 128
+
+
 class ChunkedSum:
-    """Running sum of many functions, compacted every `chunk` additions
-    so memory stays bounded while long streams are folded in.
+    """Running sum of many functions, compacted every `_CHUNK` additions
+    so memory stays bounded while long streams are folded in."""
 
-    The default chunk is small because the pending functions are what
-    the cyclic garbage collector keeps scanning: each holds its entry
-    tuples.  With a chunk of 4096 the blocks traces of multipoint(4, 3)
-    set off 2,785 young and 23 full collections, with 128 only 495 and
-    4.  Best of six runs of those traces on a 2-vCPU host, in CPU
-    seconds: 1.06 at 32, 1.01 at 64, 0.93 at 128, 1.05 at 256, 1.16 at
-    512 and 1.34 at 4096; smaller chunks fold the running total in more
-    often."""
-
-    def __init__(self, domain: Sequence[int], chunk: int = 128):
+    def __init__(self, domain: Sequence[int]):
         self._domain = tuple(int(c) for c in domain)
-        self._chunk = chunk
         self._pending: list[StepFunction] = []
         self._total: StepFunction | None = None
 
     def add(self, f: StepFunction) -> None:
         self._pending.append(f)
-        if len(self._pending) >= self._chunk:
+        if len(self._pending) >= _CHUNK:
             self._compact()
 
     def _compact(self) -> None:

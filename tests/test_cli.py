@@ -336,6 +336,22 @@ def test_config_rejects_bad_line_and_missing_file(tmp_path, capsys):
     assert run(capsys, "trace", "--config", str(tmp_path / "absent.cfg"))[0] == 2
 
 
+@pytest.mark.parametrize("flag, argv, want", [
+    ("--matrix", ("transform", "--flavor", "kadets", "--levels", "2"), 3),
+    ("--order", ("trace", "--flavor", "kadets", "--levels", "1", "--schedule", "custom"), 3),
+    ("--config", ("trace",), 2),
+], ids=["matrix", "order", "config"])
+def test_input_files_that_are_not_utf8_are_refused(flag, argv, want, tmp_path, capsys):
+    # a parse error (3) or a configuration error (2), never the exit 1 of
+    # a failed check, and one error line instead of a traceback
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("levels = 2 # défaut\n".encode("latin-1"))
+    code, _, err = run(capsys, *argv, flag, str(bad))
+    assert code == want
+    assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+    assert "not UTF-8" in err
+
+
 # --- lemmas -----------------------------------------------------------------
 
 

@@ -33,12 +33,12 @@ from sumrange.stepfn import (
     Box,
     Interval,
     StepFunction,
-    cell,
     constant,
     cube_constants,
     indicator,
     sum_functions,
 )
+from test_stepfn import fraction_terms
 
 F = Fraction
 
@@ -265,6 +265,9 @@ def formula_terms(fam, g, n, index):
             pos = (pos - 1) * count(h - 1, n + 1) + prefix[h]
         return pos
 
+    def cell(i, size):  # cell i (1-based) of the equal partition of [0, 1)
+        return Interval(F(i - 1, size), F(i, size))
+
     def piece(cube, value, *cells):
         bounds = tuple((coord, cell(i, size)) for coord, i, size in cells)
         return Box(cube, bounds), value
@@ -281,7 +284,7 @@ def formula_terms(fam, g, n, index):
         pieces.append(piece(2 * g, F(1, count(g - 1, n + 1)),
                             (n, flat(index[:-1]), count(g - 1, n))))
         pieces.append(piece(2 * g + 1, F(1), (n, flat(index), count(g, n))))
-    return StepFunction(fam.domain, pieces).terms
+    return fraction_terms(StepFunction(fam.domain, pieces))
 
 
 @pytest.mark.parametrize("make", [
@@ -301,8 +304,8 @@ def test_every_term_matches_the_formulas(make):
                 t = next(ids)
                 assert t == TermId(kind, n, index)
                 want = formula_terms(fam, g, n, index)
-                assert f.terms == want, str(t)
-                assert fam.fn(t).terms == want, str(t)
+                assert fraction_terms(f) == want, str(t)
+                assert fraction_terms(fam.fn(t)) == want, str(t)
                 checked += 1
     assert next(ids, None) is None
     assert checked == fam.term_count()
@@ -312,7 +315,7 @@ def test_every_term_matches_the_formulas(make):
         heads = list(fam.reference_section(g, n))
         assert [index for index, _ in heads] == list(fam.index_tuples(g, n))
         for index, f in heads:
-            assert f.terms == formula_terms(fam, g, n, index)
+            assert fraction_terms(f) == formula_terms(fam, g, n, index)
 
 
 # --- sections ---------------------------------------------------------------
@@ -462,7 +465,7 @@ def test_f_terms_live_on_first_cube_only():
 def test_g_term_exact_pieces():
     fam = build_three_kadets(3)
     g12 = fam.fn(tid("g", 1, 1, 2))
-    assert g12.terms == (
+    assert fraction_terms(g12) == (
         (Box(1, ((2, Interval(F(1, 2), F(1))),)), F(-1)),
         (Box(2, ()), F(1, 2)),
         (Box(3, ((1, Interval(F(1, 2), F(1))),)), F(1)),
@@ -476,7 +479,7 @@ def test_g_term_exact_pieces():
 def test_h_term_exact_pieces():
     fam = build_three_kadets(3)
     h123 = fam.fn(tid("h", 1, 1, 2, 3))
-    assert h123.terms == (
+    assert fraction_terms(h123) == (
         (Box(2, ()), F(-1, 12)),
         (Box(3, ((1, Interval(F(1, 2), F(1))), (2, Interval(F(1, 3), F(1, 2))))), F(-1)),
     )
@@ -591,7 +594,7 @@ def test_formula_terms_are_already_canonical():
                tid("d3", 1, 1, 2, 3, 40)]
     for t in samples:
         f = four.fn(t)
-        assert StepFunction(f.domain, f.terms).terms == f.terms
+        assert fraction_terms(StepFunction(f.domain, fraction_terms(f))) == fraction_terms(f)
 
 
 def test_multipoint_level_sums_vanish():

@@ -76,6 +76,20 @@ built("blocks", metrics, since_yields)
 print("blocks cubes*blocks", len(fam.domain) * sum(1 for _ in sch.blocks()))
 print("blocks terms", sch.term_count)
 
+# from here on, count the Intervals built: the constructor's input type,
+# which a traced function must not build again from its entries
+import sumrange.stepfn as stepfn
+intervals = []
+
+class CountedInterval(stepfn.Interval):
+    __slots__ = ()
+
+    def __new__(cls, lo, hi):
+        intervals.append(1)
+        return super().__new__(cls, lo, hi)
+
+stepfn.Interval = CountedInterval
+
 # a clean multipoint(4, 1) written, loaded and verified: the calls each step adds
 import os, tempfile
 from sumrange.serialize import dump_family, load_family
@@ -83,19 +97,35 @@ with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "m.family")
     dump_family(fam, path)
     before = layer_metrics(tracer, 0.0)
+    since_intervals = len(intervals)
     loaded = load_family(path)
 after_load = layer_metrics(tracer, 0.0)
+after_load_intervals = len(intervals)
 since_yields = len(yields)
 assert verify_family(loaded).ok
 after_verify = layer_metrics(tracer, 0.0)
 print("load stepfn.StepFunction",
       after_load["stepfn.StepFunction.calls"] - before["stepfn.StepFunction.calls"])
+print("load intervals", after_load_intervals - since_intervals)
+print("verify intervals", len(intervals) - after_load_intervals)
 print("verify stepfn.multiply",
       after_verify["stepfn.multiply.calls"] - after_load["stepfn.multiply.calls"])
 print("verify stepfn.restrict",
       after_verify["stepfn.restrict.calls"] - after_load["stepfn.restrict.calls"])
 built("verify", after_load, since_yields)
 print("verify terms", loaded.term_count())
+
+# a function built through the traced constructor from boxes made
+# beforehand, then counted, measured, evaluated and hashed
+from fractions import Fraction
+boxes = [(stepfn.Box(1, stepfn.make_bounds({1: (0, "1/2"), 2: ("1/3", 1)})), 2),
+         (stepfn.Box(1, stepfn.make_bounds({1: ("1/4", 1)})), -1)]
+since_intervals = len(intervals)
+f = stepfn.StepFunction((1,), boxes)
+assert f.box_count() == 4 and f.moment(1) == Fraction(13, 12)
+assert f.evaluate(1, {1: Fraction(1, 3), 2: Fraction(1, 2)}) == 1
+hash(f)
+print("built intervals", len(intervals) - since_intervals)
 
 # steps traces on one cube and on three: the moments each one computes
 for fam in (build_kadets(3), build_three_kadets(3)):
@@ -155,12 +185,19 @@ def test_loaded_family_verifies_without_fractions_per_term(traced_run):
     # loading parses straight onto the lattice, the product-structure check
     # compares one-box parts without multiplying, and the verifier fetches
     # each term once and splits it by cube without one-cube copies
-    assert traced_run["load"] == {"stepfn.StepFunction": 0}
+    assert traced_run["load"] == {"stepfn.StepFunction": 0, "intervals": 0}
     verify = traced_run["verify"]
     assert verify["stepfn.multiply"] == 0
     assert verify["stepfn.restrict"] == 0
     assert verify["families.fn"] == 0
     assert verify["section"] == verify["section distinct"] == verify["terms"]
+    assert verify["intervals"] == 0
+
+
+def test_traced_functions_build_no_fraction_view(traced_run):
+    # a function holds only its lattice entries: the tracer's box count,
+    # measurements, evaluation and hashing build no `Interval` from them
+    assert traced_run["built"] == {"intervals": 0}
 
 
 def test_steps_trace_measures_only_touched_cubes(traced_run):
