@@ -49,6 +49,7 @@ from .serialize import (
     dump_family,
     load_family,
     load_matrix,
+    sectioned_family,
 )
 from .stepfn import DomainError, as_fraction
 from .verify import verify_family
@@ -189,8 +190,17 @@ def cmd_build(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     if not cfg.family:
         raise ConfigError("verify needs --family FILE")
-    fam = load_family(cfg.family, max_terms=cfg.max_terms)
-    report = verify_family(fam, max_terms=cfg.max_terms)
+    # a file in the writer's layout holding exactly the family's terms in
+    # order is verified a section at a time, with no table; every other
+    # file, and every error on the way, is the table path's to decide
+    try:
+        fam = sectioned_family(cfg.family, max_terms=cfg.max_terms)
+        report = None if fam is None else verify_family(fam, max_terms=cfg.max_terms)
+    except (OSError, ValueError, KeyError):  # ParseError, ConfigError and the like
+        report = None
+    if report is None:
+        fam = load_family(cfg.family, max_terms=cfg.max_terms)
+        report = verify_family(fam, max_terms=cfg.max_terms)
     for line in report.lines():
         print(line)
     if cfg.out:

@@ -50,7 +50,9 @@ F_0..F_{g-2} and the index from it, and builds the boxes that read
 them once; its inner loop steps ig and builds only the boxes that read
 F_g or ig.  A whole index is a one-term section, and `fn(tid)` reads
 one term that way.  A table-backed family looks its section up in
-index order; a transformed one shifts the section of its base.
+index order, or, when `serialize` reads a whole family file for the
+verifier, parses it from the file; a transformed one shifts the section
+of its base.
 
 Shape.  A family's shape follows from r and whether it carries an affine
 transform, and `Family` alone derives it.  The classic two-kind family
@@ -223,7 +225,8 @@ class Family:
     Terms are produced from the generation formulas on demand.  A family
     with a `base` shifts the base's terms by the transform of their cube
     averages; one with a `table` (a loaded file, or `with_replaced`) reads
-    its terms from the table.
+    its terms from the table.  `serialize.sectioned_family` gives a
+    table-backed family whose sections are read from its file instead.
     """
 
     def __init__(self, points: int, depth: int,
@@ -248,6 +251,10 @@ class Family:
             raise ConfigError(f"matrix dimension {transform.dim} != "
                               f"{points - 1} independent cube values")
         self._table = dict(table) if table is not None else None
+        # where a table-backed family reads its sections, called with the
+        # family: the table, or the file that `serialize.sectioned_family`
+        # sets here
+        self._sections = Family._looked_up if table is not None else None
         self._base = base
         self._transform = transform
         self._flat_sizes: dict[tuple[int, int], int] = {}
@@ -391,9 +398,9 @@ class Family:
         # a generation outside the family is _prefix_reads' KeyError
         if 0 <= g < self.points and not 1 <= n <= self.depth:
             raise KeyError(f"level of {TermId(self._kinds[g], n, prefix)} outside 1..{self.depth}")
-        if self._table is not None:
+        if self._sections is not None:
             self._prefix_reads(g, n, prefix)
-            return self._looked_up(g, n, prefix)
+            return self._sections(self, g, n, prefix)
         if self._base is not None:
             return ((i, _transformed_fn(self, f)) for i, f in self._base.section(g, n, prefix))
         return self.reference_section(g, n, prefix)
@@ -499,12 +506,13 @@ class Family:
 
     @property
     def is_table_backed(self) -> bool:
-        return self._table is not None
+        return self._sections is not None
 
     def table_ids(self) -> Iterator[TermId]:
-        if self._table is None:
+        if self._sections is None:
             raise StructuralError("family has no explicit term table")
-        return iter(self._table)
+        # a family read from its file holds exactly its own ids
+        return iter(self._table) if self._table is not None else self.term_ids()
 
     def __repr__(self) -> str:
         return (f"Family(flavor={self.flavor!r}, points={self.points}, "

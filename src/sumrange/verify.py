@@ -259,16 +259,35 @@ def _check_growth(fam: Family, report: AxiomReport) -> None:
 
 
 def _check_table_complete(fam: Family, report: AxiomReport) -> bool:
-    wanted = set(fam.term_ids())
-    have = set(fam.table_ids())
-    missing = wanted - have
-    for tid in sorted(missing):
+    table = fam._table
+    if table is None:
+        # read from a file whose term ids were checked, in order, first
+        report.record("table-complete", f"{fam.term_count()} terms", True)
+        return True
+    # no id sets: missing ids are table lookups, unexpected ids are judged
+    # by the family's shape, and only the failures are sorted
+    missing = sorted(tid for tid in fam.term_ids() if tid not in table)
+    ranges = {(kind, n): fam.index_ranges(g, n)
+              for n in range(1, fam.depth + 1) for g, kind in enumerate(fam.kinds)}
+    unexpected = sorted(tid for tid in table if not _is_term(tid, ranges))
+    for tid in missing:
         report.record("table-complete", str(tid), False, "term missing from table")
-    for tid in sorted(have - wanted):
+    for tid in unexpected:
         report.record("table-complete", str(tid), False, "unexpected term in table")
-    if wanted == have:
-        report.record("table-complete", f"{len(wanted)} terms", True)
+    if not missing and not unexpected:
+        report.record("table-complete", f"{fam.term_count()} terms", True)
     return not missing
+
+
+def _is_term(tid, ranges: dict) -> bool:
+    """Whether `tid` equals a term id of the family whose index ranges by
+    (kind, level) are `ranges`."""
+    if not isinstance(tid, tuple) or len(tid) != 3:
+        return False
+    kind, n, index = tid
+    top = ranges.get((kind, n))
+    return top is not None and isinstance(index, tuple) and len(index) == len(top) \
+        and all(i in range(1, t + 1) for i, t in zip(index, top))
 
 
 def _split(fam: Family, g: int, n: int) -> Iterator[dict]:

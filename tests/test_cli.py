@@ -218,6 +218,26 @@ def test_verify_rejects_transformed(tmp_path, capsys):
     assert "untransformed" in err
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", ["build", "verify", "lemmas", "trace"])
+def test_unwritable_out_is_a_config_error(command, target, tmp_path, capsys):
+    family = tmp_path / "k.family"
+    dump_family(build_kadets(1), family)
+    out = tmp_path / "missing" / "x" if target == "missing-dir" else tmp_path / "adir"
+    if target == "directory":
+        out.mkdir()
+    argv = {"build": ("build", "--flavor", "kadets", "--levels", "1"),
+            "verify": ("verify", "--family", str(family)),
+            "lemmas": ("lemmas", "--suite", "fiber", "--cases", "2"),
+            "trace": ("trace", "--flavor", "kadets", "--levels", "1")}[command]
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    # no temporary file is left beside the family file or the directory
+    left = {"k.family", "adir"} if target == "directory" else {"k.family"}
+    assert {p.name for p in tmp_path.iterdir()} == left
+
+
 # --- trace ------------------------------------------------------------------
 
 

@@ -190,26 +190,22 @@ def layouts(obj) -> dict[str, str]:
             "indented": json.dumps(obj, indent=2)}
 
 
-def test_family_corruption(tmp_path):
+def family_corruptions() -> dict[str, str]:
+    """Kadets(1) family files that `load_family` refuses, by name: each
+    mutation, and each that is a JSON object again in every layout."""
     fam = build_kadets(1)
-    path = tmp_path / "fam.json"
-    dump_family(fam, path)
-    text = path.read_text()
+    text = "".join(family_to_lines(fam))
+    out = {}
 
     def reject(mutated, name):
-        p = tmp_path / name
-        p.write_text(mutated)
-        with pytest.raises(ParseError):
-            load_family(p)
+        out[name] = mutated
         try:
             obj = json.loads(mutated)
         except ValueError:
             return
         if isinstance(obj, dict):  # and the same document in every layout
-            for other in layouts(obj).values():
-                p.write_text(other)
-                with pytest.raises(ParseError):
-                    load_family(p)
+            for layout, other in layouts(obj).items():
+                out[f"{name}-{layout}"] = other
 
     for layout, whole in layouts(json.loads(text)).items():
         reject(whole[: len(whole) // 2], f"truncated-{layout}.json")
@@ -236,6 +232,13 @@ def test_family_corruption(tmp_path):
     obj["terms"].append(dict(obj["terms"][0]))
     reject(json.dumps(obj), "dup.json")
     reject("[1,2,3]", "notobj.json")
+    return out
+
+
+def test_family_corruption(tmp_path):
+    for name, mutated in family_corruptions().items():
+        with pytest.raises(ParseError):
+            load_family(write_text(tmp_path, name, mutated))
     with pytest.raises(ParseError):
         load_family(tmp_path / "missing.json")
 

@@ -26,7 +26,8 @@ from sumrange.families import (
 from sumrange.serialize import dump_family, family_to_lines, load_family
 from sumrange.stepfn import StepFunction, cube_constants, indicator, sum_functions
 from sumrange.verify import (
-    CHECKS, COLUMN, COUPLING, HEAD, HEADS, MID, ROW, TAIL, TAILS, _Unit, verify_family)
+    CHECKS, COLUMN, COUPLING, HEAD, HEADS, MID, ROW, TAIL, TAILS, AxiomReport, _Unit,
+    _check_table_complete, verify_family)
 
 PAIR_CHECKS = {
     "partition-sums-to-one", "cell-norm", "single-coordinate",
@@ -193,6 +194,39 @@ def test_missing_table_entry_detected(tmp_path):
     assert failing_checks(report) == {"table-complete"}
     missing = [c for c in report.failures() if c.check == "table-complete"]
     assert len(missing) == 1
+
+
+def _set_table_complete(fam, report):
+    """table-complete as id sets decide it: the reference for the set-free check."""
+    wanted, have = set(fam.term_ids()), set(fam.table_ids())
+    for tid in sorted(wanted - have):
+        report.record("table-complete", str(tid), False, "term missing from table")
+    for tid in sorted(have - wanted):
+        report.record("table-complete", str(tid), False, "unexpected term in table")
+    if wanted == have:
+        report.record("table-complete", f"{len(wanted)} terms", True)
+    return wanted <= have
+
+
+@pytest.mark.parametrize("removed,added", [
+    ((), ()),
+    ((TermId("h", 2, (1, 2, 3)), TermId("f", 1, (1,))), ()),
+    ((), (TermId("h", 1, (1, 1, 99)), TermId("x", 1, (1,)), TermId("f", 3, (1,)),
+          TermId("f", 0, (1,)), TermId("f", 1, (1, 1)), TermId("g", 1, (1,)))),
+    # equal ids of other types count as present; unequal ones do not
+    ((TermId("f", 1, (1,)),), (TermId("f", 1.0, (1,)),)),
+    ((TermId("g", 2, (1, 2)),), (("g", True + 1, (1, 2.0)),)),
+    ((), (TermId("f", 1.5, (1,)), TermId("g", 1, (1, 1.5)), TermId("g", 1, (1, 0)))),
+], ids=["complete", "missing", "unexpected", "float-level", "plain-tuple", "non-integers"])
+def test_table_complete_matches_the_id_sets(removed, added):
+    fam = build_three_kadets(2)
+    f = fam.fn(TermId("f", 1, (1,)))
+    table = {tid: fam.fn(tid) for tid in fam.term_ids() if tid not in removed}
+    table.update((tid, f) for tid in added)
+    holey = Family(fam.points, fam.depth, fam.sizes, table=table)
+    got, want = AxiomReport(), AxiomReport()
+    assert _check_table_complete(holey, got) == _set_table_complete(holey, want)
+    assert got.lines() == want.lines()
 
 
 def test_loaded_table_verifies(tmp_path):
