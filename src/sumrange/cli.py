@@ -17,10 +17,10 @@ import re
 import signal
 import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 from . import analysis
 from .families import (
@@ -55,8 +55,7 @@ from .stepfn import DomainError, as_fraction
 from .verify import verify_family
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     flavor: str = "kadets"
     levels: int = 4
     r: int = 4
@@ -140,15 +139,15 @@ def _read_config(path: str) -> dict:
 def _merge(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
-        cfg = replace(cfg, **_read_config(args.config))
+        cfg = cfg._replace(**_read_config(args.config))
     overrides = {}
-    for field in fields(RunConfig):
-        raw = getattr(args, field.name, None)
+    for name in RunConfig._fields:
+        raw = getattr(args, name, None)
         if raw is not None:
-            overrides[field.name] = _FIELD_PARSERS[field.name](raw)
-    cfg = replace(cfg, **overrides)
+            overrides[name] = _FIELD_PARSERS[name](raw)
+    cfg = cfg._replace(**overrides)
     if cfg.flavor == "multi":
-        cfg = replace(cfg, flavor="multipoint")
+        cfg = cfg._replace(flavor="multipoint")
     if cfg.flavor not in ("kadets", "three-kadets", "multipoint"):
         raise ConfigError(f"unknown flavor {cfg.flavor!r}")
     if cfg.record not in ("steps", "blocks"):
@@ -170,7 +169,8 @@ def _load_or_build(cfg: RunConfig):
 
 
 def _write_lines(path: str, lines) -> None:
-    atomic_write_lines(path, [line + "\n" for line in lines])
+    """Write the lines, each as it comes, with a line end added."""
+    atomic_write_lines(path, (line + "\n" for line in lines))
 
 
 # --- commands ---------------------------------------------------------------
@@ -269,7 +269,10 @@ def cmd_trace(cfg: RunConfig) -> int:
 def cmd_lemmas(cfg: RunConfig) -> int:
     names = list(analysis.SUITES) if cfg.suite == "all" else [cfg.suite]
     if cfg.jobs > 1:
-        # the pool starts all its workers at the first submit
+        # imported only here, as its modules would add to every command's
+        # start-up; the pool starts all its workers at the first submit
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(names))) as pool:
             futures = [pool.submit(analysis.run_suite, n, cfg.cases, cfg.seed) for n in names]
             reports = [f.result() for f in futures]
@@ -279,8 +282,9 @@ def cmd_lemmas(cfg: RunConfig) -> int:
         for line in report.lines():
             print(line)
     if cfg.out:
-        _write_lines(cfg.out, ["suite,case,hypothesis_ok,conclusion_ok,witness"]
-                     + [f"{r.name},{row}" for r in reports for row in r.csv_lines()[1:]])
+        _write_lines(cfg.out, chain(["suite,case,hypothesis_ok,conclusion_ok,witness"],
+                                    (f"{r.name},{row}" for r in reports
+                                     for row in r.csv_lines()[1:])))
     ok = all(r.ok for r in reports)
     total = sum(len(r.cases) for r in reports)
     print(f"{'OK' if ok else 'FAILED'}: {total} cases across {len(reports)} suites")
@@ -307,9 +311,8 @@ def _trace_point(fam, sch: Schedule, max_terms: int
 def _transform_point(payload) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
     """Worker: rebuild the transformed family, then trace one of its
     convergent schedules."""
-    cfg_fields, matrix_path, index = payload
-    cfg = RunConfig(**cfg_fields)
-    fam = apply_transform(_load_or_build(cfg), load_matrix(matrix_path),
+    cfg, index = payload
+    fam = apply_transform(_load_or_build(cfg), load_matrix(cfg.matrix),
                           max_terms=cfg.max_terms)
     return _trace_point(fam, _convergent_schedules(fam)[index], cfg.max_terms)
 
@@ -325,8 +328,9 @@ def cmd_transform(cfg: RunConfig) -> int:
         print(f"wrote {cfg.out}: transformed {base.structure} depth {fam.depth}")
     schedules = _convergent_schedules(fam)
     if cfg.jobs > 1:
-        cfg_fields = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
-        payloads = [(cfg_fields, cfg.matrix, i) for i in range(len(schedules))]
+        from concurrent.futures import ProcessPoolExecutor  # as in cmd_lemmas
+
+        payloads = [(cfg, i) for i in range(len(schedules))]
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(payloads))) as pool:
             results = list(pool.map(_transform_point, payloads))
     else:

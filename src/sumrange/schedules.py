@@ -16,7 +16,7 @@ point block is its head and column members, one run each, then every
 later generation under each last member as one prefix run; the ramp is
 whole (generation, level) runs.  `Block.ids` and `Schedule.term_ids`
 list the term ids the runs stand for.  Traces read the runs through
-`section` and build a `TermId` only for a row they write.
+`section` and build a `TermId` only for a row that is read or written.
 
 Traces record, per step or per block boundary, the exact per-cube
 moment of (partial sum - target) as a `Fraction`, plus the number of
@@ -33,13 +33,24 @@ running deviation; its total is the deviation at the block's end.  The
 canonical form is computed cube by cube, so restricting that total to a
 cube (once per cube and block) gives the same per-cube function, moment
 and box count as steps mode at the block's last term.
+
+A `Trace` is held by column, in both modes.  Each row keeps its step,
+the generation and level of its term in `array('q')`s, the index tuple
+that `section` yielded, and its block number; each cube keeps a list of
+deviations, into which a carried-over cube appends the same `Fraction`
+again, and an `array('q')` of box counts.  `Trace.rows` is a read-only
+sequence that builds each `TraceRow` when it is read, and
+`to_csv_lines` yields its lines from the columns, so a trace is written
+without a second copy of it.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .families import (
     MAX_TERMS,
@@ -271,47 +282,128 @@ class TraceRow(NamedTuple):
     box_counts: tuple[int, ...]
 
 
+class TraceRows(Sequence):
+    """The rows of a trace, read-only.  Indexing and iteration build each
+    `TraceRow` from the trace's columns when asked and keep none."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: Trace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace._steps)
+
+    def __getitem__(self, i: int) -> TraceRow:
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("trace row index out of range")
+        return self._trace._row(i % n)
+
+    def __iter__(self) -> Iterator[TraceRow]:
+        return map(self._trace._row, range(len(self)))
+
+
 class Trace:
-    """Per-cube deviation history of one schedule run."""
+    """Per-cube deviation history of one schedule run, held by column:
+    row i is step `_steps[i]`, the term of generation `_gens[i]` at level
+    `_levels[i]` with index `_indices[i]`, in block `_block_of[i]` (a
+    number into `_blocks`, of (label, level) pairs); its deviation and box
+    count on cube number ci are `_deviations[ci][i]` and
+    `_box_counts[ci][i]`.  A row is its block's marker when it is the
+    block's last."""
 
     def __init__(self, schedule: Schedule, target: tuple[Fraction, ...], p: int,
-                 record: str, rows: list[TraceRow]):
+                 record: str):
         self.schedule = schedule
         self.family = schedule.family
         self.target = target
         self.p = p
         self.record = record
-        self.rows = rows
+        self._steps = array("q")
+        self._gens = array("q")
+        self._levels = array("q")
+        self._indices: list[tuple[int, ...]] = []
+        self._block_of = array("q")
+        self._blocks: list[tuple[str, int | None]] = []
+        cubes = len(self.family.domain)
+        self._deviations: list[list[Fraction]] = [[] for _ in range(cubes)]
+        self._box_counts = [array("q") for _ in range(cubes)]
+
+    def _append(self, step: int, g: int, n: int, index: tuple[int, ...],
+                deviations: Sequence[Fraction], box_counts: Sequence[int]) -> None:
+        """One row, in the block after the last closed one."""
+        self._steps.append(step)
+        self._gens.append(g)
+        self._levels.append(n)
+        self._indices.append(index)
+        self._block_of.append(len(self._blocks))
+        for column, d in zip(self._deviations, deviations):
+            column.append(d)
+        for column, b in zip(self._box_counts, box_counts):
+            column.append(b)
+
+    def _close_block(self, block: Block) -> None:
+        """Name the rows appended since the last closed block, if any."""
+        if self._block_of and self._block_of[-1] == len(self._blocks):
+            self._blocks.append((block.label, block.level))
+
+    def _is_marker(self, i: int) -> bool:
+        block_of = self._block_of
+        return i + 1 == len(block_of) or block_of[i + 1] != block_of[i]
+
+    def _row(self, i: int) -> TraceRow:
+        label, level = self._blocks[self._block_of[i]]
+        term = TermId(self.family.kinds[self._gens[i]], self._levels[i], self._indices[i])
+        return TraceRow(self._steps[i], term, label, level, self._is_marker(i),
+                        tuple(column[i] for column in self._deviations),
+                        tuple(column[i] for column in self._box_counts))
+
+    @property
+    def rows(self) -> TraceRows:
+        return TraceRows(self)
+
+    def _marker_indices(self) -> Iterator[int]:
+        return filter(self._is_marker, range(len(self._steps)))
 
     def markers(self) -> list[TraceRow]:
-        return [row for row in self.rows if row.is_marker]
+        return [self._row(i) for i in self._marker_indices()]
 
     @property
     def final_deviations(self) -> tuple[Fraction, ...]:
-        return self.rows[-1].deviations
+        return tuple(column[-1] for column in self._deviations)
 
     def max_marker_deviation(self) -> Fraction:
         worst = Fraction(0)
-        for row in self.markers():
-            worst = max(worst, *row.deviations)
+        for i in self._marker_indices():
+            worst = max(worst, *(column[i] for column in self._deviations))
         return worst
 
     def max_box_count(self) -> int:
-        return max(max(row.box_counts) for row in self.rows)
+        return max(max(column) for column in self._box_counts)
 
-    def to_csv_lines(self) -> list[str]:
-        out = [
-            "# deviation_float is advisory; deviation_num/deviation_den are exact",
-            "k,term_id,cube,deviation_num,deviation_den,deviation_float,box_count,is_block_marker",
-        ]
-        cubes = self.family.domain
-        for row in self.rows:
-            for ci, c in enumerate(cubes):
-                d = row.deviations[ci]
-                out.append(f"{row.step},{row.term},{cube_label(c)},"
-                           f"{d.numerator},{d.denominator},{float(d)!r},"
-                           f"{row.box_counts[ci]},{int(row.is_marker)}")
-        return out
+    def to_csv_lines(self) -> Iterator[str]:
+        """The trace as CSV lines, without line ends, made one at a time
+        from the columns.  A row's `step,term,` text is formatted once, and
+        a cube's deviation text once for each new deviation object, so a
+        carried-over cube costs one line join."""
+        yield "# deviation_float is advisory; deviation_num/deviation_den are exact"
+        yield "k,term_id,cube,deviation_num,deviation_den,deviation_float,box_count,is_block_marker"
+        kinds = self.family.kinds
+        cubes = [(cube_label(c), devs, boxes) for c, devs, boxes
+                 in zip(self.family.domain, self._deviations, self._box_counts)]
+        shown: list[Fraction | None] = [None] * len(cubes)
+        texts = [""] * len(cubes)
+        for i, (step, g, n, index) in enumerate(
+                zip(self._steps, self._gens, self._levels, self._indices)):
+            head = f"{step},{TermId(kinds[g], n, index)},"
+            tail = ",1" if self._is_marker(i) else ",0"
+            for ci, (label, devs, boxes) in enumerate(cubes):
+                d = devs[i]
+                if d is not shown[ci]:
+                    shown[ci] = d
+                    texts[ci] = f"{label},{d.numerator},{d.denominator},{float(d)!r},"
+                yield f"{head}{texts[ci]}{boxes[i]}{tail}"
 
 
 def run_trace(fam: Family, schedule: Schedule,
@@ -334,8 +426,7 @@ def run_trace(fam: Family, schedule: Schedule,
     check_term_budget(f"schedule {schedule.label}", schedule.term_count, max_terms)
     goal = schedule.target if target is None else _as_target(fam, target)
     cubes = fam.domain
-    kinds = fam.kinds
-    rows: list[TraceRow] = []
+    trace = Trace(schedule, goal, p, record)
     step = 0
 
     if record == "steps":
@@ -344,7 +435,6 @@ def run_trace(fam: Family, schedule: Schedule,
         devs = [diffs[c].moment(p) for c in cubes]
         boxes = [diffs[c].box_count() for c in cubes]
         for block in schedule.blocks():
-            first = len(rows)
             for g, n, prefix in block.runs:
                 for idx, fn in fam.section(g, n, prefix):
                     step += 1
@@ -352,10 +442,8 @@ def run_trace(fam: Family, schedule: Schedule,
                         diff = diffs[c] = diffs[c] + part
                         devs[index[c]] = diff.moment(p)
                         boxes[index[c]] = diff.box_count()
-                    rows.append(TraceRow(step, TermId(kinds[g], n, idx), block.label,
-                                         block.level, False, tuple(devs), tuple(boxes)))
-            if len(rows) > first:
-                rows[-1] = rows[-1]._replace(is_marker=True)
+                    trace._append(step, g, n, idx, devs, boxes)
+            trace._close_block(block)
     else:
         dev = cube_constants(cubes, {c: -goal[ci] for ci, c in enumerate(cubes)})
         for block in schedule.blocks():
@@ -367,9 +455,9 @@ def run_trace(fam: Family, schedule: Schedule,
             total.add(dev)
             dev = total.total()
             per_cube = [dev.restrict(c) for c in cubes]
-            rows.append(TraceRow(step, TermId(kinds[g], n, idx), block.label, block.level, True,
-                                 tuple(f.moment(p) for f in per_cube),
-                                 tuple(f.box_count() for f in per_cube)))
-    if not rows:
+            trace._append(step, g, n, idx, [f.moment(p) for f in per_cube],
+                          [f.box_count() for f in per_cube])
+            trace._close_block(block)
+    if not trace._steps:
         raise ConfigError("schedule has no terms")
-    return Trace(schedule, goal, p, record, rows)
+    return trace

@@ -6,6 +6,7 @@ code paths as the installed console script without subprocess cost.
 
 import os
 import signal
+import concurrent.futures
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -178,14 +179,31 @@ sys.exit(cli.main(["build", "--flavor", "kadets", "--levels", "2", "--out", sys.
 """
 
 
-def test_sigterm_mid_write_leaves_no_temp_file(tmp_path):
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with this checkout's `src` on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).resolve().parent.parent / "src")]
                                         + env.get("PYTHONPATH", "").split(os.pathsep))
-    done = subprocess.run([sys.executable, "-c", _SIGTERM_MID_WRITE, str(tmp_path / "k.family")],
-                          env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_sigterm_mid_write_leaves_no_temp_file(tmp_path):
+    done = _python("-c", _SIGTERM_MID_WRITE, str(tmp_path / "k.family"))
     assert done.returncode == 128 + signal.SIGTERM, done.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_importing_the_cli_loads_no_pool_or_dataclass_modules():
+    # only --jobs above 1 imports the process pool, and RunConfig is a
+    # NamedTuple, so no command pays for these modules at start-up
+    done = _python("-c", "import sys, sumrange.cli\n"
+                         "for name in ('concurrent.futures', 'multiprocessing', 'dataclasses',"
+                         " 'inspect'):\n"
+                         "    print(name, name in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == ["concurrent.futures False", "multiprocessing False",
+                                       "dataclasses False", "inspect False", ""]
 
 
 def test_main_restores_the_sigterm_handler(tmp_path, capsys):
@@ -422,7 +440,7 @@ class _InlinePool:
 def test_jobs_start_no_more_workers_than_tasks(tmp_path, capsys, monkeypatch):
     # a pool forks all of its workers at the first submit
     monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     assert run(capsys, "lemmas", "--cases", "5", "--jobs", "64")[0] == 0
     matrix = tmp_path / "m.matrix"
     dump_matrix(TransformSpec.identity(2), matrix)

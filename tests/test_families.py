@@ -613,6 +613,25 @@ def test_row_closure_under_last_generation():
     assert combined.moment(1, cube=5) == 0
 
 
+def test_with_replaced_refuses_over_the_term_budget(monkeypatch):
+    # the copy lists every term, so it is refused before the first one
+    fam = build_multipoint(5, 1)
+    assert fam.term_count() == 14_930_799
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a term was enumerated")
+
+    for name in ("fn", "term_ids", "index_tuples", "section", "reference_section"):
+        monkeypatch.setattr(Family, name, refuse)
+    with pytest.raises(ConfigError, match="has 14930799 terms, more than max_terms 5000000"):
+        fam.with_replaced({})
+    monkeypatch.undo()
+    small = build_kadets(3)
+    with pytest.raises(ConfigError, match="family has 26 terms, more than max_terms 25"):
+        small.with_replaced({}, max_terms=25)
+    assert list(small.with_replaced({}, max_terms=26).table_ids()) == list(small.term_ids())
+
+
 # --- fault injection --------------------------------------------------------
 
 

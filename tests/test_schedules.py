@@ -7,7 +7,9 @@ checkpoints is the closed form 2*t*(1-t) with t = m/|M_n|, derived by
 integrating the partial sum against the target by hand.
 """
 
+import gc
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -24,6 +26,7 @@ from sumrange.families import (
     expected_sum_range,
 )
 from sumrange.schedules import (
+    TraceRow,
     run_trace,
     random_schedule,
     schedule_custom,
@@ -185,8 +188,8 @@ def test_blocks_markers_equal_steps_markers():
     for sch in [schedule_point(fam, name) for name in ("p00", "p10", "p11")] + [
             schedule_divergent(fam)]:
         by_blocks = run_trace(fam, sch, record="blocks")
-        assert by_blocks.rows == by_blocks.markers()
-        assert by_blocks.rows == run_trace(fam, sch, record="steps").markers(), sch.label
+        assert list(by_blocks.rows) == by_blocks.markers()
+        assert list(by_blocks.rows) == run_trace(fam, sch, record="steps").markers(), sch.label
 
 
 def digest(lines):
@@ -226,9 +229,76 @@ def test_blocks_traces_are_pinned():
         assert digest(trace.to_csv_lines()) == want, (name, point)
 
 
+# sha256 of to_csv_lines() of steps traces, pinned while a trace still
+# kept one tuple of deviations and one of box counts per row.
+STEPS_GOLDEN = {
+    ("three-kadets(5)", "divergent", 1):
+        "b78ce7d65d743376bbc41d1b77e4ea1b81ace01decb40f25f9a1cd9e9e1728ad",
+    ("kadets(5)", "sigma", 1): "5ff609b40cd967866cf6e6c222140c24c7aa8f1762d29b1415fbf021f59707cd",
+    ("kadets(5)", "tau", 1): "3ee17c69b95c962e78587d18030ab8d084a531eae5c349131c258dacf063d409",
+    ("three-kadets(3)", "p00", 1):
+        "77efb715f36ba23a5a72d692d7d0926e3cfdf233b25d61de8f7d3a089d1d6e70",
+    ("three-kadets(3)", "p10", 1):
+        "748f476ac6c079b4189152c08e6933013f45551ccac969e7656064840558e3f6",
+    ("three-kadets(3)", "p11", 1):
+        "4b1dcf13e45753a67eb40b7a5776029095025d6bac56dac861d1d4cceee82f5a",
+    ("kadets(4)", "random-2", 1): "7b6c7893ffa152497538ae82b957c39521c0aca7083390bad42b5b1400304d07",
+    ("three-kadets(3)", "p10", 2):
+        "5e522463d5b68a215a37201b70adae52172c25257e660ee0ad24629d88ec65ab",
+}
+
+
+def test_steps_traces_are_pinned():
+    families = {
+        "kadets(4)": build_kadets(4),
+        "kadets(5)": build_kadets(5),
+        "three-kadets(3)": build_three_kadets(3),
+        "three-kadets(5)": build_three_kadets(5),
+    }
+    for (name, label, p), want in STEPS_GOLDEN.items():
+        fam = families[name]
+        if label == "divergent":
+            sch = schedule_divergent(fam)
+        elif label.startswith("random-"):
+            sch = random_schedule(fam, int(label.removeprefix("random-")))
+        else:
+            sch = schedule_point(fam, label)
+        trace = run_trace(fam, sch, p=p, record="steps")
+        assert len(trace.rows) == sch.term_count, (name, label, p)
+        assert digest(trace.to_csv_lines()) == want, (name, label, p)
+
+
+def test_steps_trace_is_held_by_column(monkeypatch):
+    # a row is a few array slots and a reference per cube, with a new
+    # deviation only for the cubes its term touches: the divergent
+    # three-kadets(6) trace retained 540 B a row as a tuple of deviations
+    # and one of box counts per row
+    import sumrange.schedules as schedules
+
+    fam = build_three_kadets(6)
+    sch = schedule_divergent(fam)
+    run_trace(fam, sch)  # the family's term cache is not the trace's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run_trace(fam, sch)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    made = []
+    monkeypatch.setattr(schedules, "TraceRow", lambda *a: made.append(a) or TraceRow(*a))
+    assert len(trace.rows) == sch.term_count == 2317
+    assert made == []
+    assert retained <= 350 * 2317, retained / 2317
+    assert trace.rows[-1] == list(trace.rows)[2316] and len(made) == 2318
+
+
 def test_point_blocks_are_runs_and_blocks_traces_build_one_id_per_row(monkeypatch):
     # a point block is its head and column members, then prefix runs of the
-    # later generations; the blocks trace names only each row's last term
+    # later generations; a blocks trace holds its rows' terms as columns and
+    # builds an id only for a row it writes
     import sumrange.schedules as schedules
 
     fam = build_multipoint(4, 2)
@@ -244,6 +314,8 @@ def test_point_blocks_are_runs_and_blocks_traces_build_one_id_per_row(monkeypatc
         assert sum(len(b.runs) for b in sch.blocks()) < sch.term_count
         assert made == []
         trace = run_trace(fam, sch, record="blocks")
+        assert made == []
+        assert len(list(trace.to_csv_lines())) == 2 + len(trace.rows) * len(fam.domain)
         assert len(made) == len(trace.rows)
         made.clear()
 
@@ -324,10 +396,10 @@ def test_multipoint_schedules():
 def test_csv_output():
     fam = build_kadets(2)
     trace = run_trace(fam, schedule_point(fam, "sigma"))
-    lines = trace.to_csv_lines()
+    lines = list(trace.to_csv_lines())
     assert lines[0].startswith("#")
     assert lines[1] == ("k,term_id,cube,deviation_num,deviation_den,"
                         "deviation_float,box_count,is_block_marker")
     assert lines[2] == "1,a^1(1),Q1,1,1,1.0,1,0"
-    assert lines[2:] == trace.to_csv_lines()[2:]  # deterministic
+    assert lines[2:] == list(trace.to_csv_lines())[2:]  # deterministic
     assert any(line.endswith(",1") for line in lines[2:])
