@@ -491,13 +491,12 @@ class Family:
             raise KeyError(f"index of {tid} outside ranges {self.index_ranges(g, tid.level)}")
         return next(terms)[1]
 
-    def with_replaced(self, subs: Mapping[TermId, StepFunction], *,
-                      max_terms: int = MAX_TERMS) -> "Family":
+    def with_replaced(self, subs: Mapping[TermId, StepFunction]) -> "Family":
         """A table-backed copy of this family: every term of it, with the
         functions of `subs` in place of (or besides) its own.  The copy
-        lists every term, so a family of more than `max_terms` terms is
+        lists every term, so a family of more than `MAX_TERMS` terms is
         refused first."""
-        check_term_budget("family", self.term_count(), max_terms)
+        check_term_budget("family", self.term_count(), MAX_TERMS)
         if self._table is not None:
             table = {**self._table, **subs}
         else:

@@ -294,11 +294,11 @@ class TraceRows(Sequence):
     def __len__(self) -> int:
         return len(self._trace._steps)
 
-    def __getitem__(self, i: int) -> TraceRow:
-        n = len(self)
-        if not -n <= i < n:
-            raise IndexError("trace row index out of range")
-        return self._trace._row(i % n)
+    def __getitem__(self, i: int | slice) -> TraceRow | list[TraceRow]:
+        idx = range(len(self))[i]
+        if isinstance(idx, range):
+            return [self._trace._row(j) for j in idx]
+        return self._trace._row(idx)
 
     def __iter__(self) -> Iterator[TraceRow]:
         return map(self._trace._row, range(len(self)))

@@ -293,6 +293,10 @@ def test_steps_trace_is_held_by_column(monkeypatch):
     assert made == []
     assert retained <= 350 * 2317, retained / 2317
     assert trace.rows[-1] == list(trace.rows)[2316] and len(made) == 2318
+    rows = list(trace.rows)
+    assert trace.rows[2:5] == rows[2:5] and trace.rows[::-700] == rows[::-700]
+    with pytest.raises(IndexError):
+        trace.rows[2317]
 
 
 def test_point_blocks_are_runs_and_blocks_traces_build_one_id_per_row(monkeypatch):
