@@ -177,9 +177,9 @@ def _write_lines(path: str, lines) -> None:
 
 
 def cmd_build(cfg: RunConfig) -> int:
-    fam = _load_or_build(cfg)
     if not cfg.out:
         raise ConfigError("build needs --out FILE")
+    fam = _load_or_build(cfg)
     dump_family(fam, cfg.out, max_terms=cfg.max_terms)
     cubes = ", ".join(cube_label(c) for c in fam.domain)
     print(f"wrote {cfg.out}: {fam.structure} depth {fam.depth}, "
@@ -215,8 +215,6 @@ def _make_schedule(fam, cfg: RunConfig) -> Schedule:
     if label == "divergent":
         return schedule_divergent(fam)
     if label == "custom":
-        if not cfg.order:
-            raise ConfigError("schedule custom needs --order FILE")
         return schedule_custom(fam, _read_order(cfg.order), max_terms=cfg.max_terms)
     if label == "random":
         return random_schedule(fam, cfg.seed, max_terms=cfg.max_terms)
@@ -252,6 +250,8 @@ def _fmt_point(values) -> str:
 
 
 def cmd_trace(cfg: RunConfig) -> int:
+    if cfg.schedule == "custom" and not cfg.order:
+        raise ConfigError("schedule custom needs --order FILE")
     fam = _load_or_build(cfg)
     sch = _make_schedule(fam, cfg)
     trace = run_trace(fam, sch, target=cfg.target, p=cfg.p, record=cfg.record,
@@ -320,8 +320,8 @@ def _transform_point(payload) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
 def cmd_transform(cfg: RunConfig) -> int:
     if not cfg.matrix:
         raise ConfigError("transform needs --matrix FILE")
-    base = _load_or_build(cfg)
     spec = load_matrix(cfg.matrix)
+    base = _load_or_build(cfg)
     fam = apply_transform(base, spec, max_terms=cfg.max_terms)
     if cfg.out:
         dump_family(fam, cfg.out, max_terms=cfg.max_terms)

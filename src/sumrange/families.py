@@ -49,10 +49,10 @@ values, so a prefix odometer steps it in an outer loop, derives
 F_0..F_{g-2} and the index from it, and builds the boxes that read
 them once; its inner loop steps ig and builds only the boxes that read
 F_g or ig.  A whole index is a one-term section, and `fn(tid)` reads
-one term that way.  A table-backed family looks its section up in
-index order, or, when `serialize` reads a whole family file for the
-verifier, parses it from the file; a transformed one shifts the section
-of its base.
+one term that way.  A family with a term source asks it for the
+section once the level and the prefix pass those checks: `Shifted`
+shifts the section of a base, `TermTable` looks the terms up in index
+order, and `serialize` has a source that parses them from a family file.
 
 Shape.  A family's shape follows from r and whether it carries an affine
 transform, and `Family` alone derives it.  The classic two-kind family
@@ -70,7 +70,7 @@ from itertools import product, repeat
 import re
 from fractions import Fraction
 from math import lcm, prod
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .stepfn import StepFunction, cube_constants
 
@@ -222,17 +222,17 @@ class Family:
     terms.  The `flavor` is "transformed" when the family carries a
     transform, and its structure otherwise.
 
-    Terms are produced from the generation formulas on demand.  A family
-    with a `base` shifts the base's terms by the transform of their cube
-    averages; one with a `table` (a loaded file, or `with_replaced`) reads
-    its terms from the table.  `serialize.sectioned_family` gives a
-    table-backed family whose sections are read from its file instead.
+    Terms come from the generation formulas on demand, or from a term
+    `source`: a `Shifted` base (`apply_transform`), a `TermTable`
+    (`load_family`, `with_replaced`) or the file of
+    `serialize.sectioned_family`.  A source answers `section(fam, g, n,
+    prefix)` for a checked level and prefix, and `ids()`: the ids it
+    holds, unchecked against `term_ids()`, or None when they are proven.
     """
 
     def __init__(self, points: int, depth: int,
                  sizes: IndexSizes | Sequence[int] | None = None, *,
-                 table: Mapping[TermId, StepFunction] | None = None,
-                 base: "Family | None" = None,
+                 source=None,
                  transform: "TransformSpec | None" = None):
         if points < 2:
             raise ConfigError(f"point count must be at least 2, got {points}")
@@ -250,12 +250,7 @@ class Family:
         if transform is not None and transform.dim != points - 1:
             raise ConfigError(f"matrix dimension {transform.dim} != "
                               f"{points - 1} independent cube values")
-        self._table = dict(table) if table is not None else None
-        # where a table-backed family reads its sections, called with the
-        # family: the table, or the file that `serialize.sectioned_family`
-        # sets here
-        self._sections = Family._looked_up if table is not None else None
-        self._base = base
+        self.source = source
         self._transform = transform
         self._flat_sizes: dict[tuple[int, int], int] = {}
         self._plans: dict[tuple[int, int], _Plan] = {}
@@ -398,12 +393,10 @@ class Family:
         # a generation outside the family is _prefix_reads' KeyError
         if 0 <= g < self.points and not 1 <= n <= self.depth:
             raise KeyError(f"level of {TermId(self._kinds[g], n, prefix)} outside 1..{self.depth}")
-        if self._sections is not None:
-            self._prefix_reads(g, n, prefix)
-            return self._sections(self, g, n, prefix)
-        if self._base is not None:
-            return ((i, _transformed_fn(self, f)) for i, f in self._base.section(g, n, prefix))
-        return self.reference_section(g, n, prefix)
+        if self.source is None:
+            return self.reference_section(g, n, prefix)
+        self._prefix_reads(g, n, prefix)
+        return self.source.section(self, g, n, prefix)
 
     def reference_section(self, g: int, n: int,
                           prefix: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], StepFunction]]:
@@ -468,23 +461,8 @@ class Family:
             for tail, entries in zip(tails, zip(*columns)):
                 yield head + tail, raw(domain, entries, dens, vden)
 
-    def _looked_up(self, g: int, n: int, prefix: tuple[int, ...]
-                   ) -> Iterator[tuple[tuple[int, ...], StepFunction]]:
-        """A table's section: its terms looked up in index order."""
-        kind, table = self._kinds[g], self._table
-        for index in self.index_tuples(g, n, prefix):
-            f = table.get(TermId(kind, n, index))
-            if f is None:
-                raise KeyError(f"term {TermId(kind, n, index)} missing from the loaded table")
-            yield index, f
-
     def fn(self, tid: TermId) -> StepFunction:
         """The step function of one term."""
-        if self._table is not None:
-            try:
-                return self._table[tid]
-            except KeyError:
-                raise KeyError(f"term {tid} missing from the loaded table") from None
         g = self.generation(tid.kind)
         terms = self.section(g, tid.level, tid.index)
         if len(tid.index) != g + 1:
@@ -492,39 +470,59 @@ class Family:
         return next(terms)[1]
 
     def with_replaced(self, subs: Mapping[TermId, StepFunction]) -> "Family":
-        """A table-backed copy of this family: every term of it, with the
-        functions of `subs` in place of (or besides) its own.  The copy
-        lists every term, so a family of more than `MAX_TERMS` terms is
-        refused first."""
+        """A copy of this family with a `TermTable` source: every term of
+        it, with the functions of `subs` in place of (or besides) its own.
+        The copy lists every term, so a family of more than `MAX_TERMS`
+        terms is refused first."""
         check_term_budget("family", self.term_count(), MAX_TERMS)
-        if self._table is not None:
-            table = {**self._table, **subs}
-        else:
-            table = {TermId(kind, n, index): f
-                     for n in range(1, self.depth + 1) for g, kind in enumerate(self._kinds)
-                     for index, f in self.section(g, n)}
-            table.update(subs)
-        return Family(self.points, self.depth, self.sizes, table=table,
+        table = {TermId(kind, n, index): f
+                 for n in range(1, self.depth + 1) for g, kind in enumerate(self._kinds)
+                 for index, f in self.section(g, n)}
+        table.update(subs)
+        return Family(self.points, self.depth, self.sizes, source=TermTable(table),
                       transform=self._transform)
-
-    @property
-    def is_table_backed(self) -> bool:
-        return self._sections is not None
-
-    def table_ids(self) -> Iterator[TermId]:
-        if self._sections is None:
-            raise StructuralError("family has no explicit term table")
-        # a family read from its file holds exactly its own ids
-        return iter(self._table) if self._table is not None else self.term_ids()
 
     def __repr__(self) -> str:
         return (f"Family(flavor={self.flavor!r}, points={self.points}, "
                 f"depth={self.depth}, terms={self.term_count()})")
 
 
-def _transformed_fn(fam: Family, base_fn: StepFunction) -> StepFunction:
-    shift = fam.transform.apply(paired_means(fam.points, base_fn))
-    return base_fn + y_constants(fam.points, fam.domain, shift)
+# --- term sources -----------------------------------------------------------
+
+
+class Shifted(NamedTuple):
+    """The terms of `base`, each shifted by the family's transform of its
+    paired cube averages.  Its ids are the base's, so proven."""
+
+    base: Family
+
+    def section(self, fam: Family, g: int, n: int, prefix: tuple[int, ...]
+                ) -> Iterator[tuple[tuple[int, ...], StepFunction]]:
+        for index, f in self.base.section(g, n, prefix):
+            shift = fam.transform.apply(paired_means(fam.points, f))
+            yield index, f + y_constants(fam.points, fam.domain, shift)
+
+    def ids(self) -> None:
+        return None
+
+
+class TermTable(NamedTuple):
+    """Terms looked up by id in `table`, in index order.  Its ids are
+    unproven: the table may miss a term of the family or hold others."""
+
+    table: Mapping[TermId, StepFunction]
+
+    def section(self, fam: Family, g: int, n: int, prefix: tuple[int, ...]
+                ) -> Iterator[tuple[tuple[int, ...], StepFunction]]:
+        kind, table = fam.kinds[g], self.table
+        for index in fam.index_tuples(g, n, prefix):
+            f = table.get(TermId(kind, n, index))
+            if f is None:
+                raise KeyError(f"term {TermId(kind, n, index)} missing from the loaded table")
+            yield index, f
+
+    def ids(self) -> Iterable[TermId]:
+        return self.table.keys()
 
 
 # --- builders ---------------------------------------------------------------
@@ -624,7 +622,7 @@ def apply_transform(fam: Family, spec: TransformSpec, *,
     if fam.flavor == "transformed":
         raise StructuralError("family already carries a transform")
     # built first: it refuses a matrix of another size before any term is read
-    out = Family(fam.points, fam.depth, fam.sizes, base=fam, transform=spec)
+    out = Family(fam.points, fam.depth, fam.sizes, source=Shifted(fam), transform=spec)
     check_term_budget("family", fam.term_count(), max_terms)
     for n in range(1, fam.depth + 1):
         for g, kind in enumerate(fam.kinds):

@@ -35,10 +35,10 @@ read.
 and the budget as `load_family` does, then makes one pass over the term
 lines of a file in the writer's layout that reads only the id at the end
 of each record.  If the ids are exactly the family's `term_ids()`, in
-order, followed by the closing line and the end of the file, it returns
-the family with a section source behind its `section`: each section is
-read by seeking to its first line, and each record there is decoded and
-parsed once, through the same term-record parser.  Any other file (a
+order, followed by the closing line and the end of the file, the file
+is the family's term source, with proven ids: a section is read by
+seeking to its first line, and each record there is decoded and parsed
+once, through the same term-record parser.  Any other file (a
 transformed family, another layout, missing, extra, duplicate or
 reordered terms, a file cut short) gives None, and the caller falls back
 to `load_family`, as it does on any error the walk meets.
@@ -60,6 +60,7 @@ from .families import (
     ConfigError,
     Family,
     TermId,
+    TermTable,
     TransformSpec,
     check_term_budget,
     cube_label,
@@ -390,7 +391,8 @@ def _filled(head: Family, records: Iterable, where: str, max_terms: int) -> Fami
         if len(table) == max_terms:
             raise ConfigError(f"{where} has more than max_terms {max_terms} term records")
         table[tid] = fn
-    return Family(head.points, head.depth, head.sizes, table=table, transform=head.transform)
+    return Family(head.points, head.depth, head.sizes, source=TermTable(table),
+                  transform=head.transform)
 
 
 def _term(rec, reader: _Reader, domain: tuple[int, ...], where: str
@@ -433,8 +435,7 @@ def sectioned_family(path: str | Path, *, max_terms: int = MAX_TERMS) -> Family 
         offsets = _section_offsets(fh, fam, len(first))
     if offsets is None:
         return None
-    fam._sections = _FileSections(path, offsets)
-    return fam
+    return Family(fam.points, fam.depth, fam.sizes, source=_FileSections(path, offsets))
 
 
 def _section_offsets(fh: BinaryIO, fam: Family, at: int) -> dict[tuple[int, int], int] | None:
@@ -466,17 +467,20 @@ def _section_offsets(fh: BinaryIO, fam: Family, at: int) -> dict[tuple[int, int]
 
 
 class _FileSections:
-    """The sections of a family file whose term lines `_section_offsets`
-    has vetted: each read opens the file, seeks to the section, skips to
-    the first term under the prefix and parses the terms in index order,
-    `_PARSE_BATCH` at a time."""
+    """The term source of a family file whose term lines `_section_offsets`
+    has vetted, so its ids are proven: each section read opens the file,
+    seeks to the section, skips to the first term under the prefix and
+    parses the terms in index order, `_PARSE_BATCH` at a time."""
 
     def __init__(self, path: str | Path, offsets: dict[tuple[int, int], int]):
         self.path, self.offsets = path, offsets
         self.reader = _Reader()
 
-    def __call__(self, fam: Family, g: int, n: int, prefix: tuple[int, ...]
-                 ) -> Iterator[tuple[tuple[int, ...], StepFunction]]:
+    def ids(self) -> None:
+        return None
+
+    def section(self, fam: Family, g: int, n: int, prefix: tuple[int, ...]
+                ) -> Iterator[tuple[tuple[int, ...], StepFunction]]:
         where = str(self.path)
         # the terms under a prefix are consecutive, `count` of them from `start`
         ranges = fam.index_ranges(g, n)

@@ -234,8 +234,9 @@ def verify_family(fam: Family, *, max_terms: int = MAX_TERMS) -> AxiomReport:
     check_term_budget("family", fam.term_count(), max_terms)
     report = AxiomReport()
     _check_growth(fam, report)
-    if fam.is_table_backed and not _check_table_complete(fam, report):
-        # missing terms would make every later lookup fail; stop here
+    # a family with a term source checks the ids the source holds; missing
+    # terms would make every later lookup fail, so stop there
+    if fam.source is not None and not _check_table_complete(fam, report):
         return report
     pairs = range(fam.points - 1)
     level: dict[int, list] = {}   # generation -> its split terms at level n, kept
@@ -259,17 +260,17 @@ def _check_growth(fam: Family, report: AxiomReport) -> None:
 
 
 def _check_table_complete(fam: Family, report: AxiomReport) -> bool:
-    table = fam._table
-    if table is None:
-        # read from a file whose term ids were checked, in order, first
-        report.record("table-complete", f"{fam.term_count()} terms", True)
-        return True
-    # no id sets: missing ids are table lookups, unexpected ids are judged
-    # by the family's shape, and only the failures are sorted
-    missing = sorted(tid for tid in fam.term_ids() if tid not in table)
-    ranges = {(kind, n): fam.index_ranges(g, n)
-              for n in range(1, fam.depth + 1) for g, kind in enumerate(fam.kinds)}
-    unexpected = sorted(tid for tid in table if not _is_term(tid, ranges))
+    held = fam.source.ids()
+    missing = unexpected = ()
+    # proven ids (a vetted file's were checked, in order, as it was read)
+    # pass unread; held ones build no id sets: missing ids are lookups in
+    # them, unexpected ids are judged by the family's shape, and only the
+    # failures are sorted
+    if held is not None:
+        missing = sorted(tid for tid in fam.term_ids() if tid not in held)
+        ranges = {(kind, n): fam.index_ranges(g, n)
+                  for n in range(1, fam.depth + 1) for g, kind in enumerate(fam.kinds)}
+        unexpected = sorted(tid for tid in held if not _is_term(tid, ranges))
     for tid in missing:
         report.record("table-complete", str(tid), False, "term missing from table")
     for tid in unexpected:

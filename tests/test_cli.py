@@ -224,6 +224,29 @@ def test_verify_missing_file_and_flag(tmp_path, capsys):
     assert run(capsys, "verify", "--family", str(tmp_path / "nope"))[0] == 3
 
 
+def test_required_flags_are_checked_before_any_family_is_read(tmp_path, capsys, monkeypatch):
+    # a missing flag is exit 2 whatever the family file holds, as no
+    # family is read first; a transform reads its matrix before its family
+    def refuse(*args, **kwargs):
+        raise AssertionError("a family was read")
+
+    monkeypatch.setattr(cli, "load_family", refuse)
+    monkeypatch.setattr(cli, "sectioned_family", refuse)
+    family = ("--family", str(tmp_path / "missing.family"))
+    cases = {
+        ("build", *family): (2, "build needs --out FILE"),
+        ("trace", *family, "--schedule", "custom"): (2, "schedule custom needs --order FILE"),
+        ("transform", *family): (2, "transform needs --matrix FILE"),
+        ("transform", *family, "--matrix", str(tmp_path / "missing.matrix")):
+            (3, f"cannot read {tmp_path / 'missing.matrix'}: "),
+        ("verify",): (2, "verify needs --family FILE"),
+    }
+    for argv, (want, text) in cases.items():
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (want, ""), argv
+        assert err.startswith(f"error: {text}"), argv
+
+
 def test_verify_rejects_transformed(tmp_path, capsys):
     matrix = tmp_path / "t.matrix"
     dump_matrix(TransformSpec.identity(1), matrix)
@@ -568,7 +591,7 @@ def test_transformed_file_keeps_its_shape(transformed_file, tmp_path, capsys):
     loaded = load_family(path)
     assert (loaded.flavor, loaded.structure, loaded.kinds) == (fam.flavor, fam.structure, fam.kinds)
     assert len(list(loaded.term_ids())) == loaded.term_count() == fam.term_count()
-    assert set(loaded.term_ids()) == set(loaded.table_ids())
+    assert set(loaded.term_ids()) == set(loaded.source.ids())
     again = tmp_path / "again.family"
     code, out, err = run(capsys, "build", "--family", str(path), "--out", str(again))
     assert code == 0, err

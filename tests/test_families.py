@@ -18,6 +18,7 @@ from sumrange.families import (
     IndexSizes,
     StructuralError,
     TermId,
+    TermTable,
     TransformSpec,
     apply_transform,
     build_kadets,
@@ -28,6 +29,7 @@ from sumrange.families import (
     parse_cube_label,
     parse_term_id,
     size_problem,
+    y_groups,
 )
 from sumrange.stepfn import (
     Box,
@@ -389,7 +391,7 @@ def test_section_refuses_what_fn_refuses(tmp_path):
             assert caught.value.args == (text,)
     # a table without a term: the section stops there with fn's text
     table = {t: fam.fn(t) for t in fam.term_ids() if t != tid("b", 2, 1, 3)}
-    holed = Family(2, 3, table=table)
+    holed = Family(2, 3, source=TermTable(table))
     got = []
     with pytest.raises(KeyError) as caught:
         got.extend(index for index, _ in holed.section(1, 2, (1,)))
@@ -398,6 +400,79 @@ def test_section_refuses_what_fn_refuses(tmp_path):
     with pytest.raises(KeyError) as caught:
         holed.fn(tid("b", 2, 1, 3))
     assert caught.value.args == ("term b^2(1,3) missing from the loaded table",)
+
+
+# --- term sources -----------------------------------------------------------
+
+SOURCE_BASES = {
+    "kadets(3)": lambda: build_kadets(3),
+    "three-kadets(2)": lambda: build_three_kadets(2),
+    "multipoint(4, 1)": lambda: build_multipoint(4, 1),
+}
+# the sources whose ids are a table's, unproven; the others' are proven
+HELD_IDS = ("with_replaced", "load_family", "loaded transformed")
+
+
+def _with_source(name, fam, spec, tmp_path):
+    """`fam`, or its transform by `spec`, as the term source `name` gives it."""
+    from sumrange.serialize import dump_family, load_family, sectioned_family
+
+    path = tmp_path / "fam.json"
+    if name == "formulas":
+        return fam
+    if name == "with_replaced":
+        return fam.with_replaced({})
+    if name == "apply_transform":
+        return apply_transform(fam, spec)
+    if name == "loaded transformed":
+        dump_family(apply_transform(fam, spec), path)
+        return load_family(path)
+    dump_family(fam, path)
+    return {"load_family": load_family, "sectioned_family": sectioned_family}[name](path)
+
+
+def _shifted(fam, spec, f):
+    """f plus the constant `spec` makes of its paired cube means, on each pair."""
+    groups = y_groups(fam.points)
+    shift = spec.apply([f.integral(group[0]) for group in groups])
+    return f + cube_constants(fam.domain, {c: v for group, v in zip(groups, shift) for c in group})
+
+
+@pytest.mark.parametrize("source", ["formulas", "with_replaced", "load_family",
+                                    "sectioned_family", "apply_transform",
+                                    "loaded transformed"])
+@pytest.mark.parametrize("base", SOURCE_BASES)
+def test_every_source_gives_the_reference_terms(base, source, tmp_path):
+    # each term, as every prefix's section yields it and as fn gives it,
+    # equals the formula term, shifted by hand for the transformed sources
+    ref = SOURCE_BASES[base]()
+    d = ref.points - 1
+    spec = TransformSpec([[F(i + 1, j + 2) - j for j in range(d)] for i in range(d)])
+    fam = _with_source(source, ref, spec, tmp_path)
+    want = ((lambda f: _shifted(ref, spec, f)) if "transform" in source else (lambda f: f))
+    assert fam.transform == (spec if "transform" in source else None)
+    compared = 0
+    for n in range(1, ref.depth + 1):
+        for g, kind in enumerate(ref.kinds):
+            ids = list(ref.index_tuples(g, n))
+            for length in range(g + 2):
+                got = [term for prefix in dict.fromkeys(index[:length] for index in ids)
+                       for term in fam.section(g, n, prefix)]
+                assert [index for index, _ in got] == ids
+                for index, f in got:
+                    t = TermId(kind, n, index)
+                    expected = fraction_terms(want(ref.fn(t)))
+                    assert fraction_terms(f) == expected, (str(t), length)
+                    assert fraction_terms(fam.fn(t)) == expected, str(t)
+                    compared += 1
+    assert compared == sum(ref.generation(t.kind) + 2 for t in ref.term_ids())
+    # the ids answer: a table's are its own, unproven; the others' proven
+    if source == "formulas":
+        assert fam.source is None
+    elif source in HELD_IDS:
+        assert list(fam.source.ids()) == list(ref.term_ids())
+    else:
+        assert fam.source.ids() is None
 
 
 # --- two-kind family values -------------------------------------------------
@@ -627,7 +702,7 @@ def test_with_replaced_refuses_over_the_term_budget(monkeypatch):
         fam.with_replaced({})
     monkeypatch.undo()
     small = build_kadets(3)
-    assert list(small.with_replaced({}).table_ids()) == list(small.term_ids())
+    assert list(small.with_replaced({}).source.ids()) == list(small.term_ids())
 
 
 # --- fault injection --------------------------------------------------------
@@ -641,8 +716,8 @@ def test_with_replaced_overrides_one_term():
     assert poked.fn(tid("b", 1, 1, 2)) == fam.fn(tid("b", 1, 1, 2))
     assert fam.fn(tid("b", 1, 1, 1)) != bad
     # a table of every term, with the substitute in place
-    assert poked.is_table_backed and not fam.is_table_backed
-    assert list(poked.table_ids()) == list(fam.term_ids())
+    assert poked.source.ids() is not None and fam.source is None
+    assert list(poked.source.ids()) == list(fam.term_ids())
     shifted = apply_transform(fam, TransformSpec.identity(1))
     poked = shifted.with_replaced({tid("b", 1, 1, 1): bad})
     assert poked.flavor == "transformed" and poked.transform == shifted.transform

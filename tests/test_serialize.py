@@ -141,8 +141,8 @@ def test_family_roundtrip(tmp_path):
     assert loaded.flavor == "three-kadets"
     assert loaded.depth == 2
     assert loaded.points == 3
-    assert loaded.is_table_backed
-    assert sorted(loaded.table_ids()) == sorted(fam.term_ids())
+    assert loaded.source.ids() is not None
+    assert sorted(loaded.source.ids()) == sorted(fam.term_ids())
     for tid in fam.term_ids():
         assert loaded.fn(tid) == fam.fn(tid)
 
@@ -355,7 +355,7 @@ def multipoint_file(tmp_path_factory):
 
 def test_loaded_terms_share_their_lattices(multipoint_file):
     loaded = load_family(multipoint_file)
-    fns = [loaded.fn(tid) for tid in loaded.table_ids()]
+    fns = [loaded.fn(tid) for tid in loaded.source.ids()]
     objects = {id(f._dens) for f in fns}
     lattices = {tuple(sorted(f._dens.items())) for f in fns}
     assert len(objects) == len(lattices)
@@ -436,7 +436,7 @@ def test_truncated_streamed_files_are_refused(tmp_path):
                 with pytest.raises(ParseError):
                     load_family(path)
     path.write_text(text[:-1])  # the closing line may lack its newline
-    assert sum(1 for _ in load_family(path).table_ids()) == 879
+    assert sum(1 for _ in load_family(path).source.ids()) == 879
 
 
 @pytest.mark.parametrize("extra", ["\n", " ", "]}\n", ',{"x":1}\n', "x"],
@@ -465,9 +465,9 @@ def test_every_layout_loads_the_same_table(tmp_path, name):
     loaded = {layout: load_family(write_text(tmp_path, layout, other))
               for layout, other in layouts(json.loads(text)).items()}
     want = loaded.pop("streamed")
-    ids = list(want.table_ids())
+    ids = list(want.source.ids())
     for fam in loaded.values():
-        assert list(fam.table_ids()) == ids
+        assert list(fam.source.ids()) == ids
         assert fam.transform == want.transform and fam.structure == want.structure
         for tid in ids:
             a, b = want.fn(tid), fam.fn(tid)
@@ -491,7 +491,7 @@ def test_load_refuses_over_budget_before_reading_terms(tmp_path):
     extra = [',{"boxes":[],"index":[%d],"kind":"a","level":9}\n' % i for i in (1, 2)]
     for layout, other in layouts(json.loads("".join([head, *terms, *extra, close]))).items():
         path = write_text(tmp_path, layout, other)
-        assert sum(1 for _ in load_family(path, max_terms=28).table_ids()) == 28
+        assert sum(1 for _ in load_family(path, max_terms=28).source.ids()) == 28
         with pytest.raises(ConfigError, match="more than max_terms 27 term records"):
             load_family(path, max_terms=27)
 

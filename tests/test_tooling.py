@@ -6,6 +6,7 @@ as a crash of the traced benchmark run.  The work they time must also
 stay inside them, so a small traced run has to record every kernel span.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -214,3 +215,42 @@ def test_lemma_suites_run_inside_their_spans(traced_run):
     # the command line looks a suite's runner up when it runs, so the shim
     # that replaced the module attribute times it
     assert traced_run["lemmas"] == {"analysis.cases": 22, "near_constancy.timed": 1}
+
+
+def _family_private_fields() -> set[str]:
+    """The names `Family.__init__` assigns as `self._...`."""
+    tree = ast.parse((ROOT / "src" / "sumrange" / "families.py").read_text())
+    family = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "Family")
+    init = next(node for node in family.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    targets = [target for node in ast.walk(init) if isinstance(node, ast.Assign)
+               for target in node.targets]
+    targets += [node.target for node in ast.walk(init)
+                if isinstance(node, (ast.AnnAssign, ast.AugAssign))]
+    # `self._a, self._b = ...` assigns each of the tuple's elements
+    return {node.attr for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "self" and node.attr.startswith("_")}
+
+
+def test_no_module_reaches_into_a_family():
+    # a family's private fields belong to `families`: every other module
+    # asks its public methods or its term source instead
+    fields = _family_private_fields()
+    assert {"_structure", "_kinds", "_transform", "_plans"} <= fields
+    found = []
+    for path in sorted((ROOT / "src" / "sumrange").glob("*.py")):
+        if path.name == "families.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = None
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in ("getattr", "setattr", "delattr", "hasattr") \
+                    and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant):
+                name = node.args[1].value
+            if name in fields:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []

@@ -16,6 +16,7 @@ from sumrange.families import (
     Family,
     StructuralError,
     TermId,
+    TermTable,
     TransformSpec,
     apply_transform,
     build_kadets,
@@ -198,7 +199,7 @@ def test_missing_table_entry_detected(tmp_path):
 
 def _set_table_complete(fam, report):
     """table-complete as id sets decide it: the reference for the set-free check."""
-    wanted, have = set(fam.term_ids()), set(fam.table_ids())
+    wanted, have = set(fam.term_ids()), set(fam.source.ids())
     for tid in sorted(wanted - have):
         report.record("table-complete", str(tid), False, "term missing from table")
     for tid in sorted(have - wanted):
@@ -223,7 +224,7 @@ def test_table_complete_matches_the_id_sets(removed, added):
     f = fam.fn(TermId("f", 1, (1,)))
     table = {tid: fam.fn(tid) for tid in fam.term_ids() if tid not in removed}
     table.update((tid, f) for tid in added)
-    holey = Family(fam.points, fam.depth, fam.sizes, table=table)
+    holey = Family(fam.points, fam.depth, fam.sizes, source=TermTable(table))
     got, want = AxiomReport(), AxiomReport()
     assert _check_table_complete(holey, got) == _set_table_complete(holey, want)
     assert got.lines() == want.lines()

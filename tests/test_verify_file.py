@@ -238,7 +238,9 @@ def test_sections_under_a_prefix_are_read_from_the_file(tmp_path):
     path = tmp_path / "f.family"
     path.write_text(text_of(built))
     fam = serialize.sectioned_family(path)
-    assert fam.is_table_backed and list(fam.table_ids()) == list(built.term_ids())
+    # a vetted file's ids are proven: exactly the family's
+    assert fam.source is not None and fam.source.ids() is None
+    assert list(fam.term_ids()) == list(built.term_ids())
     for n in range(1, built.depth + 1):
         for g, kind in enumerate(built.kinds):
             for index in built.index_tuples(g, n):
