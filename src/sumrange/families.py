@@ -189,6 +189,9 @@ def parse_cube_label(text: str) -> int:
 
 # --- the family -------------------------------------------------------------
 
+# A term of a section with its parts: (index, {cube: part}, term)
+Parted = tuple[tuple[int, ...], dict[int, StepFunction], StepFunction]
+
 
 class _Plan(NamedTuple):
     """The terms of one generation at one level, less their index.
@@ -390,13 +393,28 @@ class Family:
         index starts with `prefix`, in index order.  The level and the
         prefix are checked at the call: KeyError, with `fn`'s text, for
         either outside the family's ranges."""
+        if self._sourced(g, n, prefix):
+            return self.source.section(self, g, n, prefix)
+        return self.reference_section(g, n, prefix)
+
+    def parts(self, g: int, n: int, prefix: tuple[int, ...] = ()) -> Iterator[Parted]:
+        """`section` with each term cut by cube: (index, {cube: part}, term),
+        the part on each cube the term touches, in cube order, being the
+        term there as a function on that one cube."""
+        if self._sourced(g, n, prefix):
+            return self.source.parts(self, g, n, prefix)
+        return self.reference_parts(g, n, prefix)
+
+    def _sourced(self, g: int, n: int, prefix: tuple[int, ...]) -> bool:
+        """Whether a section's terms come from the source; checks the
+        level and, for a source, the prefix (the formulas check it)."""
         # a generation outside the family is _prefix_reads' KeyError
         if 0 <= g < self.points and not 1 <= n <= self.depth:
             raise KeyError(f"level of {TermId(self._kinds[g], n, prefix)} outside 1..{self.depth}")
         if self.source is None:
-            return self.reference_section(g, n, prefix)
+            return False
         self._prefix_reads(g, n, prefix)
-        return self.source.section(self, g, n, prefix)
+        return True
 
     def reference_section(self, g: int, n: int,
                           prefix: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], StepFunction]]:
@@ -407,6 +425,30 @@ class Family:
             reads.append(prefix[-1])
             return iter([(prefix, self._emit(plan, reads))])
         return self._odometer(plan, g, prefix, reads[-1] if reads else 1)
+
+    def reference_parts(self, g: int, n: int, prefix: tuple[int, ...] = ()) -> Iterator[Parted]:
+        """`parts` of the formula terms, at any level, checked at the call."""
+        terms = self.reference_section(g, n, prefix)
+        return self._parted(self._plans[g, n], terms)
+
+    @staticmethod
+    def _parted(plan: _Plan, terms: Iterator[tuple[tuple[int, ...], StepFunction]]
+                ) -> Iterator[Parted]:
+        """The terms of a plan with their parts: a plan has one piece per
+        cube, so a term's entry i is its part on the cube of piece i.  An
+        entry the odometer carries over from the term before keeps its
+        part, the same object."""
+        dens, vden, raw = plan.dens, plan.vden, StepFunction._raw
+        cubes = [(cube,) for cube, _, _ in plan.parts]
+        last: list = [(None, None)] * len(cubes)  # (entry, part) of the term before
+        for index, f in terms:
+            parts = {}
+            for i, e in enumerate(f._entries):
+                got = last[i]
+                if got[0] is not e:
+                    got = last[i] = (e, raw(cubes[i], (e,), dens, vden))
+                parts[e[0]] = got[1]
+            yield index, parts, f
 
     def _emit(self, plan: _Plan, reads: list[int]) -> StepFunction:
         """The formula term whose parts read `reads`: F_0..F_g, then ig."""
@@ -502,6 +544,9 @@ class Shifted(NamedTuple):
             shift = fam.transform.apply(paired_means(fam.points, f))
             yield index, f + y_constants(fam.points, fam.domain, shift)
 
+    def parts(self, fam: Family, g: int, n: int, prefix: tuple[int, ...]) -> Iterator[Parted]:
+        return split_section(self.section(fam, g, n, prefix))
+
     def ids(self) -> None:
         return None
 
@@ -521,8 +566,18 @@ class TermTable(NamedTuple):
                 raise KeyError(f"term {TermId(kind, n, index)} missing from the loaded table")
             yield index, f
 
+    def parts(self, fam: Family, g: int, n: int, prefix: tuple[int, ...]) -> Iterator[Parted]:
+        return split_section(self.section(fam, g, n, prefix))
+
     def ids(self) -> Iterable[TermId]:
         return self.table.keys()
+
+
+def split_section(terms: Iterable[tuple[tuple[int, ...], StepFunction]]) -> Iterator[Parted]:
+    """The (index, {cube: part}, term) of each (index, term) of a section,
+    cut by `StepFunction.split` on the cubes the term touches."""
+    for index, f in terms:
+        yield index, f.split(sorted(f.support_cubes())), f
 
 
 # --- builders ---------------------------------------------------------------

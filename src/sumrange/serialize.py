@@ -46,12 +46,13 @@ to `load_family`, as it does on any error the walk meets.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
 from fractions import Fraction
-from itertools import islice
-from math import gcd, prod
+from itertools import islice, product
+from math import gcd, lcm, prod
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, TextIO
 
@@ -77,11 +78,11 @@ _COORD_RE = re.compile(r"\d+")
 _TERMS_OPEN = ',"terms":[\n'
 _TERMS_CLOSE = "]}\n"
 _decode = json.JSONDecoder().raw_decode
-# A sectioned family parses its records this many at a time: runs of
-# parsing and runs of checking go faster than the two taken in turns
-# term by term (the multipoint(4, 2) verify, in-process: 0.9x the table
-# path's time in batches, 1.17x term by term).
-_PARSE_BATCH = 512
+# The reader keeps the parsed box records of at most this many distinct
+# texts per cube.  Bridge parts repeat from term to term, so a few dozen
+# hold them all; the parts of the last cube are all distinct, and that
+# cube's texts are dropped each time it reaches the bound.
+_PIECE_CACHE = 128
 
 
 class ParseError(ValueError):
@@ -179,13 +180,28 @@ class _Reader:
 
     Each rational, cube label and box constraint is parsed and validated
     once per distinct text.  Functions whose lattices are equal share one
-    `dens` dict, so sums and comparisons of them skip the rescale."""
+    `dens` dict, so sums and comparisons of them skip the rescale.
+
+    A term line of a vetted file is read by its text (`record`).  Its box
+    records, in the writer's form, are looked up by their text in a cache
+    of at most `_PIECE_CACHE` texts per cube, and parsed on a miss.  A
+    term holding one box of non-zero value on each cube it touches takes
+    each box as its canonical entry, rescaled onto the term's lattice;
+    an entry and a part equal to the term before's, on the same lattice,
+    are that term's objects.  Any other term line is decoded as JSON and
+    goes through `lattice_entries`."""
 
     def __init__(self):
         self._ratios: dict[str, tuple[int, int]] = {}
         self._cubes: dict[str, int] = {}
         self._bounds: dict[tuple, tuple[int, int, int, int, int]] = {}
         self._lattices: dict[tuple, dict[int, int]] = {}
+        self._pieces: dict[str, tuple] = {}      # box record text -> parsed box
+        self._held: dict[int, list[str]] = {}    # cube -> its texts in _pieces
+        self._bound_texts: dict[str, tuple] = {}     # constraint text -> bound
+        self._keys: dict[tuple, tuple] = {}   # the one object of each box lattice key
+        self._term_lattices: dict[tuple, tuple] = {}   # box lattice keys -> (dens, vden)
+        self._last: list = []   # per position: (box, lattice, entry, part) of the term before
 
     def ratio(self, text) -> tuple[int, int]:
         got = self._ratios.get(text) if isinstance(text, str) else None
@@ -232,13 +248,183 @@ class _Reader:
                     raise ParseError(f"coordinate {a[0]} constrained twice in one box")
         return cube, bounds, value
 
-    def stepfn(self, box_objs: list, domain: tuple[int, ...]) -> StepFunction:
-        """The canonical function of a list of box records (overlaps add)."""
+    def boxes(self, box_objs: list, domain: tuple[int, ...]) -> list:
+        """The validated boxes of a list of box records on `domain`."""
         boxes = [self.box(b) for b in box_objs]
         for cube, _, _ in boxes:
             if cube not in domain:
                 raise ParseError(f"box on unknown cube {cube}; domain is {domain}")
+        return boxes
+
+    def stepfn(self, box_objs: list, domain: tuple[int, ...]) -> StepFunction:
+        """The canonical function of a list of box records (overlaps add)."""
+        boxes = self.boxes(box_objs, domain)
         return StepFunction._raw(domain, *lattice_entries(domain, boxes, self._lattices))
+
+    def record(self, line: str, lead: str, ids: str, domain: tuple[int, ...], where: str
+               ) -> tuple[dict[int, StepFunction], StepFunction]:
+        """The parts by cube and the function of one term line, led by
+        `lead` and ended by its id fields `ids`.  ValueError for a line
+        that is not one term record, ParseError for a bad record."""
+        head = lead + '{"boxes":['
+        if line.startswith(head) and line.endswith(ids):
+            got = self._read(line[len(head):len(line) - len(ids)], domain)
+            if got is not None:
+                return got
+        rec = _record(line, lead)
+        try:
+            boxes = rec["boxes"]
+            if not isinstance(boxes, list):
+                raise ParseError("'boxes' must be a list")
+            boxes = self.boxes(boxes, domain)
+        except (KeyError, TypeError, ValueError) as exc:
+            if isinstance(exc, ParseError):
+                raise ParseError(f"{where}: term {rec.get('kind')}: {exc}") from exc
+            raise ParseError(f"{where}: malformed term record: {exc}") from exc
+        return _parted(domain, *lattice_entries(domain, boxes, self._lattices))
+
+    def _read(self, text: str, domain: tuple[int, ...]
+              ) -> tuple[dict[int, StepFunction], StepFunction] | None:
+        """The parts and the function of the box records `text`, the
+        inside of a term's "boxes" list, or None unless every record is in
+        the writer's form.  Each record is then one JSON object, so the
+        list splits at its '},{' separators."""
+        boxes = []
+        direct = True   # one box of non-zero value a cube, in cube order
+        if text:
+            if text[0] != "{" or text[-1] != "}":
+                return None
+            pieces, last = self._pieces, 0
+            for piece in text[1:-1].split("},{"):
+                got = pieces.get(piece) or self._piece(piece, domain)
+                if got is None:
+                    return None
+                if got[0] <= last or not got[2][0]:
+                    direct = False
+                last = got[0]
+                boxes.append(got)
+        if not direct:
+            return _parted(domain, *lattice_entries(
+                domain, [(cube, [b[1] for b in bounds], value) for cube, bounds, value, _ in boxes],
+                self._lattices))
+        # each box, rescaled onto the lattice of `lattice_entries` with its
+        # full-span bounds dropped, is its cube's canonical entry
+        key = tuple([box[3] for box in boxes])
+        lattice, scales = self._term_lattices.get(key) or self._term_lattice(key, boxes)
+        dens, vden = lattice
+        last_parts = self._last
+        if len(last_parts) < len(boxes):
+            last_parts.extend([(None,)] * (len(boxes) - len(last_parts)))
+        raw = StepFunction._raw
+        entries, parts = [], {}
+        for i, box in enumerate(boxes):
+            got = last_parts[i]
+            if got[0] is not box or got[1] is not lattice:
+                cube, bounds, (num, _), _ = box
+                own, scale = scales[i]
+                if own:
+                    bounds = tuple([b[3] for b in bounds if b[3]])
+                else:
+                    bounds = tuple([(k, lo * (dens[k] // lo_den), hi * (dens[k] // hi_den))
+                                    for k, lo, lo_den, hi, hi_den in [b[1] for b in bounds if b[3]]])
+                entry = (cube, bounds, num * scale)
+                got = last_parts[i] = (box, lattice, entry, raw((cube,), (entry,), dens, vden))
+            entries.append(got[2])
+            parts[got[2][0]] = got[3]
+        return parts, raw(domain, tuple(entries), dens, vden)
+
+    def _term_lattice(self, key: tuple, boxes: list) -> tuple:
+        """The lattice (dens, vden) `lattice_entries` gives boxes of non-zero
+        value, and for each box whether that is its own lattice on its
+        coordinates and the factor of its value, kept under `key`."""
+        dens: dict[int, int] = {}
+        vden = 1
+        for _, bounds, (_, den), _ in boxes:
+            vden = lcm(vden, den)
+            for _, (k, _, lo_den, _, hi_den), _, _ in bounds:
+                dens[k] = lcm(dens.get(k, 1), lo_den, hi_den)
+        dens = self._lattices.setdefault(tuple(sorted(dens.items())), dens)
+        scales = [(all(dens[k] == d for k, d in box[3][1:]), vden // box[2][1]) for box in boxes]
+        got = self._term_lattices[key] = ((dens, vden), scales)
+        return got
+
+    def _piece(self, text: str, domain: tuple[int, ...]) -> tuple | None:
+        """The box of one record's text, braces stripped, kept in the
+        cache: (cube, its constraints in coordinate order as `_bound_text`
+        gives them, value, the key of its lattice).  The key, (value
+        denominator, then (coordinate, denominator) per constraint), is
+        one object for equal keys.  None unless the text is the writer's
+        form '"box":{"k":["lo","hi"],...},"cube":"Q..","value":"n/d"' of
+        a valid box on `domain` that names no coordinate twice."""
+        # with no escape or control character in it, a text splits at '"'
+        # into its strings (odd places) and the syntax between them
+        end = text.find('},"cube":"')
+        if end < 0 or not text.startswith('"box":{') or "\\" in text \
+                or not text.isprintable():
+            return None
+        t = text[end:].split('"')
+        if len(t) != 9 or t[0::2] != ["},", ":", ",", ":", ""] or t[1] != "cube" \
+                or t[5] != "value":
+            return None
+        inner, known = text[7:end], self._bound_texts
+        if inner and inner[-1] != "]":
+            return None
+        try:
+            cube = self._cubes.get(t[3]) or self.cube(t[3])
+            value = self._ratios.get(t[7]) or self.ratio(t[7])
+            # the constraints '"k":["lo","hi"]', joined by ','
+            bounds = [known.get(bound) or self._bound_text(bound)
+                      for bound in inner[:-1].split("],")] if inner else []
+        except ValueError:  # ParseError too
+            return None
+        if cube not in domain:
+            return None
+        last = 0
+        for b in bounds:
+            if b[0] <= last:  # out of coordinate order
+                bounds.sort()
+                for a, b in zip(bounds, bounds[1:]):
+                    if a[0] == b[0]:
+                        return None
+                break
+            last = b[0]
+        key = (value[1], *[b[2] for b in bounds])
+        got = (cube, bounds, value, self._keys.setdefault(key, key))
+        held = self._held.setdefault(cube, [])
+        if len(held) == _PIECE_CACHE:
+            for old in held:
+                del self._pieces[old]
+            held.clear()
+        held.append(text)
+        self._pieces[text] = got
+        return got
+
+    def _bound_text(self, text: str) -> tuple:
+        """(coordinate, bound as `bound` gives it, (coordinate, its
+        denominator), its lattice bound on that denominator or None for
+        one spanning [0, 1)) of one constraint's text '"k":["lo","hi"';
+        ValueError for another text."""
+        t = text.split('"')
+        if len(t) != 7 or t[0::2] != ["", ":[", ",", ""]:
+            raise ValueError(f"not a constraint: {text!r}")
+        bound = k, lo, lo_den, hi, hi_den = self.bound(t[1], [t[3], t[5]])
+        d = lcm(lo_den, hi_den)
+        got = self._bound_texts[text] = (
+            k, bound, (k, d),
+            (k, lo * (d // lo_den), hi * (d // hi_den)) if lo or hi != hi_den else None)
+        return got
+
+
+def _parted(domain: tuple[int, ...], entries: tuple, dens: dict[int, int], vden: int
+            ) -> tuple[dict[int, StepFunction], StepFunction]:
+    """The parts by cube and the function of canonical entries, which
+    are in cube order."""
+    raw = StepFunction._raw
+    by: dict[int, list] = {}
+    for entry in entries:
+        by.setdefault(entry[0], []).append(entry)
+    return ({cube: raw((cube,), tuple(got), dens, vden) for cube, got in by.items()},
+            raw(domain, entries, dens, vden))
 
 
 # --- families ---------------------------------------------------------------
@@ -384,13 +570,21 @@ def _filled(head: Family, records: Iterable, where: str, max_terms: int) -> Fami
     check_term_budget("family", head.term_count(), max_terms)
     table: dict[TermId, StepFunction] = {}
     reader = _Reader()
-    for rec in records:
-        tid, fn = _term(rec, reader, head.domain, where)
-        if tid in table:
-            raise ParseError(f"{where}: duplicate term {tid}")
-        if len(table) == max_terms:
-            raise ConfigError(f"{where} has more than max_terms {max_terms} term records")
-        table[tid] = fn
+    # the table holds no cycles, and the cyclic collector's full passes,
+    # one at every quarter of growth, would walk all of it for nothing
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for rec in records:
+            tid, fn = _term(rec, reader, head.domain, where)
+            if tid in table:
+                raise ParseError(f"{where}: duplicate term {tid}")
+            if len(table) == max_terms:
+                raise ConfigError(f"{where} has more than max_terms {max_terms} term records")
+            table[tid] = fn
+    finally:
+        if enabled:
+            gc.enable()
     return Family(head.points, head.depth, head.sizes, source=TermTable(table),
                   transform=head.transform)
 
@@ -450,13 +644,13 @@ def _section_offsets(fh: BinaryIO, fam: Family, at: int) -> dict[tuple[int, int]
     lead = b'{"boxes":['
     lines = iter(fh)
     for n in range(1, fam.depth + 1):
-        for g, kind in enumerate(fam.kinds):
+        for g in range(fam.points):
             offsets[g, n] = at
-            tail = f'],"kind":{json.dumps(kind)},"level":{n}}}\n'.encode()
-            for index in fam.index_tuples(g, n):
+            for ids in _id_fields(fam, g, n, ()):
                 line = next(lines, b"")
-                ids = b',"index":[' + ",".join(map(str, index)).encode() + tail
-                if not (line.startswith(lead) and line.endswith(ids)) or b"\r" in line:
+                # the id fields from the ',' that leads them
+                if not (line.startswith(lead) and line.endswith(ids[1:].encode())) \
+                        or b"\r" in line:
                     return None
                 at += len(line)
                 lead = b',{"boxes":['
@@ -466,11 +660,29 @@ def _section_offsets(fh: BinaryIO, fam: Family, at: int) -> dict[tuple[int, int]
     return offsets
 
 
+def _id_fields(fam: Family, g: int, n: int, prefix: tuple[int, ...]) -> Iterator[str]:
+    """The id fields '],"index":[...],"kind":...,"level":n}\\n' that end
+    the writer's line of each term of (g, n) under `prefix`, in index
+    order.  The last index component runs fastest, so each text is a
+    head, built once per run of it, and one of the section's tails."""
+    ranges = fam.index_ranges(g, n)
+    end = f'],"kind":{json.dumps(fam.kinds[g])},"level":{n}}}\n'
+    if len(prefix) == len(ranges):
+        yield f'],"index":[{",".join(map(str, prefix))}{end}'
+        return
+    tails = [f"{i}{end}" for i in range(1, ranges[-1] + 1)]
+    for head in product(*[(i,) for i in prefix],
+                        *[range(1, top + 1) for top in ranges[len(prefix):-1]]):
+        head = f'],"index":[{"".join(f"{i}," for i in head)}'
+        for tail in tails:
+            yield head + tail
+
+
 class _FileSections:
     """The term source of a family file whose term lines `_section_offsets`
     has vetted, so its ids are proven: each section read opens the file,
     seeks to the section, skips to the first term under the prefix and
-    parses the terms in index order, `_PARSE_BATCH` at a time."""
+    reads the terms in index order, each record straight to its parts."""
 
     def __init__(self, path: str | Path, offsets: dict[tuple[int, int], int]):
         self.path, self.offsets = path, offsets
@@ -481,7 +693,12 @@ class _FileSections:
 
     def section(self, fam: Family, g: int, n: int, prefix: tuple[int, ...]
                 ) -> Iterator[tuple[tuple[int, ...], StepFunction]]:
-        where = str(self.path)
+        for index, _, f in self.parts(fam, g, n, prefix):
+            yield index, f
+
+    def parts(self, fam: Family, g: int, n: int, prefix: tuple[int, ...]
+              ) -> Iterator[tuple[tuple[int, ...], dict[int, StepFunction], StepFunction]]:
+        where, record, domain = str(self.path), self.reader.record, fam.domain
         # the terms under a prefix are consecutive, `count` of them from `start`
         ranges = fam.index_ranges(g, n)
         start, count = 0, prod(ranges[len(prefix):])
@@ -491,15 +708,12 @@ class _FileSections:
         lead = "" if (g, n, start) == (0, 1, 0) else ","
         with open(self.path, "rb") as fh:
             fh.seek(self.offsets[g, n])
-            lines = islice(fh, start, start + count)
-            indexes = fam.index_tuples(g, n, prefix)
-            while batch := list(islice(lines, _PARSE_BATCH)):
-                parsed = []
-                for line, index in zip(batch, indexes):
-                    rec = _record(line.decode(), lead)
-                    parsed.append((index, _term(rec, self.reader, fam.domain, where)[1]))
-                    lead = ","
-                yield from parsed
+            for line, index, ids in zip(islice(fh, start, start + count),
+                                        fam.index_tuples(g, n, prefix),
+                                        _id_fields(fam, g, n, prefix)):
+                parts, f = record(line.decode(), lead, ids, domain, where)
+                yield index, parts, f
+                lead = ","
 
 
 # --- matrices ---------------------------------------------------------------

@@ -454,6 +454,94 @@ def _intersect(a: LatticeBounds, b: LatticeBounds) -> LatticeBounds | None:
     return tuple(out)
 
 
+class Summary(NamedTuple):
+    """What exact checks read of a function `f`, from one pass over its
+    entries: Σ|box| (`measure`, over `common`), Σ v·|box| (`integral`)
+    and Σ |v|·|box| (`moment`, both over common·V), the values v, the
+    coordinates and the cubes its boxes constrain and lie on, and `box`,
+    its entry when it has exactly one.  The predicates below compare
+    these lattice integers and build no `Fraction`."""
+
+    measure: int
+    integral: int
+    moment: int
+    common: int
+    vden: int
+    values: frozenset[int]
+    coords: frozenset[int]
+    cubes: frozenset[int]
+    box: Entry | None
+    f: "StepFunction"
+
+    def moment_is(self, value: Fraction | int) -> bool:
+        """Whether `f.moment(1) == value`."""
+        return self.moment * value.denominator == value.numerator * self.common * self.vden
+
+    def takes_only(self, value: Fraction | int) -> bool:
+        """Whether every box carries `value`: `f.term_values() <= {value}`."""
+        want, den = value.numerator * self.vden, value.denominator
+        for v in self.values:
+            if v * den != want:
+                return False
+        return True
+
+    def same_integral(self, other: "Summary") -> bool:
+        """Whether the integrals of `f` and `other.f` are equal."""
+        return (self.integral * other.common * other.vden
+                == other.integral * self.common * self.vden)
+
+    def is_product(self, a: "Summary", b: "Summary", c: Fraction | int = 1) -> bool:
+        """Whether `f == c * a.f * b.f`.
+
+        When all three are one box, the product is the intersection of the
+        boxes of `a` and `b` with value c * va * vb: every constraint of a
+        canonical box is proper, so the intersection drops none, and a
+        canonical one-box `f` has positive measure, so it matches no
+        empty intersection.  The boxes and values are compared directly.
+        Otherwise the product is computed."""
+        f, fa, fb = self.f, a.f, b.f
+        if self.box is None or a.box is None or b.box is None:
+            return f == fa.multiply(fb).scale(c)
+        cube, bounds, v = self.box
+        cube_a, bounds_a, va = a.box
+        cube_b, bounds_b, vb = b.box
+        if not (cube == cube_a == cube_b and v * a.vden * b.vden * c.denominator
+                == c.numerator * va * vb * self.vden):
+            return False
+        # the intersection, as (lo, lo's denominator, hi, hi's denominator)
+        dens = fa._dens
+        box = {k: (lo, dens[k], hi, dens[k]) for k, lo, hi in bounds_a}
+        dens = fb._dens
+        for k, lo, hi in bounds_b:
+            d = dens[k]
+            got = box.get(k)
+            if got is None:
+                box[k] = (lo, d, hi, d)
+                continue
+            lo_a, lo_d, hi_a, hi_d = got
+            if lo * lo_d > lo_a * d:
+                lo_a, lo_d = lo, d
+            if hi * hi_d < hi_a * d:
+                hi_a, hi_d = hi, d
+            box[k] = (lo_a, lo_d, hi_a, hi_d)
+        if len(box) != len(bounds):
+            return False
+        dens = f._dens
+        for k, lo, hi in bounds:
+            got = box.get(k)
+            if got is None:
+                return False
+            d = dens[k]
+            if lo * got[1] != got[0] * d or hi * got[3] != got[2] * d:
+                return False
+        return True
+
+
+def _summary(fields: tuple) -> Summary:
+    # the tuple constructor, without the keyword handling of Summary(...)
+    return tuple.__new__(Summary, fields)
+
+
 class StepFunction:
     """Canonical rational step function on an ordered tuple of cubes."""
 
@@ -644,21 +732,53 @@ class StepFunction:
         return Fraction(total, common * self._vden) if total else _ZERO
 
     def support_measure(self, cube: int) -> Fraction:
-        total, common = self.support_ints(cube)
+        self._require_cube(cube)
+        total, common = self._integrate(cube, _one)
         return Fraction(total, common) if total else _ZERO
 
-    def support_ints(self, cube: int) -> tuple[int, int]:
-        """`support_measure(cube)` as an unreduced (numerator, denominator)
-        pair of ints."""
-        self._require_cube(cube)
-        return self._integrate(cube, _one)
+    def summary(self) -> Summary:
+        """The `Summary` of this function, from one pass over its entries."""
+        dens = self._dens
+        entries = self._entries
+        if len(entries) == 1:  # most parts of a term
+            (cube, bounds, v), = entries
+            num = den = 1
+            for c, lo, hi in bounds:
+                num *= hi - lo
+                den *= dens[c]
+            return _summary((num, v * num, abs(v) * num, den, self._vden, frozenset((v,)),
+                             frozenset([c for c, _, _ in bounds]), frozenset((cube,)),
+                             entries[0], self))
+        measure = integral = moment = 0
+        common = 1
+        values, coords, cubes = set(), set(), set()
+        for cube, bounds, v in entries:
+            num = den = 1
+            for c, lo, hi in bounds:
+                num *= hi - lo
+                den *= dens[c]
+                coords.add(c)
+            if not measure:  # nothing to rescale: start on this box's denominator
+                common = den
+            elif den != common:
+                joint = lcm(common, den)
+                up = joint // common
+                measure, integral, moment = measure * up, integral * up, moment * up
+                num *= joint // den
+                common = joint
+            measure += num
+            integral += v * num
+            moment += abs(v) * num
+            values.add(v)
+            cubes.add(cube)
+        return _summary((measure, integral, moment, common, self._vden, frozenset(values),
+                         frozenset(coords), frozenset(cubes), None, self))
 
     # --- exact predicates on the lattice integers, building no Fraction ---
 
     def moment_is(self, value: Fraction | int) -> bool:
         """Whether `moment(1) == value`."""
-        total, common = self._integrate(None, abs)
-        return total * value.denominator == value.numerator * common * self._vden
+        return self.summary().moment_is(value)
 
     def same_integral(self, cube: int, other: int) -> bool:
         """Whether `integral(cube) == integral(other)`."""
@@ -670,52 +790,13 @@ class StepFunction:
 
     def takes_only(self, value: Fraction | int) -> bool:
         """Whether every box carries `value`: `term_values() <= {value}`."""
-        want, den = value.numerator * self._vden, value.denominator
-        for _, _, v in self._entries:
-            if v * den != want:
-                return False
-        return True
+        return self.summary().takes_only(value)
 
     def is_product(self, a: "StepFunction", b: "StepFunction", c: Fraction | int = 1) -> bool:
-        """Whether `self == c * a * b`.
-
-        When all three are one box, the product is the intersection of the
-        boxes of `a` and `b` with value c * va * vb: every constraint of a
-        canonical box is proper, so the intersection drops none, and a
-        canonical one-box `self` has positive measure, so it matches no
-        empty intersection.  The boxes and values are compared directly.
-        Otherwise the product is computed."""
+        """Whether `self == c * a * b`; see `Summary.is_product`."""
         self._check_domain(a)
         self._check_domain(b)
-        if not len(self._entries) == len(a._entries) == len(b._entries) == 1:
-            return self == a.multiply(b).scale(c)
-        (cube, bounds, v), = self._entries
-        (cube_a, bounds_a, va), = a._entries
-        (cube_b, bounds_b, vb), = b._entries
-        if not (cube == cube_a == cube_b and v * a._vden * b._vden * c.denominator
-                == c.numerator * va * vb * self._vden):
-            return False
-        # the intersection, each endpoint as [numerator, denominator]
-        box: dict[int, list[int]] = {}
-        for part, dens in ((bounds_a, a._dens), (bounds_b, b._dens)):
-            for k, lo, hi in part:
-                d = dens[k]
-                got = box.get(k)
-                if got is None:
-                    box[k] = [lo, d, hi, d]
-                    continue
-                if lo * got[1] > got[0] * d:
-                    got[0], got[1] = lo, d
-                if hi * got[3] < got[2] * d:
-                    got[2], got[3] = hi, d
-        if len(box) != len(bounds):
-            return False
-        dens = self._dens
-        for k, lo, hi in bounds:
-            got = box.get(k)
-            if got is None or lo * got[1] != got[0] * dens[k] or hi * got[3] != got[2] * dens[k]:
-                return False
-        return True
+        return self.summary().is_product(a.summary(), b.summary(), c)
 
     def footprint(self) -> frozenset[tuple[int, int]]:
         """Set of (cube, coordinate) pairs the function actually depends on."""
@@ -874,16 +955,20 @@ class Tally:
     def __init__(self, domain: Sequence[int]):
         self._domain = tuple(int(c) for c in domain)
         self._counts: dict[tuple, list] = {}
+        self._last: list = [None, 0]   # the [function, count] added to last
 
     def add(self, f: StepFunction) -> None:
+        if f is self._last[0]:  # the same function again
+            self._last[1] += 1
+            return
         # equal entries on one lattice are one function; the lattice object
         # is held by f, so its id names it while f is counted here
         key = (id(f._dens), f._vden, f._entries)
         got = self._counts.get(key)
         if got is None:
-            self._counts[key] = [f, 1]
-        else:
-            got[1] += 1
+            got = self._counts[key] = [f, 0]
+        got[1] += 1
+        self._last = got
 
     def total(self) -> StepFunction:
         return sum_functions([f.scale(count) for f, count in self._counts.values()],

@@ -42,7 +42,7 @@ from .families import (
     cube_label,
     size_problem,
 )
-from .stepfn import StepFunction, Tally, cube_constants, sum_functions
+from .stepfn import StepFunction, Summary, Tally, cube_constants, sum_functions
 
 _FAIL_CAP = 25
 
@@ -125,31 +125,37 @@ class Check(NamedTuple):
     id: str
     on: str                   # HEAD, TAIL, ROW, COLUMN, HEADS, TAILS or COUPLING
     roles: tuple              # PAIR, MID, TAIL_MID; None reads the whole term
-    # ok and witness take (unit, a term's part, the whole term) for a term
-    # check, (unit, the sum, what it is compared with) for a sum check
-    ok: Callable[["_Unit", StepFunction, object], bool]
+    # a term check's ok takes (unit, the cube it reads or None for the
+    # whole term, the `Summary` of each of the term's parts by cube), and
+    # its witness (unit, that part or the whole term, the whole term); a
+    # sum check's ok and witness take (unit, the sum, what it is compared
+    # with)
+    ok: Callable[["_Unit", object, object], bool]
     witness: Callable[["_Unit", StepFunction, object], str]
     scope: str                # of the PASS row, formatted with the unit's fields
 
 
 def _norm(want):
-    return (lambda u, f, _: f.moment_is(want(u)),
+    return (lambda u, k, sums: sums[k].moment_is(want(u)),
             lambda u, f, _: f"moment {f.moment(1)} != {want(u)}")
 
 
 def _coords(*shifts):
-    return (lambda u, f, _: f.footprint() <= {(f.domain[0], u.n + s) for s in shifts},
+    return (lambda u, k, sums: sums[k].coords <= u.near[shifts],
             lambda u, f, _: f"depends on {sorted(f.footprint())}")
 
 
 def _values(want):
-    return (lambda u, f, _: f.takes_only(want(u, f)),
-            lambda u, f, _: f"values {sorted(f.term_values())} != {{{want(u, f)}}}")
+    return (lambda u, k, sums: sums[k].takes_only(want(u, k)),
+            lambda u, f, _: f"values {sorted(f.term_values())} != {{{want(u, f.domain[0])}}}")
 
 
-def _support(generation):
-    return (lambda u, f, _: not _stray(u.fam, generation(u), f),
-            lambda u, f, _: f"support on {_stray(u.fam, generation(u), f)}")
+def _support(shift):
+    # the term is of generation e + shift, with pieces on u.pieces[shift]
+    # parts only lie outside those cubes where the term touches them
+    return (lambda u, _, sums: sums.keys() <= u.pieces[shift]
+            or all(s.cubes <= u.pieces[shift] for s in sums.values()),
+            lambda u, f, _: f"support on {_stray(u.fam, u.e + shift, f.support_cubes())}")
 
 
 def _sums_to(value):
@@ -164,9 +170,10 @@ def _measures_one(what):
 
 _CANCELS = (lambda u, f, cancel: f == cancel.scale(-1),
             lambda u, f, cancel: _describe_diff(f + cancel))
-_PRODUCT = (lambda u, f, _: f.is_product(*u.factors, -1),
-            lambda u, f, _: _describe_diff(f + StepFunction.multiply(*u.factors)))
-_PAIRED = (lambda u, f, whole: whole.same_integral(f.domain[0], f.domain[0] + 1),
+_PRODUCT = (lambda u, k, sums: sums[k].is_product(*u.factors, -1),
+            lambda u, f, _: _describe_diff(f + u.factors[0].f.multiply(u.factors[1].f)))
+# a bridge cube k is paired with cube k + 1
+_PAIRED = (lambda u, k, sums: sums[k].same_integral(sums[k + 1]),
            lambda u, f, whole: " vs ".join(f"{whole.integral(k)} on {cube_label(k)}"
                                            for k in (f.domain[0], f.domain[0] + 1)))
 _INDICATOR = (lambda u, f, _: f.value_set() <= {0, 1},
@@ -180,20 +187,20 @@ _BRIDGE = (MID, TAIL_MID)
 CHECKS = (
     Check("cell-norm", HEAD, (PAIR,), *_norm(lambda u: u.head_norm), _SCOPE),
     Check("single-coordinate", HEAD, (PAIR,), *_coords(0), _SCOPE),
-    Check("zero-one-valued", HEAD, (PAIR,), *_values(lambda u, f: 1), _SCOPE),
+    Check("zero-one-valued", HEAD, (PAIR,), *_values(lambda u, k: 1), _SCOPE),
     Check("partition-sums-to-one", HEADS, (PAIR,), *_sums_to(1), _SCOPE),
     Check("disjoint-cells", HEADS, (PAIR,), *_measures_one("cell measures"), _SCOPE),
     Check("product-structure", TAIL, (PAIR,), *_PRODUCT, _SCOPE),
     Check("pair-norm", TAIL, (PAIR,), *_norm(lambda u: u.tail_norm), _SCOPE),
     Check("two-coordinate", TAIL, (PAIR,), *_coords(0, 1), _SCOPE),
-    Check("zero-minus-one-valued", TAIL, (PAIR,), *_values(lambda u, f: -1), _SCOPE),
-    Check("cube-support", HEAD, (None,), *_support(lambda u: u.e), _SCOPE),
-    Check("cube-support", TAIL, (None,), *_support(lambda u: u.e + 1), _SCOPE),
+    Check("zero-minus-one-valued", TAIL, (PAIR,), *_values(lambda u, k: -1), _SCOPE),
+    Check("cube-support", HEAD, (None,), *_support(0), _SCOPE),
+    Check("cube-support", TAIL, (None,), *_support(1), _SCOPE),
     Check("row-cancellation", ROW, (PAIR,), *_CANCELS, _SCOPE),
     Check("paired-integrals", TAIL, _BRIDGE, *_PAIRED, _SCOPE),
     Check("bridge-norm", TAIL, _BRIDGE, *_norm(lambda u: u.tail_norm), _SCOPE),
     Check("bridge-scaled-values", TAIL, _BRIDGE,
-          *_values(lambda u, f: u.bridge_value[f.domain[0]]), _SCOPE),
+          *_values(lambda u, k: u.bridge_value[k]), _SCOPE),
     Check("bridge-single-coordinate", TAIL, _BRIDGE, *_coords(0), _SCOPE),
     Check("bridge-row-cancellation", ROW, (MID,), *_CANCELS, _SCOPE),
     Check("bridge-row-indicator", ROW, (TAIL_MID,), *_INDICATOR, _SCOPE),
@@ -214,12 +221,18 @@ CHECKS = (
 )
 
 
-def _stray(fam: Family, g: int, f: StepFunction) -> list[str]:
-    """Cubes where f is not zero although generation g has no piece there."""
-    # generation g has pieces on cubes 2g-2 .. 2g+1, the last one on 2g-2, 2g-1
+def _pieces(fam: Family, g: int) -> range:
+    """The cubes generation g has pieces on: 2g-2 .. 2g+1, the last
+    generation's on 2g-2 and 2g-1, within the domain."""
     top = 2 * g + 1 if g <= fam.points - 2 else 2 * g - 1
-    # a canonical box has positive measure: f is not zero on the cubes it has boxes on
-    return [cube_label(c) for c in sorted(f.support_cubes()) if not 2 * g - 2 <= c <= top]
+    return range(max(2 * g - 2, 1), top + 1)
+
+
+def _stray(fam: Family, g: int, cubes: Iterable[int]) -> list[str]:
+    """Those of `cubes`, the cubes a term has boxes on, where generation g
+    has no piece."""
+    # a canonical box has positive measure: a term is not zero on the cubes it has boxes on
+    return [cube_label(c) for c in sorted(cubes) if c not in _pieces(fam, g)]
 
 
 # --- the verifier -----------------------------------------------------------
@@ -291,13 +304,21 @@ def _is_term(tid, ranges: dict) -> bool:
         and all(i in range(1, t + 1) for i, t in zip(index, top))
 
 
-def _split(fam: Family, g: int, n: int) -> Iterator[dict]:
-    """Generation g at level n: each term's parts on the cubes it is read on."""
-    cubes = [k for k in fam.domain if abs(k - 2 * g) <= 2]   # the roles of pairs g-1, g
+def _split(fam: Family, g: int, n: int) -> Iterator[tuple[dict, StepFunction]]:
+    """Generation g at level n: each term's parts by cube, as its source
+    cut them, and the term.  A cube the generation has a piece on, and
+    the term no part, holds the zero function: every cube a check reads
+    is one of those."""
+    cubes = frozenset(_pieces(fam, g))
+    zeros = {k: StepFunction.zero((k,)) for k in cubes}
     # the heads one level past the depth come from the formulas
-    terms = fam.section(g, n) if n <= fam.depth else fam.reference_section(g, n)
-    for _, f in terms:
-        yield {**f.split(cubes), None: f}   # None reads the whole term
+    terms = fam.parts(g, n) if n <= fam.depth else fam.reference_parts(g, n)
+    for _, parts, whole in terms:
+        if parts.keys() != cubes:
+            for k in cubes:
+                if k not in parts:
+                    parts[k] = zeros[k]
+        yield parts, whole
 
 
 def _through(total: StepFunction, is_one: bool, factor: StepFunction, bad: list) -> StepFunction:
@@ -323,48 +344,64 @@ class _Unit:
         if e + 1 <= fam.points - 2:
             self.roles[TAIL_MID] = 2 * e + 2
         self.head, self.tail = fam.kinds[e], fam.kinds[e + 1]
+        # the cubes heads (0) and tails (1) have pieces on
+        self.pieces = {0: frozenset(_pieces(fam, e)), 1: frozenset(_pieces(fam, e + 1))}
+        self.near = {(0,): frozenset((n,)), (0, 1): frozenset((n, n + 1))}   # for _coords
         self.head_norm = Fraction(1, fam.flat_size(e, n))
         self.tail_norm = Fraction(1, fam.flat_size(e + 1, n))
         self.fields = dict(n=n, n1=n + 1, head=self.head, tail=self.tail,
                            qc=cube_label(self.c), qmid=cube_label(2 * e),
                            qtail_mid=cube_label(2 * e + 2))
-        self.heads: list[dict] = []         # split, as are the next-level heads
-        self.next_heads: list[dict] = []
-        # the pair-cube parts of the row's head and the column's next-level
-        # head: the tail being checked is minus their product
-        self.factors: tuple[StepFunction, ...] = ()
+        self.heads: list[tuple] = []        # (parts, term), as are the next-level heads
+        self.next_heads: list[tuple] = []
+        # the summaries of the pair-cube parts of the row's head and the
+        # column's next-level head: the tail being checked is minus their product
+        self.factors: tuple[Summary, ...] = ()
 
 
-def _verify_unit(u: _Unit, tails: Iterable[dict], report: AxiomReport) -> None:
+def _verify_unit(u: _Unit, tails: Iterable[tuple], report: AxiomReport) -> None:
     fam, e, n, c = u.fam, u.e, u.n, u.c
     checks: dict[str, list] = {}
     scopes = [(ck.id, ck.scope.format(**u.fields)) for ck in CHECKS]
     for i, ck in enumerate(CHECKS):
         for role in ck.roles:
             if role in u.roles:
-                checks.setdefault(ck.on, []).append((i, ck, u.roles[role]))
-    seen = {i for on in (HEAD, TAIL) for i, _, _ in checks[on]}  # every unit has both
+                checks.setdefault(ck.on, []).append((i, ck, u.roles[role], ck.ok))
+    seen = {i for on in (HEAD, TAIL) for i, _, _, _ in checks[on]}  # every unit has both
     failed: set[tuple[str, str]] = set()
-
+    bridges = [u.roles[k] for k in _BRIDGE if k in u.roles]
     def fail(i: int, ck: Check, where: str, f: StepFunction, other) -> None:
         failed.add(scopes[i])
         report.record(ck.id, where, False, ck.witness(u, f, other))
 
-    def each(g: int, on: str, idx: tuple[int, ...], parts: dict) -> tuple[str, ...]:
-        """Run the `on` checks on one term; the ids of those that failed."""
+    last: dict[int, tuple] = {}   # cube -> (part, its summary) of the term before
+
+    def each(g: int, on: str, idx: tuple[int, ...], parts: dict, whole: StepFunction
+             ) -> tuple[tuple[str, ...], dict]:
+        """Run the `on` checks on one term: the ids of those that failed,
+        and the summaries of its parts.  A part its source carried over
+        from the term before keeps its summary."""
+        sums = {}
+        for k, p in parts.items():
+            got = last.get(k)
+            if got is None or got[0] is not p:
+                got = last[k] = (p, p.summary())
+            sums[k] = got[1]
         bad = ()
-        for i, ck, k in checks[on]:
-            if not ck.ok(u, parts[k], parts[None]):
+        for i, ck, k, ok in checks[on]:
+            if not ok(u, k, sums):
                 bad += (ck.id,)
                 name = str(TermId(fam.kinds[g], n, idx))
-                fail(i, ck, name if k is None else f"{name} on {cube_label(k)}",
-                     parts[k], parts[None])
-        return bad
+                if k is None:
+                    fail(i, ck, name, whole, whole)
+                else:
+                    fail(i, ck, f"{name} on {cube_label(k)}", parts[k], whole)
+        return bad, sums
 
     def judge(on: str, name: str | None, items: dict) -> bool:
         """Whether the `on` checks pass on cube -> (sum, other) or None (proven)."""
         ok = True
-        for i, ck, k in checks.get(on, ()):
+        for i, ck, k, _ in checks.get(on, ()):
             seen.add(i)
             if items[k] is not None and not ck.ok(u, *items[k]):
                 ok = False
@@ -374,17 +411,18 @@ def _verify_unit(u: _Unit, tails: Iterable[dict], report: AxiomReport) -> None:
 
     # support measures are summed as ints, one sum per denominator
     support: dict[int, int] = {}
-    for idx, parts in zip(fam.index_tuples(e, n), u.heads):
-        each(e, HEAD, idx, parts)
-        num, den = parts[c].support_ints(c)
-        support[den] = support.get(den, 0) + num
-    heads_sum = sum_functions([h[c] for h in u.heads], (c,))
+    head_sums = []
+    for idx, (parts, whole) in zip(fam.index_tuples(e, n), u.heads):
+        s = each(e, HEAD, idx, parts, whole)[1][c]
+        head_sums.append(s)
+        support[s.common] = support.get(s.common, 0) + s.measure
+    heads_sum = sum_functions([h[c] for h, _ in u.heads], (c,))
     # passing, partition-sums-to-one proves H = 1; failing, the sums are built
     h_one = judge(HEADS, None, {c: (heads_sum, sum(Fraction(v, d) for d, v in support.items()))})
 
-    next_sum = sum_functions([g[c] for g in u.next_heads], (c,))
+    next_sum = sum_functions([g[c] for g, _ in u.next_heads], (c,))
+    next_sums = [g[c].summary() for g, _ in u.next_heads]
     g_one = next_sum == cube_constants((c,), {c: 1})
-    bridges = [u.roles[k] for k in _BRIDGE if k in u.roles]
     level = {b: Tally((b,)) for b in bridges}
     # coupling group j' pairs the level-(n+1) heads whose last index is j'
     # with the level-n columns under them
@@ -395,24 +433,26 @@ def _verify_unit(u: _Unit, tails: Iterable[dict], report: AxiomReport) -> None:
     support = {}
     bad_rows: list = []                 # (head, row sum) of the rows with a failing tail
     bad_columns: dict[int, list] = {}   # column -> (head, pair part) of its failing tails
-    for t, (idx, parts) in enumerate(zip(fam.index_tuples(e + 1, n), tails)):
+    for t, (idx, (parts, whole)) in enumerate(zip(fam.index_tuples(e + 1, n), tails)):
         r, k = divmod(t, s_next)
-        u.factors = (u.heads[r][c], u.next_heads[k][c])
+        u.factors = (head_sums[r], next_sums[k])
         if k == 0:
             rows, row_bad = {b: Tally((b,)) for b in bridges}, []
-        if "product-structure" in each(e + 1, TAIL, idx, parts):
-            row_bad.append((u.next_heads[k][c], parts[c]))
-            bad_columns.setdefault(k, []).append((u.heads[r][c], parts[c]))
-        num, den = parts[c].support_ints(c)
-        support[den] = support.get(den, 0) + num
+        bad, sums = each(e + 1, TAIL, idx, parts, whole)
+        if "product-structure" in bad:
+            row_bad.append((u.next_heads[k][0][c], parts[c]))
+            bad_columns.setdefault(k, []).append((u.heads[r][0][c], parts[c]))
+        s = sums[c]
+        support[s.common] = support.get(s.common, 0) + s.measure
         for b in bridges:
             rows[b].add(parts[b])
             level[b].add(parts[b])
         if mid:
             groups[group_of[k]].add(parts[mid])
         if k == s_next - 1:
-            head = u.heads[r]
-            items = {b: (rows[b].total(), head[b]) for b in bridges}
+            head = u.heads[r][0]
+            # the head has no piece on the tail_mid cube, whose check reads no other
+            items = {b: (rows[b].total(), head.get(b)) for b in bridges}
             items[c] = (_through(next_sum, g_one, head[c], row_bad), head[c])
             if row_bad:
                 bad_rows.append((head[c], items[c][0]))
@@ -423,17 +463,18 @@ def _verify_unit(u: _Unit, tails: Iterable[dict], report: AxiomReport) -> None:
     judge(TAILS, None, items)
 
     columns, failing = [], set()
-    for k, g in enumerate(u.next_heads):
+    for k, (g, _) in enumerate(u.next_heads):
         columns.append(_through(heads_sum, h_one, g[c], bad_columns.get(k, [])))
         if not judge(COLUMN, f"column {u.tail}^{n}(*,{k + 1})", {c: (columns[k], g[c])}):
             failing.add(k)
     for jp, tally in groups.items():
         ks = [k for k, j in enumerate(group_of) if j == jp]
-        items = {mid: (tally.total(), sum_functions([u.next_heads[k][mid] for k in ks], (mid,))),
+        items = {mid: (tally.total(),
+                       sum_functions([u.next_heads[k][0][mid] for k in ks], (mid,))),
                  c: None}
         if failing.intersection(ks):
             items[c] = (sum_functions([columns[k] for k in ks], (c,)),
-                        sum_functions([u.next_heads[k][c] for k in ks], (c,)))
+                        sum_functions([u.next_heads[k][0][c] for k in ks], (c,)))
         judge(COUPLING, f"column {jp} of level {n + 1} {u.head} vs level {n} {u.tail}", items)
 
     for check, scope in dict.fromkeys(scopes[i] for i in sorted(seen)):

@@ -1,5 +1,6 @@
 """Round trips, byte stability and corruption handling for the text formats."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -20,6 +21,7 @@ from sumrange.families import (
 )
 from sumrange.serialize import (
     ParseError,
+    _Reader,
     dump_family,
     dump_matrix,
     family_to_lines,
@@ -28,7 +30,7 @@ from sumrange.serialize import (
     load_matrix,
     text_to_frac,
 )
-from sumrange.stepfn import Box, StepFunction, indicator, make_bounds
+from sumrange.stepfn import Box, StepFunction, indicator, lattice_entries, make_bounds
 from test_stepfn import assert_canonical_shape, fraction_terms, random_raw
 
 F = Fraction
@@ -343,6 +345,94 @@ def test_lattice_parse_matches_fraction_parse(tmp_path, case):
                                 for k, iv in box.bounds},
                         "cube": f"Q{box.cube}", "value": frac_to_text(v)}
                        for box, v in fraction_terms(want)]
+
+
+# --- the section reader's fast path against lattice_entries -----------------
+
+# Box records in the writer's syntax, with the forms a canonical record
+# never has: each case as (cube, {coordinate: (lo, hi)}, value) boxes, in
+# the order the record lists them and each box's coordinates in the order
+# its object lists them
+FAST_PATH = {
+    "one box a cube": [(1, {2: (F(1, 3), F(2, 3))}, F(1)), (2, {}, F(-1, 12)),
+                       (3, {1: (F(0), F(1, 2)), 2: (F(1, 6), F(1, 3))}, F(5, 7))],
+    "multi-box": [(1, {2: (F(0), F(1, 3))}, F(1)), (1, {3: (F(1, 2), F(1))}, F(2)),
+                  (3, {1: (F(1, 4), F(1, 2))}, F(-1))],
+    "overlapping": ADVERSARIAL["overlapping"],
+    "unsorted keys": [(1, {3: (F(0), F(1, 2)), 2: (F(1, 4), F(1))}, F(1)),
+                      (2, {12: (F(1, 3), F(1)), 9: (F(0), F(1, 9))}, F(-2))],
+    "zero values": ADVERSARIAL["zero-values"],
+    "unreduced": ADVERSARIAL["unreduced"] + [(3, {2: (F(1, 6), F(5, 6))}, F(-1, 3))],
+    "full-span": ADVERSARIAL["full-span"] + [(3, {4: (F(0), F(1))}, F(1, 2))],
+    "merging": [(1, {2: (F(0), F(1, 2))}, F(1)), (1, {2: (F(1, 2), F(1))}, F(1)),
+                (2, {1: (F(0), F(1, 3)), 3: (F(0), F(1, 2))}, F(2)),
+                (2, {1: (F(1, 3), F(1)), 3: (F(0), F(1, 2))}, F(2))],
+    "cubes out of order": [(3, {1: (F(0), F(1, 2))}, F(1)), (1, {2: (F(1, 2), F(1))}, F(1))],
+}
+
+
+def records_text(boxes) -> str:
+    """The inside of a term's "boxes" list: the records joined as the writer joins them."""
+    return ",".join(json.dumps(b, separators=(",", ":")) for b in boxes)
+
+
+@pytest.mark.parametrize("case", [*FAST_PATH, *(f"random-{seed}" for seed in range(24))])
+def test_section_reader_matches_lattice_entries(case):
+    # entry for entry and lattice for lattice, the parts being the
+    # entries of each cube on that lattice; read twice, the second time
+    # from the cache of parsed records
+    rng = random.Random(case)
+    dom = (1, 2, 3)
+    if case in FAST_PATH:
+        raw = FAST_PATH[case]
+    else:  # the instances of test_stepfn.py's oracle test of the same seed
+        raw = random_raw(random.Random(int(case[len("random-"):])), (1, 2))
+    boxes = [box_record(c, b, v, rng, 2 if case == "unreduced" else 1) for c, b, v in raw]
+    reader = _Reader()
+    want, dens, vden = lattice_entries(dom, reader.boxes(boxes, dom))
+    for _ in range(2):
+        parts, whole = reader._read(records_text(boxes), dom)
+        assert whole._entries == want
+        assert whole._dens == dens and whole._vden == vden
+        assert {k: (p.domain, p._entries, p._dens, p._vden) for k, p in parts.items()} == {
+            k: ((k,), tuple(e for e in want if e[0] == k), dens, vden)
+            for k in dict.fromkeys(e[0] for e in want)}
+    assert reader._pieces  # the records were read in the writer's syntax
+
+
+@pytest.mark.parametrize("text", [
+    '{"box": {},"cube":"Q1","value":"1/1"}',          # a space
+    '{"box":{},"cube":"\\u0051\\u0031","value":"1/1"}',   # an escape
+    '{"box":{},"cube":"Q1","value":"1/1","note":1}',  # another key
+    '{"cube":"Q1","box":{},"value":"1/1"}',           # keys in another order
+    '{"box":{"2":["0/1","1/2"]]},"cube":"Q1","value":"1/1"}',
+    '{"box":{"2":["0/1","1/2"],"2":["1/2","1/1"]},"cube":"Q1","value":"1/1"}',
+    '{"box":{},"cube":"Q1","value":"1/1"} ',
+])
+def test_other_record_syntax_is_left_to_json(text):
+    # a record the fast path does not read as the writer's syntax is
+    # decoded as JSON, whatever it holds
+    assert _Reader()._read(text, (1, 2, 3)) is None
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    # the cyclic collector is paused while the table is built, and the
+    # caller's setting comes back after a clean load and a refused one
+    good = write_text(tmp_path, "good.family", "".join(family_to_lines(build_three_kadets(2))))
+    lines = good.read_text().splitlines(keepends=True)
+    lines[5] = lines[5].replace('"value":"', '"value":"x', 1)
+    bad = write_text(tmp_path, "bad.family", "".join(lines))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert load_family(good).term_count() == 95
+        assert gc.isenabled() is enabled
+        with pytest.raises(ParseError, match="bad rational"):
+            load_family(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.fixture(scope="module")

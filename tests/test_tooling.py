@@ -36,17 +36,23 @@ from sumrange.families import build_kadets, build_multipoint, build_three_kadets
 from sumrange.schedules import random_schedule, run_trace, schedule_point
 from sumrange.verify import verify_family
 
-# the tracer times Family.fn, not sections: count what sections yield here
+# the tracer times Family.fn, not sections: count what sections yield here,
+# with their parts or without
 from sumrange.families import Family
 yields = []
-section = Family.section
+section, parts = Family.section, Family.parts
 
 def counted_section(self, g, n, prefix=()):
     for index, f in section(self, g, n, prefix):
         yields.append((id(self), g, n, index))
         yield index, f
 
-Family.section = counted_section
+def counted_parts(self, g, n, prefix=()):
+    for index, cut, f in parts(self, g, n, prefix):
+        yields.append((id(self), g, n, index))
+        yield index, cut, f
+
+Family.section, Family.parts = counted_section, counted_parts
 
 def built(group, since, since_yields):
     # terms built since a point: fn calls, section yields, distinct yields
@@ -185,7 +191,7 @@ def test_blocks_trace_builds_each_term_once_and_slices_per_block(traced_run):
 def test_loaded_family_verifies_without_fractions_per_term(traced_run):
     # loading parses straight onto the lattice, the product-structure check
     # compares one-box parts without multiplying, and the verifier fetches
-    # each term once and splits it by cube without one-cube copies
+    # each term once, cut by cube by its source without one-cube copies
     assert traced_run["load"] == {"stepfn.StepFunction": 0, "intervals": 0}
     verify = traced_run["verify"]
     assert verify["stepfn.multiply"] == 0

@@ -324,20 +324,27 @@ def test_clean_report_rows_in_table_order():
                                    lambda: build_kadets(4)],
                          ids=["multipoint(4, 1)", "three-kadets(3)", "kadets(4)"])
 def test_each_term_fetched_once(build, monkeypatch):
-    # one walk by level: a term is kept, split, between its uses as a
-    # next-level head, a tail and a head
+    # one walk by level: a term is kept, cut by cube, between its uses as
+    # a next-level head, a tail and a head
     fam = build()
     calls = []
-    fetch, section = Family.fn, Family.section
+    fetch, section, parts = Family.fn, Family.section, Family.parts
 
     def counted_section(self, g, n, prefix=()):
         for index, f in section(self, g, n, prefix):
             calls.append(TermId(self.kinds[g], n, index))
             yield index, f
 
-    # a term built by fn and a term yielded by a section count alike
+    def counted_parts(self, g, n, prefix=()):
+        for index, cut, f in parts(self, g, n, prefix):
+            calls.append(TermId(self.kinds[g], n, index))
+            yield index, cut, f
+
+    # a term built by fn and a term yielded by a section, with its parts
+    # or without, count alike
     monkeypatch.setattr(Family, "fn", lambda self, tid: calls.append(tid) or fetch(self, tid))
     monkeypatch.setattr(Family, "section", counted_section)
+    monkeypatch.setattr(Family, "parts", counted_parts)
     assert verify_family(fam).ok
     assert len(calls) == fam.term_count()
     assert len(set(calls)) == fam.term_count()
@@ -345,8 +352,8 @@ def test_each_term_fetched_once(build, monkeypatch):
 
 # --- the integer checks against their Fraction predicates -------------------
 
-# Today's Fraction predicate of each check that compares lattice integers;
-# `allowed` holds the cubes the term's generation has pieces on.
+# The Fraction predicate of each check that reads part summaries; `allowed`
+# holds the cubes the term's generation has pieces on.
 FRACTION_PREDICATES = {
     "cell-norm": lambda u, f, whole, allowed: f.moment(1) == u.head_norm,
     "pair-norm": lambda u, f, whole, allowed: f.moment(1) == u.tail_norm,
@@ -360,7 +367,7 @@ FRACTION_PREDICATES = {
     "cube-support": lambda u, f, whole, allowed: not any(
         f.support_measure(c) != 0 for c in f.domain if c not in allowed),
     "product-structure": lambda u, f, whole, allowed: f == (
-        u.factors[0].multiply(u.factors[1]).scale(-1)),
+        u.factors[0].f.multiply(u.factors[1].f).scale(-1)),
 }
 
 
@@ -379,15 +386,25 @@ def _copies(f):
     return (f, f.scale(3), f.scale(-1), f + indicator(f.domain, f.domain[-1], {}, Fraction(1, 7)))
 
 
-def _parts(f, cubes):
-    return {**f.split(cubes), None: f}
+def _parts(f, fam, g):
+    """The term cut by cube as a source cuts it, with the zero function on
+    each other cube of its generation's pieces, as the verifier fills in."""
+    parts = f.split(sorted(f.support_cubes()))
+    for k in _allowed_cubes(fam, g):
+        parts.setdefault(k, StepFunction.zero((k,)))
+    return parts
 
 
-def _agree(u, todo, parts, allowed, outcomes):
-    """Run each converted check on one term's parts against its predicate."""
+def _agree(u, todo, f, fam, g, outcomes):
+    """Run each check that reads part summaries on one term against its
+    Fraction predicate."""
+    parts = _parts(f, fam, g)
+    sums = {k: part.summary() for k, part in parts.items()}
     for ck, k in todo:
-        got = ck.ok(u, parts[k], parts[None])
-        assert got == FRACTION_PREDICATES[ck.id](u, parts[k], parts[None], allowed), ck.id
+        got = ck.ok(u, k, sums)
+        want = FRACTION_PREDICATES[ck.id](u, f if k is None else parts[k], f,
+                                          _allowed_cubes(fam, g))
+        assert got == want, ck.id
         outcomes.add((ck.id, got))
 
 
@@ -400,28 +417,27 @@ def test_integer_checks_match_fraction_predicates(build):
     for n in range(1, fam.depth + 1):
         for e in range(fam.points - 1):
             u = _Unit(fam, e, n)
-            cubes = [k for k in u.roles.values() if k is not None]
             todo = {on: [(ck, u.roles[role]) for ck in CHECKS if ck.on == on
                          and ck.id in FRACTION_PREDICATES for role in ck.roles if role in u.roles]
                     for on in (HEAD, TAIL)}
             heads = [fam.fn(TermId(u.head, n, idx)) for idx in fam.index_tuples(e, n)]
-            u.heads = [_parts(f, cubes) for f in heads]
-            u.next_heads = [_parts(f, cubes) for _, f in fam.reference_section(e, n + 1)]
-            allowed = _allowed_cubes(fam, e)
+            # the summaries of the pair-cube parts of the heads and next heads
+            head_sums = [f.split([u.c])[u.c].summary() for f in heads]
+            next_sums = [f.split([u.c])[u.c].summary()
+                         for _, f in fam.reference_section(e, n + 1)]
             for f in heads:
                 for copy in _copies(f):
-                    _agree(u, todo[HEAD], _parts(copy, cubes), allowed, outcomes)
-            s_next = len(u.next_heads)
-            allowed = _allowed_cubes(fam, e + 1)
+                    _agree(u, todo[HEAD], copy, fam, e, outcomes)
+            s_next = len(next_sums)
             for t, idx in enumerate(fam.index_tuples(e + 1, n)):
                 row, column = divmod(t, s_next)
                 f = fam.fn(TermId(u.tail, n, idx))
                 for copy in _copies(f):
-                    u.factors = (u.heads[row][u.c], u.next_heads[column][u.c])
-                    _agree(u, todo[TAIL], _parts(copy, cubes), allowed, outcomes)
+                    u.factors = (head_sums[row], next_sums[column])
+                    _agree(u, todo[TAIL], copy, fam, e + 1, outcomes)
                 # against the next column's head: one box each, the wrong box
-                u.factors = (u.heads[row][u.c], u.next_heads[(column + 1) % s_next][u.c])
-                _agree(u, todo[TAIL], _parts(f, cubes), allowed, outcomes)
+                u.factors = (head_sums[row], next_sums[(column + 1) % s_next])
+                _agree(u, todo[TAIL], f, fam, e + 1, outcomes)
     # every check a family has was seen both passing and failing, except
     # cube-support on the one cube of kadets
     passed = {ck for ck, ok in outcomes if ok}

@@ -9,6 +9,7 @@ and report CSV bytes must match.
 
 import json
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +24,7 @@ from sumrange.families import (
     build_three_kadets,
 )
 from sumrange.serialize import family_to_lines, load_family
+from sumrange.verify import verify_family
 from test_serialize import family_corruptions, layouts
 
 
@@ -83,6 +85,48 @@ def transformed_text() -> str:
                                    TransformSpec([["1/2", "-1/3"], ["0/1", "1/2"]])))
 
 
+def unreduced(x: Fraction) -> str:
+    return f"{2 * x.numerator}/{2 * x.denominator}"
+
+
+def noncanonical_boxes(boxes: list) -> list:
+    """Box records of the same function in the forms a canonical record
+    never has: each box cut into two adjacent halves that merge again,
+    the first half as two overlapping boxes that add, a full-span bound
+    on coordinate 7, coordinates in decreasing order, every ratio over
+    twice its denominator, and a box of value zero at the end."""
+    out = []
+    for box in boxes:
+        bounds = {int(k): (Fraction(lo), Fraction(hi)) for k, (lo, hi) in box["box"].items()}
+        value = Fraction(box["value"])
+        halves = [bounds]
+        if bounds:
+            k = max(bounds)
+            lo, hi = bounds[k]
+            halves = [{**bounds, k: (lo, (lo + hi) / 2)}, {**bounds, k: ((lo + hi) / 2, hi)}]
+        for i, half in enumerate(halves):
+            half = {**half, 7: (Fraction(0), Fraction(1))}
+            for v in ([value / 2, value / 2] if i == 0 else [value]):
+                out.append({"box": {str(c): [unreduced(lo), unreduced(hi)]
+                                    for c, (lo, hi) in sorted(half.items(), reverse=True)},
+                            "cube": box["cube"], "value": unreduced(v)})
+    out.append({"box": {"1": ["0/2", "2/4"]}, "cube": "Q1", "value": "0/3"})
+    return out
+
+
+def noncanonical_text(fam) -> str:
+    """The family file of `fam` with each term's records rewritten by
+    `noncanonical_boxes`, its id fields as the writer wrote them."""
+    head, *lines, close = lines_of(text_of(fam))
+    out = [head]
+    for line in lines:
+        lead = line[:1] if line.startswith(",") else ""
+        rec = json.loads(line[len(lead):])
+        rec["boxes"] = noncanonical_boxes(rec["boxes"])
+        out.append(lead + json.dumps(rec, separators=(",", ":")) + "\n")
+    return "".join(out + [close])
+
+
 # Files the section path reads itself, clean or with a fault the verifier
 # (not the parser) must find
 SECTIONED = {
@@ -94,6 +138,7 @@ SECTIONED = {
     # a key the parser ignores, as the table path does
     "extra key": lambda: "".join(
         line.replace('],"index":[', '],"note":1,"index":[') for line in kadets2_lines()),
+    "non-canonical records": lambda: noncanonical_text(build_multipoint(4, 1)),
     # an object keeps the last value of a repeated key: the id at the end
     "repeated id keys": lambda: "".join(
         line.replace('],"index":[', '],"index":[9],"kind":"z","level":7,"index":[')
@@ -197,22 +242,40 @@ def test_multipoint_file_matches_the_table_path(multipoint_file, tmp_path, capsy
 
 
 def test_each_record_is_parsed_once(multipoint_file, capsys, monkeypatch):
+    # every term line a section reads goes through `_Reader.record`, which
+    # parses it straight to its parts
     parsed = []
-    stepfn = serialize._Reader.stepfn
+    record = serialize._Reader.record
 
-    def counted(self, boxes, domain):
+    def counted(self, *args):
         parsed.append(1)
-        return stepfn(self, boxes, domain)
+        return record(self, *args)
 
     def refused(*args, **kwargs):
         raise AssertionError("load_family called")
 
-    monkeypatch.setattr(serialize._Reader, "stepfn", counted)
+    monkeypatch.setattr(serialize._Reader, "record", counted)
     monkeypatch.setattr(cli, "load_family", refused)
     monkeypatch.setattr(serialize, "load_family", refused)
     assert cli.main(["verify", "--family", str(multipoint_file)]) == 0
     capsys.readouterr()
     assert len(parsed) == build_multipoint(4, 2).term_count() == 18_239
+
+
+def test_parsed_records_are_kept_per_cube_within_the_bound(multipoint_file, monkeypatch):
+    # a repeated bridge record is parsed once; the records of the last
+    # cube are all distinct, and that cube keeps at most the bound of them
+    parsed = []
+    piece = serialize._Reader._piece
+    monkeypatch.setattr(serialize._Reader, "_piece",
+                        lambda self, *args: parsed.append(1) or piece(self, *args))
+    fam = serialize.sectioned_family(multipoint_file)
+    assert verify_family(fam).ok
+    reader = fam.source.reader
+    records = multipoint_file.read_text().count('{"box":')
+    assert len(parsed) < 0.55 * records
+    assert all(len(texts) <= serialize._PIECE_CACHE for texts in reader._held.values())
+    assert len(reader._pieces) == sum(map(len, reader._held.values())) < records / 20
 
 
 def test_sectioned_verify_peaks_under_a_third_of_the_table(multipoint_file, capsys):
