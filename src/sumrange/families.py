@@ -54,6 +54,13 @@ section once the level and the prefix pass those checks: `Shifted`
 shifts the section of a base, `TermTable` looks the terms up in index
 order, and `serialize` has a source that parses them from a family file.
 
+`parts(g, n, prefix)` is a section with each term also cut by cube,
+each source cutting its own way: the formulas give one part per piece
+of the plan, a part the odometer carried over from the term before
+being the same object; a family file gives one per record's cube; the
+`Shifted` and `TermTable` sources split each term.  `section` itself
+builds no parts.
+
 Shape.  A family's shape follows from r and whether it carries an affine
 transform, and `Family` alone derives it.  The classic two-kind family
 (structure "kadets", kinds "a", "b", one cube, sum range {0, 1}) is the

@@ -15,7 +15,9 @@ validates every box (0 <= lo < hi <= 1, coordinates >= 1 and named once,
 cubes in the domain), then hands the ints to `stepfn.lattice_entries`, the
 lattice constructor `StepFunction` itself uses; terms with equal lattices
 share one `dens` dict.  No `Fraction` is built per box, except to format
-an error message.
+an error message.  `load_family` pauses the cyclic garbage collector while
+it builds its table, which holds no cycles, and restores the caller's
+setting after.
 
 `load_family` streams the writer's layout: a header line ending
 `,"terms":[`, one term record per line (each after the first led by a
@@ -37,11 +39,26 @@ lines of a file in the writer's layout that reads only the id at the end
 of each record.  If the ids are exactly the family's `term_ids()`, in
 order, followed by the closing line and the end of the file, the file
 is the family's term source, with proven ids: a section is read by
-seeking to its first line, and each record there is decoded and parsed
-once, through the same term-record parser.  Any other file (a
-transformed family, another layout, missing, extra, duplicate or
-reordered terms, a file cut short) gives None, and the caller falls back
-to `load_family`, as it does on any error the walk meets.
+seeking to its first line, and each record there is parsed once, straight
+to the term's parts by cube.  Any other file (a transformed family,
+another layout, missing, extra, duplicate or reordered terms, a file cut
+short) gives None, and the caller falls back to `load_family`, as it
+does on any error the walk meets.
+
+The section reader has a fast path for the writer's syntax.  A record
+line whose box records are each one JSON object with no space, escape
+or control character, keys "box", "cube" and "value" in that order,
+splits at its '},{' separators; each record's text is looked up in a
+cache, and parsed and validated on a miss exactly as the JSON path
+validates it (every ratio, bound, cube and repeated coordinate).  The
+cache holds at most `_PIECE_CACHE` texts per cube and drops a cube's
+texts when it is full, so the bridge records that repeat from term to
+term stay, and a cube whose records are all distinct costs a bounded
+amount.  A term with one box of non-zero value on each cube it touches
+takes each box, with its full-span bounds dropped and rescaled onto the
+term's lattice, as that cube's canonical entry; that is what
+`lattice_entries` computes, which every other term goes through.  Any
+other line is decoded as JSON, as `load_family` decodes it.
 """
 
 from __future__ import annotations
@@ -78,6 +95,13 @@ _COORD_RE = re.compile(r"\d+")
 _TERMS_OPEN = ',"terms":[\n'
 _TERMS_CLOSE = "]}\n"
 _decode = json.JSONDecoder().raw_decode
+# A sectioned family parses its records this many at a time: runs of
+# parsing and runs of checking go faster than the two taken in turns
+# term by term.  The sectioned verify of multipoint(4, 2), in CPU seconds
+# on a 2-vCPU host, medians of five fresh processes, in two sittings:
+# term by term 0.394 and 0.395; in batches of 32, 0.351; 64, 0.343;
+# 128, 0.333 and 0.364; 512, 0.354 and 0.374; 2048, 0.363.
+_PARSE_BATCH = 128
 # The reader keeps the parsed box records of at most this many distinct
 # texts per cube.  Bridge parts repeat from term to term, so a few dozen
 # hold them all; the parts of the last cube are all distinct, and that
@@ -256,10 +280,10 @@ class _Reader:
                 raise ParseError(f"box on unknown cube {cube}; domain is {domain}")
         return boxes
 
-    def stepfn(self, box_objs: list, domain: tuple[int, ...]) -> StepFunction:
-        """The canonical function of a list of box records (overlaps add)."""
-        boxes = self.boxes(box_objs, domain)
-        return StepFunction._raw(domain, *lattice_entries(domain, boxes, self._lattices))
+    def entries(self, boxes: list, domain: tuple[int, ...]) -> tuple:
+        """`lattice_entries` of validated boxes, on lattices shared through
+        this reader."""
+        return lattice_entries(domain, boxes, self._lattices)
 
     def record(self, line: str, lead: str, ids: str, domain: tuple[int, ...], where: str
                ) -> tuple[dict[int, StepFunction], StepFunction]:
@@ -271,17 +295,8 @@ class _Reader:
             got = self._read(line[len(head):len(line) - len(ids)], domain)
             if got is not None:
                 return got
-        rec = _record(line, lead)
-        try:
-            boxes = rec["boxes"]
-            if not isinstance(boxes, list):
-                raise ParseError("'boxes' must be a list")
-            boxes = self.boxes(boxes, domain)
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ParseError):
-                raise ParseError(f"{where}: term {rec.get('kind')}: {exc}") from exc
-            raise ParseError(f"{where}: malformed term record: {exc}") from exc
-        return _parted(domain, *lattice_entries(domain, boxes, self._lattices))
+        _, boxes = _term(_record(line, lead), self, domain, where)
+        return _parted(domain, *self.entries(boxes, domain))
 
     def _read(self, text: str, domain: tuple[int, ...]
               ) -> tuple[dict[int, StepFunction], StepFunction] | None:
@@ -304,9 +319,9 @@ class _Reader:
                 last = got[0]
                 boxes.append(got)
         if not direct:
-            return _parted(domain, *lattice_entries(
-                domain, [(cube, [b[1] for b in bounds], value) for cube, bounds, value, _ in boxes],
-                self._lattices))
+            return _parted(domain, *self.entries(
+                [(cube, [b[1] for b in bounds], value) for cube, bounds, value, _ in boxes],
+                domain))
         # each box, rescaled onto the lattice of `lattice_entries` with its
         # full-span bounds dropped, is its cube's canonical entry
         key = tuple([box[3] for box in boxes])
@@ -576,7 +591,8 @@ def _filled(head: Family, records: Iterable, where: str, max_terms: int) -> Fami
     gc.disable()
     try:
         for rec in records:
-            tid, fn = _term(rec, reader, head.domain, where)
+            tid, boxes = _term(rec, reader, head.domain, where)
+            fn = StepFunction._raw(head.domain, *reader.entries(boxes, head.domain))
             if tid in table:
                 raise ParseError(f"{where}: duplicate term {tid}")
             if len(table) == max_terms:
@@ -590,8 +606,8 @@ def _filled(head: Family, records: Iterable, where: str, max_terms: int) -> Fami
 
 
 def _term(rec, reader: _Reader, domain: tuple[int, ...], where: str
-          ) -> tuple[TermId, StepFunction]:
-    """The id and the function of one decoded term record."""
+          ) -> tuple[TermId, list]:
+    """The id and the validated boxes of one decoded term record."""
     if not isinstance(rec, dict):
         raise ParseError(f"{where}: term record must be an object")
     try:
@@ -600,7 +616,7 @@ def _term(rec, reader: _Reader, domain: tuple[int, ...], where: str
         boxes = rec["boxes"]
         if not isinstance(boxes, list):
             raise ParseError("'boxes' must be a list")
-        return tid, reader.stepfn(boxes, domain)
+        return tid, reader.boxes(boxes, domain)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ParseError):
             raise ParseError(f"{where}: term {rec.get('kind')}: {exc}") from exc
@@ -682,7 +698,8 @@ class _FileSections:
     """The term source of a family file whose term lines `_section_offsets`
     has vetted, so its ids are proven: each section read opens the file,
     seeks to the section, skips to the first term under the prefix and
-    reads the terms in index order, each record straight to its parts."""
+    reads the terms in index order, each record straight to its parts,
+    `_PARSE_BATCH` at a time."""
 
     def __init__(self, path: str | Path, offsets: dict[tuple[int, int], int]):
         self.path, self.offsets = path, offsets
@@ -708,12 +725,15 @@ class _FileSections:
         lead = "" if (g, n, start) == (0, 1, 0) else ","
         with open(self.path, "rb") as fh:
             fh.seek(self.offsets[g, n])
-            for line, index, ids in zip(islice(fh, start, start + count),
-                                        fam.index_tuples(g, n, prefix),
-                                        _id_fields(fam, g, n, prefix)):
-                parts, f = record(line.decode(), lead, ids, domain, where)
-                yield index, parts, f
-                lead = ","
+            lines = islice(fh, start, start + count)
+            keys = zip(fam.index_tuples(g, n, prefix), _id_fields(fam, g, n, prefix))
+            while batch := list(islice(lines, _PARSE_BATCH)):
+                parsed = []
+                for line, (index, ids) in zip(batch, keys):
+                    parts, f = record(line.decode(), lead, ids, domain, where)
+                    parsed.append((index, parts, f))
+                    lead = ","
+                yield from parsed
 
 
 # --- matrices ---------------------------------------------------------------

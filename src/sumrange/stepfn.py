@@ -38,9 +38,10 @@ operand is kept as the same entry.  Both give the same entries.
 
 One box is canonical once its full-span constraints are dropped, so the
 sweep returns a single entry directly: a cube holding one box, as in most
-parts of loaded terms and of products, is never cut.  Predicates such as
-`moment_is` and `is_product` decide exact equalities on the lattice
-integers without building a `Fraction`.
+parts of loaded terms and of products, is never cut.  `summary` measures
+a function in one pass over its entries, and the predicates of
+`Summary`, such as `moment_is` and `is_product`, decide exact equalities
+on the lattice integers without building a `Fraction`.
 """
 
 from __future__ import annotations
@@ -773,30 +774,6 @@ class StepFunction:
             cubes.add(cube)
         return _summary((measure, integral, moment, common, self._vden, frozenset(values),
                          frozenset(coords), frozenset(cubes), None, self))
-
-    # --- exact predicates on the lattice integers, building no Fraction ---
-
-    def moment_is(self, value: Fraction | int) -> bool:
-        """Whether `moment(1) == value`."""
-        return self.summary().moment_is(value)
-
-    def same_integral(self, cube: int, other: int) -> bool:
-        """Whether `integral(cube) == integral(other)`."""
-        self._require_cube(cube)
-        self._require_cube(other)
-        total, common = self._integrate(cube, _value)
-        total_o, common_o = self._integrate(other, _value)
-        return total * common_o == total_o * common
-
-    def takes_only(self, value: Fraction | int) -> bool:
-        """Whether every box carries `value`: `term_values() <= {value}`."""
-        return self.summary().takes_only(value)
-
-    def is_product(self, a: "StepFunction", b: "StepFunction", c: Fraction | int = 1) -> bool:
-        """Whether `self == c * a * b`; see `Summary.is_product`."""
-        self._check_domain(a)
-        self._check_domain(b)
-        return self.summary().is_product(a.summary(), b.summary(), c)
 
     def footprint(self) -> frozenset[tuple[int, int]]:
         """Set of (cube, coordinate) pairs the function actually depends on."""

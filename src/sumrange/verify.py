@@ -7,10 +7,19 @@ the next-level head by columns.  The bridge cubes 2e below the pair and
 2e+2 above it carry the scaled pieces that couple one level to the next.
 
 `CHECKS` lists every identity as one ordered table.  One walk, by level
-and then by pair, fetches each term once, split by cube; it keeps
-generation e at level n+1 from its use as next-level heads to its uses
-as tails and heads, and never keeps the last generation.  Predicates
-compare lattice integers: a passing term builds no `Fraction`.
+and then by pair, fetches each term once, already cut by cube: the
+family's `parts` has each term's source cut it (a formula plan has one
+piece per cube, a family file one record per cube and term).  The walk
+keeps generation e at level n+1 from its use as next-level heads to its
+uses as tails and heads, and never keeps the last generation.
+
+Term checks read summaries, not parts.  Each part is measured once, in
+one pass over its entries (`StepFunction.summary`: its integral, its
+first moment and measure, its values, coordinates and cubes, and its one
+box), and a part its source carried over from the term before, the same
+object, keeps its summary.  Predicates compare the lattice integers of
+the summaries, so a passing term builds no `Fraction`; a witness is
+built from the part itself, and only for a failure.
 
 Pair-cube sums follow from the proven products.  With h_r the heads, g_k
 the next-level heads, H = Σ h_r and G = Σ g_k on the pair cube, a tail
@@ -151,8 +160,9 @@ def _values(want):
 
 
 def _support(shift):
-    # the term is of generation e + shift, with pieces on u.pieces[shift]
-    # parts only lie outside those cubes where the term touches them
+    # the term is of generation e + shift, with pieces on u.pieces[shift];
+    # its parts lie on those cubes (the zero function where it has none)
+    # and on each cube it has boxes on
     return (lambda u, _, sums: sums.keys() <= u.pieces[shift]
             or all(s.cubes <= u.pieces[shift] for s in sums.values()),
             lambda u, f, _: f"support on {_stray(u.fam, u.e + shift, f.support_cubes())}")
@@ -366,10 +376,11 @@ def _verify_unit(u: _Unit, tails: Iterable[tuple], report: AxiomReport) -> None:
     for i, ck in enumerate(CHECKS):
         for role in ck.roles:
             if role in u.roles:
-                checks.setdefault(ck.on, []).append((i, ck, u.roles[role], ck.ok))
-    seen = {i for on in (HEAD, TAIL) for i, _, _, _ in checks[on]}  # every unit has both
+                checks.setdefault(ck.on, []).append((i, ck, u.roles[role]))
+    seen = {i for on in (HEAD, TAIL) for i, _, _ in checks[on]}  # every unit has both
     failed: set[tuple[str, str]] = set()
     bridges = [u.roles[k] for k in _BRIDGE if k in u.roles]
+
     def fail(i: int, ck: Check, where: str, f: StepFunction, other) -> None:
         failed.add(scopes[i])
         report.record(ck.id, where, False, ck.witness(u, f, other))
@@ -388,8 +399,8 @@ def _verify_unit(u: _Unit, tails: Iterable[tuple], report: AxiomReport) -> None:
                 got = last[k] = (p, p.summary())
             sums[k] = got[1]
         bad = ()
-        for i, ck, k, ok in checks[on]:
-            if not ok(u, k, sums):
+        for i, ck, k in checks[on]:
+            if not ck.ok(u, k, sums):
                 bad += (ck.id,)
                 name = str(TermId(fam.kinds[g], n, idx))
                 if k is None:
@@ -401,7 +412,7 @@ def _verify_unit(u: _Unit, tails: Iterable[tuple], report: AxiomReport) -> None:
     def judge(on: str, name: str | None, items: dict) -> bool:
         """Whether the `on` checks pass on cube -> (sum, other) or None (proven)."""
         ok = True
-        for i, ck, k, _ in checks.get(on, ()):
+        for i, ck, k in checks.get(on, ()):
             seen.add(i)
             if items[k] is not None and not ck.ok(u, *items[k]):
                 ok = False

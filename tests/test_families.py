@@ -355,6 +355,14 @@ def test_sections_match_fn(name, tmp_path):
                 got = [term for prefix in dict.fromkeys(index[:length] for index in ids)
                        for term in fam.section(g, n, prefix)]
                 assert [index for index, _ in got] == ids
+                # cut by cube: one part on each cube the term touches, the
+                # term there as a function on that cube
+                cut = [term for prefix in dict.fromkeys(index[:length] for index in ids)
+                       for term in fam.parts(g, n, prefix)]
+                assert [(index, f) for index, _, f in cut] == got
+                for _, parts, f in cut:
+                    assert list(parts) == sorted(f.support_cubes())
+                    assert all(p.domain == (k,) and p == f.restrict(k) for k, p in parts.items())
                 for index, f in got:
                     want = fam.fn(TermId(kind, n, index))
                     assert (f._entries, f._dens, f._vden) == \
@@ -443,8 +451,9 @@ def _shifted(fam, spec, f):
                                     "loaded transformed"])
 @pytest.mark.parametrize("base", SOURCE_BASES)
 def test_every_source_gives_the_reference_terms(base, source, tmp_path):
-    # each term, as every prefix's section yields it and as fn gives it,
-    # equals the formula term, shifted by hand for the transformed sources
+    # each term, as every prefix's section yields it, with its parts or
+    # without, and as fn gives it, equals the formula term, shifted by hand
+    # for the transformed sources
     ref = SOURCE_BASES[base]()
     d = ref.points - 1
     spec = TransformSpec([[F(i + 1, j + 2) - j for j in range(d)] for i in range(d)])
@@ -459,6 +468,14 @@ def test_every_source_gives_the_reference_terms(base, source, tmp_path):
                 got = [term for prefix in dict.fromkeys(index[:length] for index in ids)
                        for term in fam.section(g, n, prefix)]
                 assert [index for index, _ in got] == ids
+                # cut by cube: one part on each cube the term touches, the
+                # term there as a function on that cube
+                cut = [term for prefix in dict.fromkeys(index[:length] for index in ids)
+                       for term in fam.parts(g, n, prefix)]
+                assert [(index, f) for index, _, f in cut] == got
+                for _, parts, f in cut:
+                    assert list(parts) == sorted(f.support_cubes())
+                    assert all(p.domain == (k,) and p == f.restrict(k) for k, p in parts.items())
                 for index, f in got:
                     t = TermId(kind, n, index)
                     expected = fraction_terms(want(ref.fn(t)))

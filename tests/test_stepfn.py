@@ -450,12 +450,21 @@ def test_lattice_predicates_match_fractions(case, seed):
     c = rng.choice(spec["values"])
     prod = a.multiply(b).scale(c)
     for f in (prod, prod.scale(2), prod + other, other):
-        assert f.is_product(a, b, c) == (f == prod)
+        s = f.summary()
+        # the one pass against the measurements that build Fractions
+        assert F(s.measure, s.common) == sum(f.support_measure(k) for k in dom)
+        assert F(s.integral, s.common * s.vden) == sum(f.integral(k) for k in dom)
+        assert F(s.moment, s.common * s.vden) == f.moment(1)
+        assert {F(v, s.vden) for v in s.values} == f.term_values()
+        assert s.coords == {k for _, k in f.footprint()} and s.cubes == f.support_cubes()
+        assert s.box == (f._entries[0] if f.box_count() == 1 else None) and s.f is f
+        assert s.is_product(a.summary(), b.summary(), c) == (f == prod)
         m = f.moment(1)
-        assert f.moment_is(m) and not f.moment_is(m + F(1, 2**70))
+        assert s.moment_is(m) and not s.moment_is(m + F(1, 2**70))
         for value in f.term_values() | {F(1), F(-1, 3)}:
-            assert f.takes_only(value) == (f.term_values() <= {value})
-        assert f.same_integral(1, 2) == (f.integral(1) == f.integral(2))
+            assert s.takes_only(value) == (f.term_values() <= {value})
+        assert f.restrict(1).summary().same_integral(f.restrict(2).summary()) == (
+            f.integral(1) == f.integral(2))
 
 
 def test_sum_refines_both_lattices():
@@ -482,13 +491,14 @@ def test_multiply_single_boxes():
     assert_canonical_shape(prod)
     assert_matches_oracle(raw, prod)
     # the same product read off the boxes: lo from f, hi from g on coordinate 1
-    assert prod.is_product(f, g) and prod.scale(-2).is_product(g, f, -2)
+    fs, gs = f.summary(), g.summary()
+    assert prod.summary().is_product(fs, gs) and prod.scale(-2).summary().is_product(gs, fs, -2)
     wider = indicator((1, 2), 2, {1: (F(2, 11), F(6, 7)), 2: (F(1, 9), 1), 3: (0, F(2, 5))},
                       value=F(-5, 4))
     unbounded = indicator((1, 2), 2, {1: (F(1, 3), F(1, 2)), 2: (F(1, 9), 1)}, value=F(-5, 4))
     for wrong in (f, g, prod.scale(2), wider, wider * indicator((1, 2), 2, {1: (0, F(1, 2))}),
                   wider * indicator((1, 2), 2, {1: (F(1, 3), 1)}), unbounded):
-        assert not wrong.is_product(f, g)
+        assert not wrong.summary().is_product(fs, gs)
     apart = indicator((1, 2), 2, {1: (F(1, 2), F(4, 7))}) * indicator((1, 2), 2, {1: (F(4, 7), 1)})
     assert fraction_terms(apart) == ()
     elsewhere = indicator((1, 2), 1, {1: (0, F(1, 2))}) * g
