@@ -68,7 +68,7 @@ import json
 import os
 import re
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice
 from math import gcd, lcm, prod
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, TextIO
@@ -223,7 +223,6 @@ class _Reader:
         self._pieces: dict[str, tuple] = {}      # box record text -> parsed box
         self._held: dict[int, list[str]] = {}    # cube -> its texts in _pieces
         self._bound_texts: dict[str, tuple] = {}     # constraint text -> bound
-        self._keys: dict[tuple, tuple] = {}   # the one object of each box lattice key
         self._term_lattices: dict[tuple, tuple] = {}   # box lattice keys -> (dens, vden)
         self._last: list = []   # per position: (box, lattice, entry, part) of the term before
 
@@ -325,7 +324,7 @@ class _Reader:
         # each box, rescaled onto the lattice of `lattice_entries` with its
         # full-span bounds dropped, is its cube's canonical entry
         key = tuple([box[3] for box in boxes])
-        lattice, scales = self._term_lattices.get(key) or self._term_lattice(key, boxes)
+        lattice = self._term_lattices.get(key) or self._term_lattice(key, boxes)
         dens, vden = lattice
         last_parts = self._last
         if len(last_parts) < len(boxes):
@@ -335,40 +334,33 @@ class _Reader:
         for i, box in enumerate(boxes):
             got = last_parts[i]
             if got[0] is not box or got[1] is not lattice:
-                cube, bounds, (num, _), _ = box
-                own, scale = scales[i]
-                if own:
-                    bounds = tuple([b[3] for b in bounds if b[3]])
-                else:
-                    bounds = tuple([(k, lo * (dens[k] // lo_den), hi * (dens[k] // hi_den))
-                                    for k, lo, lo_den, hi, hi_den in [b[1] for b in bounds if b[3]]])
-                entry = (cube, bounds, num * scale)
+                cube, bounds, (num, den), _ = box
+                entry = (cube, tuple([(k, lo * (dens[k] // lo_den), hi * (dens[k] // hi_den))
+                                      for _, (k, lo, lo_den, hi, hi_den), kept in bounds if kept]),
+                         num * (vden // den))
                 got = last_parts[i] = (box, lattice, entry, raw((cube,), (entry,), dens, vden))
             entries.append(got[2])
             parts[got[2][0]] = got[3]
         return parts, raw(domain, tuple(entries), dens, vden)
 
-    def _term_lattice(self, key: tuple, boxes: list) -> tuple:
+    def _term_lattice(self, key: tuple, boxes: list) -> tuple[dict[int, int], int]:
         """The lattice (dens, vden) `lattice_entries` gives boxes of non-zero
-        value, and for each box whether that is its own lattice on its
-        coordinates and the factor of its value, kept under `key`."""
+        value, kept under `key`, the keys of their lattices."""
         dens: dict[int, int] = {}
         vden = 1
         for _, bounds, (_, den), _ in boxes:
             vden = lcm(vden, den)
-            for _, (k, _, lo_den, _, hi_den), _, _ in bounds:
+            for _, (k, _, lo_den, _, hi_den), _ in bounds:
                 dens[k] = lcm(dens.get(k, 1), lo_den, hi_den)
-        dens = self._lattices.setdefault(tuple(sorted(dens.items())), dens)
-        scales = [(all(dens[k] == d for k, d in box[3][1:]), vden // box[2][1]) for box in boxes]
-        got = self._term_lattices[key] = ((dens, vden), scales)
+        got = self._term_lattices[key] = (
+            self._lattices.setdefault(tuple(sorted(dens.items())), dens), vden)
         return got
 
     def _piece(self, text: str, domain: tuple[int, ...]) -> tuple | None:
         """The box of one record's text, braces stripped, kept in the
         cache: (cube, its constraints in coordinate order as `_bound_text`
-        gives them, value, the key of its lattice).  The key, (value
-        denominator, then (coordinate, denominator) per constraint), is
-        one object for equal keys.  None unless the text is the writer's
+        gives them, value, the key of its lattice: the value denominator,
+        then (coordinate, denominator) per constraint).  None unless the text is the writer's
         form '"box":{"k":["lo","hi"],...},"cube":"Q..","value":"n/d"' of
         a valid box on `domain` that names no coordinate twice."""
         # with no escape or control character in it, a text splits at '"'
@@ -396,15 +388,14 @@ class _Reader:
             return None
         last = 0
         for b in bounds:
-            if b[0] <= last:  # out of coordinate order
+            if b[0][0] <= last:  # out of coordinate order
                 bounds.sort()
                 for a, b in zip(bounds, bounds[1:]):
-                    if a[0] == b[0]:
+                    if a[0][0] == b[0][0]:
                         return None
                 break
-            last = b[0]
-        key = (value[1], *[b[2] for b in bounds])
-        got = (cube, bounds, value, self._keys.setdefault(key, key))
+            last = b[0][0]
+        got = (cube, bounds, value, (value[1], *[b[0] for b in bounds]))
         held = self._held.setdefault(cube, [])
         if len(held) == _PIECE_CACHE:
             for old in held:
@@ -415,18 +406,14 @@ class _Reader:
         return got
 
     def _bound_text(self, text: str) -> tuple:
-        """(coordinate, bound as `bound` gives it, (coordinate, its
-        denominator), its lattice bound on that denominator or None for
-        one spanning [0, 1)) of one constraint's text '"k":["lo","hi"';
-        ValueError for another text."""
+        """((coordinate, its denominator), the bound as `bound` gives it,
+        whether it is kept: it does not span [0, 1)) of one constraint's
+        text '"k":["lo","hi"'; ValueError for another text."""
         t = text.split('"')
         if len(t) != 7 or t[0::2] != ["", ":[", ",", ""]:
             raise ValueError(f"not a constraint: {text!r}")
         bound = k, lo, lo_den, hi, hi_den = self.bound(t[1], [t[3], t[5]])
-        d = lcm(lo_den, hi_den)
-        got = self._bound_texts[text] = (
-            k, bound, (k, d),
-            (k, lo * (d // lo_den), hi * (d // hi_den)) if lo or hi != hi_den else None)
+        got = self._bound_texts[text] = ((k, lcm(lo_den, hi_den)), bound, lo != 0 or hi != hi_den)
         return got
 
 
@@ -678,20 +665,10 @@ def _section_offsets(fh: BinaryIO, fam: Family, at: int) -> dict[tuple[int, int]
 
 def _id_fields(fam: Family, g: int, n: int, prefix: tuple[int, ...]) -> Iterator[str]:
     """The id fields '],"index":[...],"kind":...,"level":n}\\n' that end
-    the writer's line of each term of (g, n) under `prefix`, in index
-    order.  The last index component runs fastest, so each text is a
-    head, built once per run of it, and one of the section's tails."""
-    ranges = fam.index_ranges(g, n)
+    the writer's line of each term of (g, n) under `prefix`, in index order."""
     end = f'],"kind":{json.dumps(fam.kinds[g])},"level":{n}}}\n'
-    if len(prefix) == len(ranges):
-        yield f'],"index":[{",".join(map(str, prefix))}{end}'
-        return
-    tails = [f"{i}{end}" for i in range(1, ranges[-1] + 1)]
-    for head in product(*[(i,) for i in prefix],
-                        *[range(1, top + 1) for top in ranges[len(prefix):-1]]):
-        head = f'],"index":[{"".join(f"{i}," for i in head)}'
-        for tail in tails:
-            yield head + tail
+    for index in fam.index_tuples(g, n, prefix):
+        yield f'],"index":[{",".join(map(str, index))}{end}'
 
 
 class _FileSections:

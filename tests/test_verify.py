@@ -25,7 +25,8 @@ from sumrange.families import (
     cube_label,
 )
 from sumrange.serialize import dump_family, family_to_lines, load_family
-from sumrange.stepfn import StepFunction, cube_constants, indicator, sum_functions
+from sumrange.stepfn import (
+    Box, StepFunction, cube_constants, indicator, make_bounds, sum_functions)
 from sumrange.verify import (
     CHECKS, COLUMN, COUPLING, HEAD, HEADS, MID, ROW, TAIL, TAILS, AxiomReport, _Unit,
     _check_table_complete, verify_family)
@@ -444,6 +445,42 @@ def test_integer_checks_match_fraction_predicates(build):
     assert passed == {ck for ck, ok in outcomes if not ok} | (
         {"cube-support"} if fam.points == 2 else set())
     assert len(passed) == (6 if fam.points == 2 else len(FRACTION_PREDICATES))
+
+
+# The coordinates each coordinate check allows, as shifts of the level
+COORDINATE_SHIFTS = {"single-coordinate": {0}, "two-coordinate": {0, 1},
+                     "bridge-single-coordinate": {0}}
+
+
+@pytest.mark.parametrize("build", [lambda: build_kadets(3), lambda: build_three_kadets(2),
+                                   lambda: build_multipoint(4, 1)],
+                         ids=["kadets(3)", "three-kadets(2)", "multipoint(4, 1)"])
+def test_coordinate_checks_match_footprints(build):
+    # the coordinate checks read the summaries' coordinates; held to each
+    # part's footprint, on every term and on the term cut in half along a
+    # coordinate no part reads, which each of them must refuse
+    fam = build()
+    outcomes = set()
+    for n in range(1, fam.depth + 1):
+        for e in range(fam.points - 1):
+            u = _Unit(fam, e, n)
+            for g, on in ((e, HEAD), (e + 1, TAIL)):
+                todo = [(ck, u.roles[role]) for ck in CHECKS if ck.on == on
+                        and ck.id in COORDINATE_SHIFTS for role in ck.roles if role in u.roles]
+                halves = StepFunction(fam.domain, [(Box(c, make_bounds({n + 3: (0, Fraction(1, 2))})), 1)
+                                                   for c in fam.domain])
+                for idx in fam.index_tuples(g, n):
+                    f = fam.fn(TermId(fam.kinds[g], n, idx))
+                    for copy in (f, f * halves):
+                        parts = _parts(copy, fam, g)
+                        sums = {k: part.summary() for k, part in parts.items()}
+                        for ck, k in todo:
+                            got = ck.ok(u, k, sums)
+                            allowed = {n + shift for shift in COORDINATE_SHIFTS[ck.id]}
+                            assert got == ({c for _, c in parts[k].footprint()} <= allowed), ck.id
+                            outcomes.add((ck.id, got))
+    assert {ck for ck, ok in outcomes if ok} == {ck for ck, ok in outcomes if not ok} == (
+        {"single-coordinate", "two-coordinate"} if fam.points == 2 else set(COORDINATE_SHIFTS))
 
 
 def test_tail_of_two_boxes_takes_the_multiply_path(monkeypatch):
