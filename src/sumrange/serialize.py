@@ -45,20 +45,17 @@ another layout, missing, extra, duplicate or reordered terms, a file cut
 short) gives None, and the caller falls back to `load_family`, as it
 does on any error the walk meets.
 
-The section reader has a fast path for the writer's syntax.  A record
+The section reader has a fast path for the writer's syntax.  A term
 line whose box records are each one JSON object with no space, escape
-or control character, keys "box", "cube" and "value" in that order,
-splits at its '},{' separators; each record's text is looked up in a
-cache, and parsed and validated on a miss exactly as the JSON path
-validates it (every ratio, bound, cube and repeated coordinate).  The
-cache holds at most `_PIECE_CACHE` texts per cube and drops a cube's
-texts when it is full, so the bridge records that repeat from term to
-term stay, and a cube whose records are all distinct costs a bounded
-amount.  A term with one box of non-zero value on each cube it touches
-takes each box, with its full-span bounds dropped and rescaled onto the
-term's lattice, as that cube's canonical entry; that is what
-`lattice_entries` computes, which every other term goes through.  Any
-other line is decoded as JSON, as `load_family` decodes it.
+or control character splits at its '},{' separators.  Each record's
+text is parsed and validated once, as the JSON path validates it, and
+kept in a cache of at most `_PIECE_CACHE` texts per cube, which drops a
+cube's texts when it is full: repeated bridge records stay, and a cube
+whose records are all distinct costs a bounded amount.  A term with one
+box of non-zero value on each cube it touches takes each box, with its
+full-span bounds dropped and rescaled onto the term's lattice, as that
+cube's canonical entry, which is what `lattice_entries` computes; every
+other term goes through it.  Any other line is decoded as JSON.
 """
 
 from __future__ import annotations
@@ -204,16 +201,10 @@ class _Reader:
 
     Each rational, cube label and box constraint is parsed and validated
     once per distinct text.  Functions whose lattices are equal share one
-    `dens` dict, so sums and comparisons of them skip the rescale.
-
-    A term line of a vetted file is read by its text (`record`).  Its box
-    records, in the writer's form, are looked up by their text in a cache
-    of at most `_PIECE_CACHE` texts per cube, and parsed on a miss.  A
-    term holding one box of non-zero value on each cube it touches takes
-    each box as its canonical entry, rescaled onto the term's lattice;
-    an entry and a part equal to the term before's, on the same lattice,
-    are that term's objects.  Any other term line is decoded as JSON and
-    goes through `lattice_entries`."""
+    `dens` dict, so sums and comparisons of them skip the rescale.  A term
+    line of a vetted file is read by `record`, through the fast path of
+    the module docstring where it can; a part equal to the term before's
+    in its place, on the same lattice, is that term's object."""
 
     def __init__(self):
         self._ratios: dict[str, tuple[int, int]] = {}
