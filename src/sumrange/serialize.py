@@ -65,7 +65,7 @@ import json
 import os
 import re
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import gcd, lcm, prod
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, TextIO
@@ -656,10 +656,20 @@ def _section_offsets(fh: BinaryIO, fam: Family, at: int) -> dict[tuple[int, int]
 
 def _id_fields(fam: Family, g: int, n: int, prefix: tuple[int, ...]) -> Iterator[str]:
     """The id fields '],"index":[...],"kind":...,"level":n}\\n' that end
-    the writer's line of each term of (g, n) under `prefix`, in index order."""
+    the writer's line of each term of (g, n) under `prefix`, in index
+    order: a head for each run of the last index component, which runs
+    fastest, and one of the section's tails."""
+    ranges = fam.index_ranges(g, n)
     end = f'],"kind":{json.dumps(fam.kinds[g])},"level":{n}}}\n'
-    for index in fam.index_tuples(g, n, prefix):
-        yield f'],"index":[{",".join(map(str, index))}{end}'
+    if len(prefix) == len(ranges):  # one term
+        yield f'],"index":[{",".join(map(str, prefix))}{end}'
+        return
+    tails = [f"{i}{end}" for i in range(1, ranges[-1] + 1)]
+    for head in product(*[(i,) for i in prefix],
+                        *[range(1, top + 1) for top in ranges[len(prefix):-1]]):
+        head = f'],"index":[{"".join(f"{i}," for i in head)}'
+        for tail in tails:
+            yield head + tail
 
 
 class _FileSections:
