@@ -552,7 +552,7 @@ class Shifted(NamedTuple):
             yield index, f + y_constants(fam.points, fam.domain, shift)
 
     def parts(self, fam: Family, g: int, n: int, prefix: tuple[int, ...]) -> Iterator[Parted]:
-        return split_section(self.section(fam, g, n, prefix))
+        return _split_section(self.section(fam, g, n, prefix))
 
     def ids(self) -> None:
         return None
@@ -574,13 +574,13 @@ class TermTable(NamedTuple):
             yield index, f
 
     def parts(self, fam: Family, g: int, n: int, prefix: tuple[int, ...]) -> Iterator[Parted]:
-        return split_section(self.section(fam, g, n, prefix))
+        return _split_section(self.section(fam, g, n, prefix))
 
     def ids(self) -> Iterable[TermId]:
         return self.table.keys()
 
 
-def split_section(terms: Iterable[tuple[tuple[int, ...], StepFunction]]) -> Iterator[Parted]:
+def _split_section(terms: Iterable[tuple[tuple[int, ...], StepFunction]]) -> Iterator[Parted]:
     """The (index, {cube: part}, term) of each (index, term) of a section,
     cut by `StepFunction.split` on the cubes the term touches."""
     for index, f in terms:

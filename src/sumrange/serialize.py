@@ -74,6 +74,7 @@ from .families import (
     MAX_TERMS,
     ConfigError,
     Family,
+    Parted,
     TermId,
     TermTable,
     TransformSpec,
@@ -286,7 +287,7 @@ class _Reader:
             if got is not None:
                 return got
         _, boxes = _term(_record(line, lead), self, domain, where)
-        return _parted(domain, *self.entries(boxes, domain))
+        return _with_parts(domain, *self.entries(boxes, domain))
 
     def _read(self, text: str, domain: tuple[int, ...]
               ) -> tuple[dict[int, StepFunction], StepFunction] | None:
@@ -309,7 +310,7 @@ class _Reader:
                 last = got[0]
                 boxes.append(got)
         if not direct:
-            return _parted(domain, *self.entries(
+            return _with_parts(domain, *self.entries(
                 [(cube, [b[1] for b in bounds], value) for cube, bounds, value, _ in boxes],
                 domain))
         # each box, rescaled onto the lattice of `lattice_entries` with its
@@ -351,9 +352,10 @@ class _Reader:
         """The box of one record's text, braces stripped, kept in the
         cache: (cube, its constraints in coordinate order as `_bound_text`
         gives them, value, the key of its lattice: the value denominator,
-        then (coordinate, denominator) per constraint).  None unless the text is the writer's
-        form '"box":{"k":["lo","hi"],...},"cube":"Q..","value":"n/d"' of
-        a valid box on `domain` that names no coordinate twice."""
+        then (coordinate, denominator) per constraint).  None unless the
+        text is the writer's form '"box":{"k":["lo","hi"],...},"cube":
+        "Q..","value":"n/d"' of a valid box on `domain` that names no
+        coordinate twice."""
         # with no escape or control character in it, a text splits at '"'
         # into its strings (odd places) and the syntax between them
         end = text.find('},"cube":"')
@@ -408,7 +410,7 @@ class _Reader:
         return got
 
 
-def _parted(domain: tuple[int, ...], entries: tuple, dens: dict[int, int], vden: int
+def _with_parts(domain: tuple[int, ...], entries: tuple, dens: dict[int, int], vden: int
             ) -> tuple[dict[int, StepFunction], StepFunction]:
     """The parts by cube and the function of canonical entries, which
     are in cube order."""
@@ -691,8 +693,7 @@ class _FileSections:
         for index, _, f in self.parts(fam, g, n, prefix):
             yield index, f
 
-    def parts(self, fam: Family, g: int, n: int, prefix: tuple[int, ...]
-              ) -> Iterator[tuple[tuple[int, ...], dict[int, StepFunction], StepFunction]]:
+    def parts(self, fam: Family, g: int, n: int, prefix: tuple[int, ...]) -> Iterator[Parted]:
         where, record, domain = str(self.path), self.reader.record, fam.domain
         # the terms under a prefix are consecutive, `count` of them from `start`
         ranges = fam.index_ranges(g, n)
