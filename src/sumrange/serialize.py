@@ -215,6 +215,7 @@ class _Reader:
         self._pieces: dict[str, tuple] = {}      # box record text -> parsed box
         self._held: dict[int, list[str]] = {}    # cube -> its texts in _pieces
         self._bound_texts: dict[str, tuple] = {}     # constraint text -> bound
+        self._tails: dict[str, tuple] = {}    # '},"cube":...' text -> (cube, value)
         self._term_lattices: dict[tuple, tuple] = {}   # box lattice keys -> (dens, vden)
         self._last: list = []   # per position: (box, lattice, entry, part) of the term before
 
@@ -356,22 +357,14 @@ class _Reader:
         text is the writer's form '"box":{"k":["lo","hi"],...},"cube":
         "Q..","value":"n/d"' of a valid box on `domain` that names no
         coordinate twice."""
-        # with no escape or control character in it, a text splits at '"'
-        # into its strings (odd places) and the syntax between them
         end = text.find('},"cube":"')
-        if end < 0 or not text.startswith('"box":{') or "\\" in text \
-                or not text.isprintable():
-            return None
-        t = text[end:].split('"')
-        if len(t) != 9 or t[0::2] != ["},", ":", ",", ":", ""] or t[1] != "cube" \
-                or t[5] != "value":
+        if end < 0 or not text.startswith('"box":{'):
             return None
         inner, known = text[7:end], self._bound_texts
         if inner and inner[-1] != "]":
             return None
         try:
-            cube = self._cubes.get(t[3]) or self.cube(t[3])
-            value = self._ratios.get(t[7]) or self.ratio(t[7])
+            cube, value = self._tails.get(text[end:]) or self._tail(text[end:])
             # the constraints '"k":["lo","hi"]', joined by ','
             bounds = [known.get(bound) or self._bound_text(bound)
                       for bound in inner[:-1].split("],")] if inner else []
@@ -398,10 +391,23 @@ class _Reader:
         self._pieces[text] = got
         return got
 
+    def _tail(self, text: str) -> tuple[int, tuple[int, int]]:
+        """(cube, value) of a box record's text from its '},"cube":"Q..",
+        "value":"n/d"'; ValueError for another text."""
+        # with no escape or control character in it, the text splits at
+        # '"' into its strings (odd places) and the syntax between them
+        t = text.split('"')
+        if "\\" in text or not text.isprintable() or len(t) != 9 \
+                or t[0::2] != ["},", ":", ",", ":", ""] or t[1] != "cube" or t[5] != "value":
+            raise ValueError(f"not the end of a box record: {text!r}")
+        got = self._tails[text] = (self.cube(t[3]), self.ratio(t[7]))
+        return got
+
     def _bound_text(self, text: str) -> tuple:
         """((coordinate, its denominator), the bound as `bound` gives it,
         whether it is kept: it does not span [0, 1)) of one constraint's
-        text '"k":["lo","hi"'; ValueError for another text."""
+        text '"k":["lo","hi"'; ValueError for another text.  The regular
+        expressions of `bound` admit no escape or control character."""
         t = text.split('"')
         if len(t) != 7 or t[0::2] != ["", ":[", ",", ""]:
             raise ValueError(f"not a constraint: {text!r}")
