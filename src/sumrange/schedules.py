@@ -23,8 +23,10 @@ moment of (partial sum - target) as a `Fraction`, plus the number of
 boxes in the canonical deviation, which measures how complicated the
 partial sum is at that moment.
 
-In steps mode each term is added to the running deviation cube by cube
-and every step gets a row.  Only the cubes the term touches are
+In steps mode the terms come cut by cube from `Family.parts`, each part
+is added to its cube's running deviation, and every step gets a row.  A
+formula term's part is one box, which `StepFunction.add` inserts into
+the deviation's span lists.  Only the cubes the term touches are
 measured again; every other cube carries its moment and box count over
 from the previous row, which is exact, since its deviation is the same
 function.  In blocks mode the block's terms go whole
@@ -436,9 +438,9 @@ def run_trace(fam: Family, schedule: Schedule,
         boxes = [diffs[c].box_count() for c in cubes]
         for block in schedule.blocks():
             for g, n, prefix in block.runs:
-                for idx, fn in fam.section(g, n, prefix):
+                for idx, parts, _ in fam.parts(g, n, prefix):
                     step += 1
-                    for c, part in fn.split(fn.support_cubes()).items():
+                    for c, part in parts.items():
                         diff = diffs[c] = diffs[c] + part
                         devs[index[c]] = diff.moment(p)
                         boxes[index[c]] = diff.box_count()

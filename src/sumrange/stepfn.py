@@ -31,10 +31,17 @@ lattice, and ``==`` is exact a.e. equality.
 
 The sweep (`_sweep`) canonicalizes any list of boxes: the raw boxes of
 the constructor, of `multiply` and of the loader, and the n-ary sums of
-`sum_functions`.  `add` has two operands that are canonical already, so
-it merges their nested span lists instead (`_merge`): only the cells one
-operand cuts or changes are rebuilt, and every other box of the other
-operand is kept as the same entry.  Both give the same entries.
+`sum_functions` and `ChunkedSum`.  `add` has two operands that are
+canonical already, so it never sweeps.  When one of them is a single box
+on a one-cube domain, as each part of a formula term is, the box is
+inserted into the other's nested span lists (`_insert`), which it walks
+by index ranges: spans the box does not reach are kept as the same
+entries, cells are re-joined only at the box's two edges, a box free on
+a coordinate is added under every span of it, and the sum keeps its own
+lattice when that refines the box's.  Any other two operands are merged
+(`_merge`): only the cells one operand cuts or changes are rebuilt, and
+every other box of the other operand is kept as the same entry.  All
+three give the same entries.
 
 One box is canonical once its full-span constraints are dropped, so the
 sweep returns a single entry directly: a cube holding one box, as in most
@@ -46,6 +53,7 @@ on the lattice integers without building a `Fraction`.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
@@ -237,6 +245,13 @@ def _rebased(entries: Sequence[Entry], d: int, head: LatticeBounds) -> list[Entr
     return [(cube, head + b[d:], v) for cube, b, v in entries]
 
 
+def _same_residue(x: Sequence[Entry], dx: int, y: Sequence[Entry], dy: int) -> bool:
+    """Whether two cells hold the same function: equal values and bounds,
+    those of `x` read from position dx on, those of `y` from dy on."""
+    return len(x) == len(y) and all(a[2] == b[2] and a[1][dx:] == b[1][dy:]
+                                    for a, b in zip(x, y))
+
+
 def _merge(a: Sequence[Entry], da: int, b: Sequence[Entry], db: int, dens: Mapping[int, int],
            prefix: LatticeBounds, keep_a: bool, keep_b: bool) -> list[Entry]:
     """Canonical entries of a + b, for canonical entries of one cube on
@@ -315,9 +330,7 @@ def _merge(a: Sequence[Entry], da: int, b: Sequence[Entry], db: int, dens: Mappi
             continue
         prev = cells[-1] if cells else None
         if (prev is not None and prev[1] == p and not (side and side == prev[3])
-                and len(prev[2]) == len(got)
-                and all(x[2] == y[2] and x[1][k + 1:] == y[1][k + 1:]
-                        for x, y in zip(prev[2], got))):
+                and _same_residue(prev[2], k + 1, got, k + 1)):
             prev[2] = _rebased(prev[2], k + 1, prefix + ((c, prev[0], q),))
             prev[1] = q
             prev[3] = 0
@@ -330,6 +343,179 @@ def _merge(a: Sequence[Entry], da: int, b: Sequence[Entry], db: int, dens: Mappi
     for cell in cells:
         out.extend(cell[2])
     return out
+
+
+def _head_lo(d: int):
+    return lambda e: e[1][d][1]
+
+
+def _head_hi(d: int):
+    return lambda e: e[1][d][2]
+
+
+def _span_end(entries: Sequence[Entry], s: int, j: int, d: int) -> int:
+    """The end of the span that starts at entry s of entries[:j], read at
+    bound position d: its entries share the bound there."""
+    head = entries[s][1][d]
+    t = s + 1
+    stop = t + 8 if t + 8 < j else j  # a few steps, then a bisection
+    while t < stop and entries[t][1][d] == head:
+        t += 1
+    if t == stop < j and entries[t][1][d] == head:
+        t = bisect_right(entries, head[2], t + 1, j, key=_head_hi(d))
+    return t
+
+
+def _shift(entries: Sequence[Entry], i: int, j: int, d: int, v: int, dens: Mapping[int, int],
+           prefix: LatticeBounds, keep: bool, out: list[Entry]) -> None:
+    """`_insert` of a box that constrains nothing more: the constant v is
+    added under every span and stands alone in the gaps, so no two cells
+    join, and a constant that cancels leaves a gap."""
+    cube, first, w = entries[i]
+    if len(first) == d:  # a constant
+        if w + v:
+            out.append((cube, prefix, w + v))
+        return
+    c = first[d][0]
+    gap = 0
+    s = i
+    while s < j:
+        e = entries[s]
+        b = e[1]
+        head = b[d]
+        if head[1] > gap:
+            out.append((cube, prefix + ((c, gap, head[1]),), v))
+        if len(b) == d + 1:  # a constant under this span
+            if e[2] + v:
+                out.append((cube, b if keep else prefix + (head,), e[2] + v))
+            s += 1
+        else:
+            t = s + 1
+            while t < j and entries[t][1][d] == head:
+                t += 1
+            _shift(entries, s, t, d + 1, v, dens, prefix + (head,), keep, out)
+            s = t
+        gap = head[2]
+    if gap < dens[c]:
+        out.append((cube, prefix + ((c, gap, dens[c]),), v))
+
+
+def _insert(entries: Sequence[Entry], i: int, j: int, d: int, box: LatticeBounds, k: int,
+            v: int, dens: Mapping[int, int], prefix: LatticeBounds, keep: bool,
+            out: list[Entry]) -> None:
+    """Append to `out` the canonical entries of entries[i:j] plus one box.
+
+    entries[i:j] is a canonical, non-empty nested span list of one cube on
+    the lattice `dens`, read from bound position d on; the box is box[k:]
+    with value v, its constraints proper.  The result's bounds are
+    `prefix` followed by the sum's, and `keep` says that the bounds of the
+    entries before d are `prefix`, so that an entry the box leaves alone
+    is appended as it is.  With c the smaller of the two first
+    coordinates:
+
+    - the box is free on c: it is added under every span of c, and in the
+      gaps between them it stands alone.  No two cells join: adjacent
+      spans differ, and still differ once the same box is added to both.
+    - the list is free on c: it is cut at the box's ends, and the box is
+      added to the middle piece.  Neither outer piece can join it.
+    - both constrain c: spans outside [lo, hi) are kept, those it cuts
+      lose their inner piece, which takes the box, and the gaps inside
+      hold the box alone.  A cell can join its neighbor only at lo or at
+      hi, and c is dropped when one cell then spans [0, D).
+    """
+    if k == len(box):
+        _shift(entries, i, j, d, v, dens, prefix, keep, out)
+        return
+    cube, first, _ = entries[i]
+    c, lo, hi = box[k]
+    if len(first) == d or c < first[d][0]:  # the list is free on c
+        if lo:
+            out.extend(_rebased(entries[i:j], d, prefix + ((c, 0, lo),)))
+        _insert(entries, i, j, d, box, k + 1, v, dens, prefix + (box[k],), False, out)
+        if hi < dens[c]:
+            out.extend(_rebased(entries[i:j], d, prefix + ((c, hi, dens[c]),)))
+        return
+    cs = first[d][0]
+    if c > cs:  # the box is free on cs
+        rest = box[k:]
+        gap = 0
+        s = i
+        while s < j:
+            head = entries[s][1][d]
+            t = _span_end(entries, s, j, d)
+            if head[1] > gap:
+                out.append((cube, prefix + ((cs, gap, head[1]),) + rest, v))
+            _insert(entries, s, t, d + 1, box, k, v, dens, prefix + (head,), keep, out)
+            gap, s = head[2], t
+        if gap < dens[cs]:
+            out.append((cube, prefix + ((cs, gap, dens[cs]),) + rest, v))
+        return
+    rest = box[k + 1:]
+    kp = len(prefix) + 1  # where a new entry's residue starts
+    # the spans before a end at or before lo
+    a = i
+    if j - i > 8:
+        a = bisect_right(entries, lo, i, j, key=_head_hi(d))
+    else:
+        while a < j and entries[a][1][d][2] <= lo:
+            a += 1
+    # the cells from lo to hi, [p, q, entries], all of them new entries
+    cells: list[list] = []
+    gap = lo
+    s = a
+    while s < j:
+        head = entries[s][1][d]
+        _, p, q = head
+        if p >= hi:
+            break
+        t = _span_end(entries, s, j, d)
+        if p < lo:
+            cells.append([p, lo, _rebased(entries[s:t], d + 1, prefix + ((c, p, lo),))])
+        elif p > gap:
+            cells.append([gap, p, [(cube, prefix + ((c, gap, p),) + rest, v)]])
+        x = lo if p < lo else p
+        y = hi if q > hi else q
+        got: list[Entry] = []
+        _insert(entries, s, t, d + 1, box, k + 1, v, dens, prefix + ((c, x, y),),
+                keep and x == p and y == q, got)
+        if got:
+            cells.append([x, y, got])
+        if q > hi:
+            cells.append([hi, q, _rebased(entries[s:t], d + 1, prefix + ((c, hi, q),))])
+        gap = q
+        s = t
+    b = s  # the spans from b on start at or after hi
+    if gap < hi:
+        cells.append([gap, hi, [(cube, prefix + ((c, gap, hi),) + rest, v)]])
+    # the span that ends at lo, and the one that starts at hi, may join
+    # the cell beside it
+    left, right = a, b
+    if (cells and cells[0][0] == lo and a > i and entries[a - 1][1][d][2] == lo
+            and entries[a - 1][2] == cells[0][2][-1][2]):
+        head = entries[a - 1][1][d]
+        start = a - 1
+        if start > i and entries[start - 1][1][d] == head:
+            start = bisect_left(entries, head[1], i, start - 1, key=_head_lo(d))
+        if _same_residue(entries[start:a], d + 1, cells[0][2], kp):
+            left = start
+            cells[0][0] = head[1]
+    if (cells and cells[-1][1] == hi and b < j and entries[b][1][d][1] == hi
+            and entries[b][2] == cells[-1][2][0][2]):
+        end = _span_end(entries, b, j, d)
+        if _same_residue(entries[b:end], d + 1, cells[-1][2], kp):
+            right = end
+            cells[-1][1] = entries[b][1][d][2]
+    if left == i and right == j and len(cells) == 1 and cells[0][0] == 0 and cells[0][1] == dens[c]:
+        out.extend(_rebased(cells[0][2], kp, prefix))  # c is dropped
+        return
+    if i < left:
+        out.extend(entries[i:left] if keep else _rebased(entries[i:left], d, prefix))
+    for p, q, got in cells:
+        if (p < lo and left < a) or (q > hi and right > b):  # a joined cell: a new head
+            got = _rebased(got, kp, prefix + ((c, p, q),))
+        out.extend(got)
+    if right < j:
+        out.extend(entries[right:j] if keep else _rebased(entries[right:j], d, prefix))
 
 
 def _value(v: int) -> int:
@@ -400,9 +586,24 @@ def _join(fns: Iterable["StepFunction"]) -> tuple[dict[int, int], int]:
     return dens, vden
 
 
+def _refines(dens: Mapping[int, int], own: Mapping[int, int]) -> bool:
+    """Whether the lattice `dens` refines `own`, coordinate by coordinate."""
+    for c, d in own.items():
+        got = dens.get(c)
+        if got is None or got % d:
+            return False
+    return True
+
+
 def _factors(own: Mapping[int, int], dens: Mapping[int, int]) -> dict[int, int]:
     """Per-coordinate factors taking lattice `own` to the finer `dens`."""
     return {c: dens[c] // d for c, d in own.items() if dens[c] != d}
+
+
+def _scaled(bounds: LatticeBounds, factors: Mapping[int, int]) -> LatticeBounds:
+    """Bounds with coordinate c multiplied by factors[c]."""
+    return tuple([(c, lo * factors[c], hi * factors[c]) if c in factors else (c, lo, hi)
+                  for c, lo, hi in bounds])
 
 
 def _rescaled(entries: tuple[Entry, ...], factors: Mapping[int, int], vf: int
@@ -412,9 +613,7 @@ def _rescaled(entries: tuple[Entry, ...], factors: Mapping[int, int], vf: int
         if vf == 1:
             return entries
         return tuple((cube, b, v * vf) for cube, b, v in entries)
-    return tuple((cube, tuple((c, lo * factors[c], hi * factors[c]) if c in factors else (c, lo, hi)
-                              for c, lo, hi in b), v * vf)
-                 for cube, b, v in entries)
+    return tuple((cube, _scaled(b, factors), v * vf) for cube, b, v in entries)
 
 
 def _by_cube(entries: tuple[Entry, ...]) -> dict[int, tuple[Entry, ...]]:
@@ -633,6 +832,11 @@ class StepFunction:
             return self
         if not self._entries:
             return other
+        if len(self._domain) == 1:
+            if len(other._entries) == 1:
+                return self._plus_box(other)
+            if len(self._entries) == 1:
+                return other._plus_box(self)
         dens, vden = _join((self, other))
         mine = _by_cube(_rescaled(self._entries, _factors(self._dens, dens), vden // self._vden))
         theirs = _by_cube(_rescaled(other._entries, _factors(other._dens, dens),
@@ -647,6 +851,24 @@ class StepFunction:
                 out.extend(a)
             else:
                 out.extend(_merge(a, 0, b, 0, dens, (), True, True))
+        return StepFunction._raw(self._domain, tuple(out), dens, vden)
+
+    def _plus_box(self, part: "StepFunction") -> "StepFunction":
+        """self + part, for a part of one entry on the same one cube: the
+        box is inserted into the entries (`_insert`), on this function's
+        lattice when it refines the part's."""
+        dens, vden, entries = self._dens, self._vden, self._entries
+        pdens, pvden = part._dens, part._vden
+        if (pdens is not dens and not _refines(dens, pdens)) or vden % pvden:
+            dens, vden = _join((self, part))
+            entries = _rescaled(entries, _factors(self._dens, dens), vden // self._vden)
+        (_, box, v), = part._entries
+        if pdens is not dens:
+            factors = _factors(pdens, dens)
+            if factors:
+                box = _scaled(box, factors)
+        out: list[Entry] = []
+        _insert(entries, 0, len(entries), 0, box, 0, v * (vden // pvden), dens, (), True, out)
         return StepFunction._raw(self._domain, tuple(out), dens, vden)
 
     def scale(self, c: Rational) -> "StepFunction":
@@ -886,36 +1108,105 @@ def sum_functions(fns: Iterable[StepFunction], domain: Sequence[int] | None = No
     return StepFunction._summed(dom, fns)
 
 
-# ChunkedSum folds its pending functions in every _CHUNK additions.  The
-# chunk is small because the pending functions are what the cyclic
-# garbage collector keeps scanning: each holds its entry tuples.  With a
-# chunk of 4096 the blocks traces of multipoint(4, 3) set off 2,785 young
-# and 23 full collections, with 128 only 495 and 4.  Best of six runs of
-# those traces on a 2-vCPU host, in CPU seconds: 1.06 at 32, 1.01 at 64,
-# 0.93 at 128, 1.05 at 256, 1.16 at 512 and 1.34 at 4096; smaller chunks
-# fold the running total in more often.
-_CHUNK = 128
+# ChunkedSum canonicalizes what waits every _CHUNK additions.  What waits
+# is bounds and values in lists, not functions, so the cyclic garbage
+# collector has little to scan: the blocks traces of multipoint(4, 3) set
+# off at most one collection at any chunk from 32 to 4096, where waiting
+# functions set off 495 young collections at 128 and 2,785 at 4096.  The
+# boxes that formula sections repeat or continue keep the lists short, so
+# a compaction sweeps few boxes and fewer compactions win.  Best of six
+# runs of those traces on a 2-vCPU host, in CPU seconds: 0.53 at 32, 0.39
+# at 128, 0.36 at 512, 0.35 at 1024 and 0.35 at 4096.
+_CHUNK = 1024
 
 
 class ChunkedSum:
     """Running sum of many functions, compacted every `_CHUNK` additions
-    so memory stays bounded while long streams are folded in."""
+    so memory stays bounded while long streams are folded in.
+
+    The terms added since the last compaction wait cube by cube as bounds
+    and values on one lattice, the join of the lattices of everything
+    added, and a compaction canonicalizes them together with the running
+    total (`_canonical`).  Two shortcuts keep the waiting lists short for
+    the sections of a formula family, whose terms come in index order:
+    an entry that is the very object added last on its cube, from a
+    function on the same lattice, adds its value to that one, and a box
+    with the same value that continues the last one on its last
+    coordinate is joined to it."""
 
     def __init__(self, domain: Sequence[int]):
         self._domain = tuple(int(c) for c in domain)
-        self._pending: list[StepFunction] = []
+        self._dens: dict[int, int] = {}
+        self._vden = 1
+        # the lattice of the function added last, and its factors to ours
+        self._source: tuple = (None, 0, {}, 1)
         self._total: StepFunction | None = None
+        self._clear()
+
+    def _clear(self) -> None:
+        self._count = 0
+        # per cube: [bounds, values, the entry added last]
+        self._pending: dict[int, list] = {c: [[], [], None] for c in self._domain}
 
     def add(self, f: StepFunction) -> None:
-        self._pending.append(f)
-        if len(self._pending) >= _CHUNK:
+        if f._domain != self._domain:
+            raise DomainError(f"domain mismatch in sum: {f._domain} vs {self._domain}")
+        self._put(f)
+        self._count += 1
+        if self._count >= _CHUNK:
             self._compact()
+
+    def _put(self, f: StepFunction) -> None:
+        """Let the entries of f wait, on the lattice."""
+        if f._dens is not self._source[0] or f._vden != self._source[1]:
+            self._lattice(f)
+        _, _, factors, vf = self._source
+        pending = self._pending
+        for e in f._entries:
+            slot = pending[e[0]]
+            bounds, values, last = slot
+            if e is last:
+                values[-1] += e[2] * vf
+                continue
+            b = _scaled(e[1], factors) if factors else e[1]
+            v = e[2] * vf
+            if values and values[-1] == v and b:
+                prev, end = bounds[-1], b[-1]
+                if (len(prev) == len(b) and prev[-1][2] == end[1] and prev[-1][0] == end[0]
+                        and prev[:-1] == b[:-1]):
+                    bounds[-1] = b[:-1] + ((end[0], prev[-1][1], end[2]),)
+                    slot[2] = None
+                    continue
+            slot[2] = e
+            bounds.append(b)
+            values.append(v)
+
+    def _lattice(self, f: StepFunction) -> None:
+        """Take f's lattice in: join it to the lattice, rescaling what
+        waits, and note f's factors to the result."""
+        if not _refines(self._dens, f._dens) or self._vden % f._vden:
+            dens = dict(self._dens)
+            for c, d in f._dens.items():
+                dens[c] = lcm(dens.get(c, 1), d)
+            vden = lcm(self._vden, f._vden)
+            factors, vf = _factors(self._dens, dens), vden // self._vden
+            for slot in self._pending.values():
+                if factors:
+                    slot[0] = [_scaled(b, factors) for b in slot[0]]
+                slot[1] = [v * vf for v in slot[1]]
+            self._dens, self._vden = dens, vden
+        for slot in self._pending.values():
+            slot[2] = None
+        self._source = (f._dens, f._vden, _factors(f._dens, self._dens), self._vden // f._vden)
 
     def _compact(self) -> None:
         if self._total is not None:
-            self._pending.append(self._total)
-        self._total = sum_functions(self._pending, domain=self._domain)
-        self._pending = []
+            self._put(self._total)
+        per_cube = {cube: list(zip(bounds, values))
+                    for cube, (bounds, values, _) in self._pending.items()}
+        self._total = StepFunction._raw(
+            self._domain, _canonical(self._domain, per_cube, self._dens), self._dens, self._vden)
+        self._clear()
 
     def total(self) -> StepFunction:
         self._compact()

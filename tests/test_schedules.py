@@ -268,6 +268,48 @@ def test_steps_traces_are_pinned():
         assert digest(trace.to_csv_lines()) == want, (name, label, p)
 
 
+def _traced_through(name, ref, spec, tmp_path):
+    """`ref`, or its transform by `spec` for "transformed file", as the
+    term source `name` gives it."""
+    from sumrange.serialize import dump_family, load_family, sectioned_family
+
+    path = tmp_path / f"{name}.json"
+    if name == "formulas":
+        return ref
+    if name == "with_replaced":
+        return ref.with_replaced({})
+    if name == "transformed file":
+        dump_family(apply_transform(ref, spec), path)
+        return load_family(path)
+    dump_family(ref, path)
+    return {"load_family": load_family, "sectioned_family": sectioned_family}[name](path)
+
+
+@pytest.mark.parametrize("source", ["formulas", "with_replaced", "load_family",
+                                    "sectioned_family", "transformed file"])
+@pytest.mark.parametrize("base", ["kadets(3)", "three-kadets(2)", "multipoint(4, 1)"])
+def test_traces_through_every_term_source(base, source, tmp_path):
+    # steps mode reads each term cut by cube, from whichever source holds
+    # it; every source traces the formula trace's bytes, and a transformed
+    # file those of the transform made from the formulas, whose target is
+    # the transformed sum range's point
+    ref = {"kadets(3)": lambda: build_kadets(3), "three-kadets(2)": lambda: build_three_kadets(2),
+           "multipoint(4, 1)": lambda: build_multipoint(4, 1)}[base]()
+    d = ref.points - 1
+    spec = TransformSpec([[Fraction(i + 1, j + 2) - j for j in range(d)] for i in range(d)])
+    want_fam = apply_transform(ref, spec) if source == "transformed file" else ref
+    fam = _traced_through(source, ref, spec, tmp_path)
+    assert fam.transform == want_fam.transform
+    for make, record in ((lambda f: random_schedule(f, 5), "steps"),
+                         (lambda f: schedule_point(f, 1), "steps"),
+                         (lambda f: schedule_point(f, 1), "blocks")):
+        want = run_trace(want_fam, make(want_fam), record=record)
+        got = run_trace(fam, make(fam), record=record)
+        assert list(got.to_csv_lines()) == list(want.to_csv_lines()), (record, make(fam).label)
+    if source == "transformed file":
+        assert make(fam).target == expected_sum_range(want_fam)[1] != expected_sum_range(ref)[1]
+
+
 def test_steps_trace_is_held_by_column(monkeypatch):
     # a row is a few array slots and a reference per cube, with a new
     # deviation only for the cubes its term touches: the divergent

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from sumrange import stepfn
 from sumrange.stepfn import (
     Box,
     ChunkedSum,
@@ -626,21 +627,189 @@ def test_add_merge_cases_match_oracle(case):
         assert (fa + fb).footprint() == frozenset({(1, 2)})
 
 
+# --- the one-box path of `add` ----------------------------------------------
+# A part of one entry on a one-cube domain is inserted into the other
+# operand's span lists.  Each case: the running sum, the box added to it.
+
+BOX_CASES = {
+    # the box cancels the sum on part of it: a hole in the middle
+    "cancels-inside-the-box": (
+        [(1, {1: (F(0), F(3, 4)), 2: (F(0), F(1, 3))}, F(2))],
+        (1, {1: (F(1, 4), F(1, 2)), 2: (F(0), F(1, 3))}, F(-2)),
+    ),
+    # the cell the box changes now equals the span that ends at its left end
+    "re-joins-at-the-left-edge": (
+        [(1, {1: (F(0), F(1, 4)), 2: (F(0), F(1, 2))}, F(3)),
+         (1, {1: (F(1, 4), F(1, 2)), 2: (F(0), F(1, 2))}, F(1))],
+        (1, {1: (F(1, 4), F(1, 2)), 2: (F(0), F(1, 2))}, F(2)),
+    ),
+    # ... and the span that starts at its right end
+    "re-joins-at-the-right-edge": (
+        [(1, {1: (F(1, 4), F(1, 2))}, F(1)), (1, {1: (F(1, 2), F(1)), 3: (F(1, 5), F(1))}, F(3))],
+        (1, {1: (F(1, 4), F(1, 2)), 3: (F(1, 5), F(1))}, F(2)),
+    ),
+    # both edges join: one cell spans [0, 1) and coordinate 1 is dropped
+    "drops-the-top-coordinate": (
+        [(1, {1: (F(0), F(1, 4))}, F(2)), (1, {1: (F(1, 4), F(1, 2))}, F(5)),
+         (1, {1: (F(1, 2), F(1))}, F(2))],
+        (1, {1: (F(1, 4), F(1, 2))}, F(-3)),
+    ),
+    # inside one span of coordinate 1, coordinate 2 is dropped
+    "drops-a-coordinate-inside-a-span": (
+        [(1, {1: (F(0), F(1, 2)), 2: (F(0), F(1, 3))}, F(1)),
+         (1, {1: (F(0), F(1, 2)), 2: (F(1, 3), F(1))}, F(4)),
+         (1, {1: (F(1, 2), F(1))}, F(7))],
+        (1, {1: (F(0), F(1, 2)), 2: (F(1, 3), F(1))}, F(-3)),
+    ),
+    # the box is free on coordinate 1: it goes under both spans and into
+    # the gaps between them
+    "free-on-the-top-coordinate": (
+        [(1, {1: (F(0), F(1, 4)), 2: (F(0), F(1, 2))}, F(1)), (1, {1: (F(1, 2), F(3, 4))}, F(2))],
+        (1, {2: (F(1, 4), F(3, 4)), 3: (F(0), F(1, 3))}, F(1)),
+    ),
+    # the sum is free on coordinate 1, which the box constrains
+    "on-a-coordinate-the-sum-leaves-free": (
+        [(1, {2: (F(0), F(1, 2)), 3: (F(0), F(1, 3))}, F(1)), (1, {2: (F(1, 2), F(1))}, F(-1))],
+        (1, {1: (F(1, 3), F(2, 3)), 3: (F(1, 3), F(1))}, F(-1)),
+    ),
+    # the box lies in a gap of the sum, on a lattice the sum refines, and
+    # joins nothing: the sum's entries are kept
+    "in-a-gap": (
+        [(1, {1: (F(0), F(1, 8))}, F(1)), (1, {1: (F(3, 4), F(1)), 2: (F(0), F(1, 2))}, F(1))],
+        (1, {1: (F(3, 8), F(5, 8)), 2: (F(0), F(1, 2))}, F(2)),
+    ),
+    # onto a constant: three cells of coordinate 1
+    "on-a-constant": (
+        [(1, {}, F(1, 3))],
+        (1, {1: (F(1, 3), F(2, 3))}, F(2, 3)),
+    ),
+    # the part's lattice is coarser than the sum's (twelfths), finer, or
+    # its value denominator does not divide the sum's
+    "coarser-part-lattice": (
+        [(1, {1: (F(1, 12), F(5, 12)), 2: (F(0), F(1, 6))}, F(1))],
+        (1, {1: (F(0), F(1, 2))}, F(1)),
+    ),
+    "finer-part-lattice": (
+        [(1, {1: (F(0), F(1, 2))}, F(1)), (1, {1: (F(1, 2), F(1)), 2: (F(1, 3), F(1))}, F(2))],
+        (1, {1: (F(1, 12), F(5, 12)), 2: (F(1, 5), F(3, 5))}, F(1)),
+    ),
+    "value-denominator-does-not-divide": (
+        [(1, {1: (F(0), F(1, 2))}, F(1, 3)), (1, {1: (F(1, 2), F(1))}, F(2, 3))],
+        (1, {1: (F(1, 4), F(3, 4))}, F(1, 2)),
+    ),
+}
+
+
+def assert_box_add(f, raw_f, part, raw_part):
+    """f + part and part + f, held to the sweep and to the oracle."""
+    total = assert_add_matches_sweep(f, part)
+    assert assert_add_matches_sweep(part, f)._entries == total._entries
+    assert_matches_oracle(raw_f + [raw_part], total)
+    return total
+
+
+@pytest.mark.parametrize("case", sorted(BOX_CASES))
+def test_one_box_add_cases_match_sweep_and_oracle(case):
+    dom = (1,)
+    raw, raw_box = BOX_CASES[case]
+    f, part = build(raw, dom), build([raw_box], dom)
+    assert part.box_count() == 1
+    total = assert_box_add(f, raw, part, raw_box)
+    if case == "drops-the-top-coordinate":
+        assert fraction_terms(total) == ((Box(1, ()), F(2)),)
+    elif case == "drops-a-coordinate-inside-a-span":
+        assert total.footprint() == frozenset({(1, 1)})
+    elif case == "coarser-part-lattice":
+        assert total._dens is f._dens  # the sum's lattice, reused
+    elif case == "in-a-gap":
+        assert all(any(e is x for x in total._entries) for e in f._entries)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_one_box_chains_match_sweep(seed):
+    # chains of one-box adds, as a steps trace makes them: boxes on
+    # several lattices, a quarter of them cancelling an earlier box, held
+    # to the sweep at every add (120 adds a seed), and the end of the
+    # short chain to the canonical shape and to the oracle
+    rng = random.Random(f"one-box-chain-{seed}")
+    dom = (1,)
+    for length in (15, 50, 55):
+        raw: list = []
+        total = StepFunction.zero(dom)
+        for _ in range(length):
+            if raw and rng.random() < 0.25:
+                cube, bounds, v = rng.choice(raw)
+                step = (cube, bounds, -v)
+            else:
+                step = lattice_raw(rng, dom, coords=(1, 2, 3), dens=(2, 3, 4, 6),
+                                   values=(F(1), F(-2), F(1, 2), F(3, 4)), max_boxes=1)[0]
+            part = build([step], dom)
+            got = total + part
+            if total._entries:
+                want = StepFunction._summed(dom, (total, part))
+                assert (got._entries, got._dens, got._vden) == (
+                    want._entries, want._dens, want._vden)
+            else:
+                assert got is part
+            total = got
+            raw.append(step)
+        if length == 15:
+            assert_canonical_shape(total)
+            assert_matches_oracle(raw, total)
+
+
 # --- ChunkedSum -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_chunked_sum_matches_sum_functions(seed):
+def section_runs(rng, dom):
+    """Runs of functions on `dom` = (1, 2, 3) as a formula section hands
+    them out: one lattice object per run, a box repeated as the same entry
+    object, and boxes that step through consecutive cells of their last
+    coordinate; some runs take back the run before, and some hand the
+    repeated entry object of the run before on, which on another lattice
+    is another box.  Each run changes the lattice or the value
+    denominator, mostly in the middle of a chunk."""
+    stream: list = []
+    fixed = (1, ((1, 0, 1),), 1)
+    for _ in range(12):
+        if stream and rng.random() < 0.3:
+            stream += [f.scale(-1) for f in stream[-rng.randint(1, 20):]]
+            continue
+        dens = {1: rng.choice((2, 3, 4)), 2: rng.choice((3, 5, 6, 8))}
+        vden = rng.choice((1, 2, 3))
+        if rng.random() < 0.5 or fixed[1][0][2] >= dens[1]:
+            a = rng.randrange(dens[1])
+            fixed = (1, ((1, a, a + 1),), rng.choice((1, -2, 3)))
+        a = fixed[1][0][1]
+        v = rng.choice((1, -1, 2))
+        for k in range(rng.randint(1, 40)):
+            cell = (2, k % dens[2], k % dens[2] + 1)
+            stream.append(StepFunction._raw(
+                dom, (fixed, (2, ((1, a, a + 1), cell), v), (3, (cell,), -v)), dens, vden))
+    return stream
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_chunked_sum_matches_sum_functions(seed, monkeypatch):
     # compactions only decide when the pending functions are folded in:
     # streams of less than one chunk, of one chunk and one more, and of
-    # several chunks, which fold the running total in again and again
+    # several chunks, which fold the running total in again and again, at
+    # a chunk of 128; seeds 6-9 stream section-shaped runs whose lattice
+    # changes in the middle of a chunk.  The sum is sum_functions', on
+    # the same lattice.
+    monkeypatch.setattr(stepfn, "_CHUNK", 128)
     rng = random.Random(f"chunked-{seed}")
     dom = (1, 2, 3)
-    spec = dict(coords=(1, 2), dens=(2, 3, 4), values=(F(1), F(-1), F(1, 2)), max_boxes=3)
-    stream = [build(lattice_raw(rng, dom, **spec), dom)
-              for _ in range((1, 128, 129, 257, 400, 700)[seed])]
+    if seed < 6:
+        spec = dict(coords=(1, 2), dens=(2, 3, 4), values=(F(1), F(-1), F(1, 2)), max_boxes=3)
+        stream = [build(lattice_raw(rng, dom, **spec), dom)
+                  for _ in range((1, 128, 129, 257, 400, 700)[seed])]
+    else:
+        stream = section_runs(rng, dom)
     want = sum_functions(stream)
     total = ChunkedSum(dom)
     for f in stream:
         total.add(f)
-    assert total.total()._entries == want._entries
+    got = total.total()
+    assert (got._entries, got._dens, got._vden) == (want._entries, want._dens, want._vden)
+    assert_canonical_shape(got)
