@@ -30,18 +30,16 @@ everywhere iff their entries are equal once both are brought onto one
 lattice, and ``==`` is exact a.e. equality.
 
 The sweep (`_sweep`) canonicalizes any list of boxes: the raw boxes of
-the constructor, of `multiply` and of the loader, and the n-ary sums of
-`sum_functions` and `ChunkedSum`.  `add` has two operands that are
-canonical already, so it never sweeps.  When one of them is a single box
-on a one-cube domain, as each part of a formula term is, the box is
-inserted into the other's nested span lists (`_insert`), which it walks
-by index ranges: spans the box does not reach are kept as the same
-entries, cells are re-joined only at the box's two edges, a box free on
-a coordinate is added under every span of it, and the sum keeps its own
-lattice when that refines the box's.  Any other two operands are merged
-(`_merge`): only the cells one operand cuts or changes are rebuilt, and
-every other box of the other operand is kept as the same entry.  All
-three give the same entries.
+the constructor, of `multiply` and of the loader, the n-ary sums of
+`sum_functions` and `ChunkedSum`, and every `add` of two multi-entry
+operands, whose entries it sweeps together.  When one operand of `add`
+is a single box on a one-cube domain, as each part of a formula term is,
+the box is inserted into the other's nested span lists (`_insert`)
+instead, which it walks by index ranges: spans the box does not reach
+are kept as the same entries, cells are re-joined only at the box's two
+edges, a box free on a coordinate is added under every span of it, and
+the sum keeps its own lattice when that refines the box's.  The insert
+gives the entries the sweep would.
 
 One box is canonical once its full-span constraints are dropped, so the
 sweep returns a single entry directly: a cube holding one box, as in most
@@ -225,21 +223,6 @@ def _sweep_leaf(c: int, top: int, free: list, cons: list) -> list[tuple[LatticeB
     return [(((c, lo, hi),), v) for lo, hi, v in spans if v]
 
 
-def _runs(entries: Sequence[Entry], d: int) -> list[list]:
-    """The spans of entries whose bounds all hold the same coordinate at
-    position d: [lo, hi, rows, 1], rows the contiguous entries of the span."""
-    runs: list[list] = []
-    head = entries[0][1][d]
-    start = 0
-    for i, e in enumerate(entries):
-        h = e[1][d]
-        if h != head:
-            runs.append([head[1], head[2], entries[start:i], 1])
-            head, start = h, i
-    runs.append([head[1], head[2], entries[start:], 1])
-    return runs
-
-
 def _rebased(entries: Sequence[Entry], d: int, head: LatticeBounds) -> list[Entry]:
     """The entries with their bounds before position d replaced by `head`."""
     return [(cube, head + b[d:], v) for cube, b, v in entries]
@@ -250,99 +233,6 @@ def _same_residue(x: Sequence[Entry], dx: int, y: Sequence[Entry], dy: int) -> b
     those of `x` read from position dx on, those of `y` from dy on."""
     return len(x) == len(y) and all(a[2] == b[2] and a[1][dx:] == b[1][dy:]
                                     for a, b in zip(x, y))
-
-
-def _merge(a: Sequence[Entry], da: int, b: Sequence[Entry], db: int, dens: Mapping[int, int],
-           prefix: LatticeBounds, keep_a: bool, keep_b: bool) -> list[Entry]:
-    """Canonical entries of a + b, for canonical entries of one cube on
-    the lattice `dens`, each list read from a bound position on.
-
-    The entries of `a` stand for their bounds from position `da` on, those
-    of `b` from `db` on, and the result's bounds are `prefix` followed by
-    the sum's.  `keep_a` says that the bounds of `a` before `da` are
-    `prefix`, so that an entry of `a` the sum leaves alone is returned as
-    it is; `keep_b` likewise.
-
-    Both lists have the sweep's nested structure: a list is one constant,
-    or all its entries constrain the same coordinate first, the entries
-    of each span of it contiguous, spans in increasing order.  With c the
-    smaller of the two first coordinates, a list free on c counts as one
-    span [0, D) holding the whole list.  The sum is cut at the union of
-    both lists' span ends; a cell where both are active holds the merge of
-    their sub-lists, a cell where one is active its sub-list, unchanged.
-    Adjacent equal cells are joined and c is dropped when one cell spans
-    [0, D), as the sweep does, so the result is the sweep's on the union
-    of the entries.
-    """
-    ha, hb = a[0][1], b[0][1]
-    ca = ha[da][0] if len(ha) > da else None
-    cb = hb[db][0] if len(hb) > db else None
-    if ca is None and cb is None:
-        v = a[0][2] + b[0][2]
-        return [(a[0][0], prefix, v)] if v else []
-    c = ca if cb is None or (ca is not None and ca < cb) else cb
-    top = dens[c]
-    k = len(prefix)
-    # a list free on c is one span holding the whole list
-    runs_a = _runs(a, da) if ca == c else [[0, top, a, 0]]
-    runs_b = _runs(b, db) if cb == c else [[0, top, b, 0]]
-    na, nb = len(runs_a), len(runs_b)
-    # cells [lo, hi, entries, side]: side is 1 or 2 while the cell is an
-    # uncut span of a or b taken as it is; spans of one side never join
-    cells: list[list] = []
-    i = j = p = 0
-    while p < top:
-        while i < na and runs_a[i][1] <= p:
-            i += 1
-        while j < nb and runs_b[j][1] <= p:
-            j += 1
-        ra = runs_a[i] if i < na and runs_a[i][0] <= p else None
-        rb = runs_b[j] if j < nb and runs_b[j][0] <= p else None
-        q = top
-        if i < na:
-            x = runs_a[i][1] if ra is not None else runs_a[i][0]
-            if x < q:
-                q = x
-        if j < nb:
-            x = runs_b[j][1] if rb is not None else runs_b[j][0]
-            if x < q:
-                q = x
-        side = 0
-        if ra is not None and rb is not None:
-            got = _merge(ra[2], da + ra[3], rb[2], db + rb[3], dens, prefix + ((c, p, q),),
-                         keep_a and ra[3] and ra[0] == p and ra[1] == q,
-                         keep_b and rb[3] and rb[0] == p and rb[1] == q)
-            if not got:
-                p = q
-                continue
-        elif ra is not None:
-            if keep_a and ra[3] and ra[0] == p and ra[1] == q:
-                got, side = ra[2], 1
-            else:
-                got = _rebased(ra[2], da + ra[3], prefix + ((c, p, q),))
-        elif rb is not None:
-            if keep_b and rb[3] and rb[0] == p and rb[1] == q:
-                got, side = rb[2], 2
-            else:
-                got = _rebased(rb[2], db + rb[3], prefix + ((c, p, q),))
-        else:
-            p = q
-            continue
-        prev = cells[-1] if cells else None
-        if (prev is not None and prev[1] == p and not (side and side == prev[3])
-                and _same_residue(prev[2], k + 1, got, k + 1)):
-            prev[2] = _rebased(prev[2], k + 1, prefix + ((c, prev[0], q),))
-            prev[1] = q
-            prev[3] = 0
-        else:
-            cells.append([p, q, got, side])
-        p = q
-    if len(cells) == 1 and cells[0][0] == 0 and cells[0][1] == top:
-        return _rebased(cells[0][2], k + 1, prefix)
-    out: list[Entry] = []
-    for cell in cells:
-        out.extend(cell[2])
-    return out
 
 
 def _head_lo(d: int):
@@ -616,19 +506,6 @@ def _rescaled(entries: tuple[Entry, ...], factors: Mapping[int, int], vf: int
     return tuple((cube, _scaled(b, factors), v * vf) for cube, b, v in entries)
 
 
-def _by_cube(entries: tuple[Entry, ...]) -> dict[int, tuple[Entry, ...]]:
-    """The entries of each cube; canonical entries are grouped by cube."""
-    if entries[0][0] == entries[-1][0]:
-        return {entries[0][0]: entries}
-    out: dict[int, tuple[Entry, ...]] = {}
-    start = 0
-    for i in range(1, len(entries) + 1):
-        if i == len(entries) or entries[i][0] != entries[start][0]:
-            out[entries[start][0]] = entries[start:i]
-            start = i
-    return out
-
-
 def _intersect(a: LatticeBounds, b: LatticeBounds) -> LatticeBounds | None:
     out = []
     i = j = 0
@@ -837,21 +714,7 @@ class StepFunction:
                 return self._plus_box(other)
             if len(self._entries) == 1:
                 return other._plus_box(self)
-        dens, vden = _join((self, other))
-        mine = _by_cube(_rescaled(self._entries, _factors(self._dens, dens), vden // self._vden))
-        theirs = _by_cube(_rescaled(other._entries, _factors(other._dens, dens),
-                                    vden // other._vden))
-        out: list[Entry] = []
-        for cube in self._domain:
-            a, b = mine.get(cube), theirs.get(cube)
-            if a is None:
-                if b is not None:
-                    out.extend(b)
-            elif b is None:
-                out.extend(a)
-            else:
-                out.extend(_merge(a, 0, b, 0, dens, (), True, True))
-        return StepFunction._raw(self._domain, tuple(out), dens, vden)
+        return StepFunction._summed(self._domain, (self, other))
 
     def _plus_box(self, part: "StepFunction") -> "StepFunction":
         """self + part, for a part of one entry on the same one cube: the

@@ -523,40 +523,39 @@ def test_equal_functions_on_different_lattices():
     assert halves != indicator(dom, 1, {1: (0, F(3, 4))})
 
 
-# --- the merge behind `add` -------------------------------------------------
-# `add` merges two canonical forms; `StepFunction._summed` sweeps their
-# boxes.  Both must give the same entries on the same lattice.
+# --- multi-entry adds against the oracle -----------------------------------
+# `add` of two multi-entry operands sweeps their entries together
+# (`StepFunction._summed`).  Each sum is held to the pointwise oracle.
 
 
-def assert_add_matches_sweep(fa, fb):
+def assert_add_matches_oracle(raw, fa, fb):
     total = fa + fb
-    if fa._entries and fb._entries:
-        swept = StepFunction._summed(fa.domain, (fa, fb))
-        assert total._entries == swept._entries
-        assert total._dens == swept._dens and total._vden == swept._vden
-    else:  # an empty operand: `add` returns the other one as it is
-        assert total == StepFunction._summed(fa.domain, (fa, fb))
     assert_canonical_shape(total)
+    assert_matches_oracle(raw, total)
     return total
+
+
+def negated(raw):
+    return [(cu, bd, -v) for cu, bd, v in raw]
 
 
 @pytest.mark.parametrize("seed", range(12))
 @pytest.mark.parametrize("case", sorted(LATTICE_CASES))
-def test_add_merge_matches_sweep_on_lattice_cases(case, seed):
+def test_add_matches_oracle_on_lattice_cases(case, seed):
     rng = random.Random(f"merge-{case}-{seed}")
     dom = (1, 2)
     raw_a = lattice_raw(rng, dom, **LATTICE_CASES[case], max_boxes=8)
     raw_b = lattice_raw(rng, dom, **LATTICE_CASES[case], max_boxes=rng.choice((1, 3, 8)))
     fa, fb = build(raw_a, dom), build(raw_b, dom)
-    assert_matches_oracle(raw_a + raw_b, assert_add_matches_sweep(fa, fb))
-    assert_add_matches_sweep(fb, fa)
-    assert fraction_terms(assert_add_matches_sweep(fa, -fa)) == ()
+    assert_add_matches_oracle(raw_a + raw_b, fa, fb)
+    assert_add_matches_oracle(raw_b + raw_a, fb, fa)
+    assert fraction_terms(assert_add_matches_oracle(raw_a + negated(raw_a), fa, -fa)) == ()
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_add_merge_matches_sweep_on_random_chains(seed):
+def test_add_matches_oracle_on_random_chains(seed):
     # a running sum of random functions, as a trace in steps mode builds
-    # one, compared with the sweep at every step
+    # one, held to the oracle at every step
     rng = random.Random(f"merge-chain-{seed}")
     dom = (1, 2)
     raw: list = []
@@ -564,13 +563,12 @@ def test_add_merge_matches_sweep_on_random_chains(seed):
     for _ in range(6):
         step = random_raw(rng, dom, max_boxes=rng.choice((1, 2, 4)))
         if rng.random() < 0.25:  # cancel part of what is there
-            step += [(cu, bd, -v) for cu, bd, v in rng.sample(raw, len(raw) // 2)]
-        total = assert_add_matches_sweep(total, build(step, dom))
+            step += negated(rng.sample(raw, len(raw) // 2))
         raw += step
-    assert_matches_oracle(raw, total)
+        total = assert_add_matches_oracle(raw, total, build(step, dom))
 
 
-MERGE_CASES = {
+ADD_CASES = {
     # a + (-a) with a spread over three coordinates
     "exact-cancellation": (
         [(1, {1: (F(0), F(1, 2)), 3: (F(1, 3), F(1))}, F(2)), (1, {2: (F(1, 4), F(3, 4))}, F(-1))],
@@ -611,20 +609,20 @@ MERGE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(MERGE_CASES))
-def test_add_merge_cases_match_oracle(case):
+@pytest.mark.parametrize("case", sorted(ADD_CASES))
+def test_add_cases_match_oracle(case):
     dom = (1, 2)
-    raw_a, raw_b = MERGE_CASES[case]
+    raw_a, raw_b = ADD_CASES[case]
     fa, fb = build(raw_a, dom), build(raw_b, dom)
-    for raw, total in ((raw_a + raw_b, assert_add_matches_sweep(fa, fb)),
-                       (raw_b + raw_a, assert_add_matches_sweep(fb, fa))):
-        assert_matches_oracle(raw, total)
+    total = assert_add_matches_oracle(raw_a + raw_b, fa, fb)
+    assert assert_add_matches_oracle(raw_b + raw_a, fb, fa) == total
+    assert fraction_terms(assert_add_matches_oracle(raw_a + negated(raw_a), fa, -fa)) == ()
     if case == "exact-cancellation":
-        assert fraction_terms(fa + fb) == ()
+        assert fraction_terms(total) == ()
     elif case == "re-merge-to-constant":
-        assert fraction_terms(fa + fb) == ((Box(1, ()), F(1)),)
+        assert fraction_terms(total) == ((Box(1, ()), F(1)),)
     elif case == "re-merge-drops-a-coordinate":
-        assert (fa + fb).footprint() == frozenset({(1, 2)})
+        assert total.footprint() == frozenset({(1, 2)})
 
 
 # --- the one-box path of `add` ----------------------------------------------
@@ -698,6 +696,20 @@ BOX_CASES = {
         (1, {1: (F(1, 4), F(3, 4))}, F(1, 2)),
     ),
 }
+
+
+def assert_add_matches_sweep(fa, fb):
+    """fa + fb, for a one-box operand: the insert gives the sweep's entries
+    on the same lattice."""
+    total = fa + fb
+    if fa._entries and fb._entries:
+        swept = StepFunction._summed(fa.domain, (fa, fb))
+        assert total._entries == swept._entries
+        assert total._dens == swept._dens and total._vden == swept._vden
+    else:  # an empty operand: `add` returns the other one as it is
+        assert total == StepFunction._summed(fa.domain, (fa, fb))
+    assert_canonical_shape(total)
+    return total
 
 
 def assert_box_add(f, raw_f, part, raw_part):

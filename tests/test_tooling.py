@@ -262,16 +262,17 @@ def test_no_module_reaches_into_a_family():
     assert found == []
 
 
-def test_steps_trace_inserts_each_part_without_merge_or_split(monkeypatch):
+def test_steps_trace_inserts_each_part_without_sweep_or_split(monkeypatch):
     # a steps trace of formula terms takes each term already cut by cube
     # and adds each one-box part to its cube's running deviation by the
-    # one-box insert: no two-list merge and no split runs.  The counters
-    # do count: a sum of two many-box functions merges.
+    # one-box insert: no multi-entry sum and no split runs, on the
+    # divergent order and on random orders.  The counters do count: a sum
+    # of two many-box functions is swept.
     from sumrange import stepfn
-    from sumrange.families import build_three_kadets
-    from sumrange.schedules import run_trace, schedule_divergent
+    from sumrange.families import build_kadets, build_three_kadets
+    from sumrange.schedules import random_schedule, run_trace, schedule_divergent
 
-    calls = {"_merge": 0, "split": 0}
+    calls = {"_summed": 0, "split": 0}
 
     def counted(name, fn):
         def shim(*args, **kwargs):
@@ -279,14 +280,16 @@ def test_steps_trace_inserts_each_part_without_merge_or_split(monkeypatch):
             return fn(*args, **kwargs)
         return shim
 
-    monkeypatch.setattr(stepfn, "_merge", counted("_merge", stepfn._merge))
+    monkeypatch.setattr(stepfn.StepFunction, "_summed",
+                        classmethod(counted("_summed", stepfn.StepFunction._summed.__func__)))
     monkeypatch.setattr(stepfn.StepFunction, "split",
                         counted("split", stepfn.StepFunction.split))
-    fam = build_three_kadets(5)
-    sch = schedule_divergent(fam)
-    trace = run_trace(fam, sch, record="steps")
-    assert len(trace.rows) == sch.term_count
-    assert calls == {"_merge": 0, "split": 0}
+    kadets = build_kadets(5)
+    for sch in [schedule_divergent(build_three_kadets(5))] + [
+            random_schedule(kadets, seed) for seed in range(8)]:
+        trace = run_trace(sch.family, sch, record="steps")
+        assert len(trace.rows) == sch.term_count
+    assert calls == {"_summed": 0, "split": 0}
     f = stepfn.indicator((1,), 1, {1: (0, "1/2")}) + stepfn.indicator((1,), 1, {2: (0, "1/3")})
     f + f.scale(2)
-    assert calls["_merge"] >= 1
+    assert calls["_summed"] >= 1

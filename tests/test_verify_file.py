@@ -278,7 +278,9 @@ def test_parsed_records_are_kept_per_cube_within_the_bound(multipoint_file, monk
     assert len(reader._pieces) == sum(map(len, reader._held.values())) < records / 20
 
 
-def test_sectioned_verify_peaks_under_a_third_of_the_table(multipoint_file, capsys):
+def test_sectioned_verify_peaks_under_an_eighth_of_the_table(multipoint_file, capsys):
+    # the peak measured 0.062 of the table (2-vCPU host, Python 3.11.7);
+    # the bound is about twice that, so a peak 2.5x as large fails
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -293,7 +295,7 @@ def test_sectioned_verify_peaks_under_a_third_of_the_table(multipoint_file, caps
         tracemalloc.stop()
     capsys.readouterr()
     assert code == 0
-    assert peak <= kept / 3
+    assert peak <= kept / 8
 
 
 def test_sections_under_a_prefix_are_read_from_the_file(tmp_path):
