@@ -272,11 +272,15 @@ _CRITERIA = {
          lambda: _every_limit(build_multipoint(5, 4, sizes=(1, 2, 2, 2, 2, 2, 2, 2)), "five")),
 }
 
-# Criterion 8's budget is about twice the slowest of three runs (48.1 s on
-# a 2-vCPU host with Python 3.11.7), so a slowdown of about 2x fails.
-# Criterion 11's is about twice the slowest of eight runs on that host
-# (9.4 s; 8.2 s in a Tier-1 run where criterion 8 took 45 s at 3080a1b).
-TIME_BUDGETS = {1: 30.0, 2: 60.0, 7: 120.0, 8: 100.0, 11: 20.0}
+# The budgets of criteria 8 and 11 come from eleven runs each on a 2-vCPU
+# host with Python 3.11.7 at 6e45ef0, taken over an hour of the host's
+# drift, four of them inside a full Tier-1 run.  Criterion 8 took 13.3,
+# 13.7, 15.8 and 18.9 s in Tier-1 and 12.8-17.5 s in seven runs alone;
+# criterion 11 took 3.6, 4.0, 3.9 and 5.2 s in Tier-1 and 3.7-5.3 s alone.
+# Each budget is 2.5x the fastest run, so a run slowed 2.5x fails in every
+# phase seen, and 1.7x the slowest.  Twice the slowest (38 s, 10.6 s) let
+# a copy slowed 2.5x pass.
+TIME_BUDGETS = {1: 30.0, 2: 60.0, 7: 120.0, 8: 32.0, 11: 9.0}
 
 CRITERION_NUMBERS = tuple(sorted(_CRITERIA))
 

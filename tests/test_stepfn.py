@@ -525,7 +525,9 @@ def test_equal_functions_on_different_lattices():
 
 # --- multi-entry adds against the oracle -----------------------------------
 # `add` of two multi-entry operands sweeps their entries together
-# (`StepFunction._summed`).  Each sum is held to the pointwise oracle.
+# (`StepFunction._summed`).  Each sum is held to the pointwise oracle.  The
+# tests keep the names they had when `add` merged its operands, so that
+# their 95 ids stay comparable from one change to the next.
 
 
 def assert_add_matches_oracle(raw, fa, fb):
@@ -541,7 +543,7 @@ def negated(raw):
 
 @pytest.mark.parametrize("seed", range(12))
 @pytest.mark.parametrize("case", sorted(LATTICE_CASES))
-def test_add_matches_oracle_on_lattice_cases(case, seed):
+def test_add_merge_matches_sweep_on_lattice_cases(case, seed):
     rng = random.Random(f"merge-{case}-{seed}")
     dom = (1, 2)
     raw_a = lattice_raw(rng, dom, **LATTICE_CASES[case], max_boxes=8)
@@ -553,7 +555,7 @@ def test_add_matches_oracle_on_lattice_cases(case, seed):
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_add_matches_oracle_on_random_chains(seed):
+def test_add_merge_matches_sweep_on_random_chains(seed):
     # a running sum of random functions, as a trace in steps mode builds
     # one, held to the oracle at every step
     rng = random.Random(f"merge-chain-{seed}")
@@ -610,7 +612,7 @@ ADD_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(ADD_CASES))
-def test_add_cases_match_oracle(case):
+def test_add_merge_cases_match_oracle(case):
     dom = (1, 2)
     raw_a, raw_b = ADD_CASES[case]
     fa, fb = build(raw_a, dom), build(raw_b, dom)
