@@ -61,6 +61,13 @@ being the same object; a family file gives one per record's cube; the
 `Shifted` and `TermTable` sources split each term.  `section` itself
 builds no parts.
 
+`section_sum(g, n, prefix)` is the sum of a section, with its term count
+and last index.  The formulas give it in closed form from the plan, one
+outer step of the odometer at a time: the inner loop's terms tile one
+box per piece, so no term is built (the proof is in its docstring).  A
+term source's section is summed term by term, so a replaced or shifted
+term is in the sum as it is in the section.
+
 Shape.  A family's shape follows from r and whether it carries an affine
 transform, and `Family` alone derives it.  The classic two-kind family
 (structure "kadets", kinds "a", "b", one cube, sum range {0, 1}) is the
@@ -79,7 +86,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .stepfn import StepFunction, cube_constants
+from .stepfn import ChunkedSum, StepFunction, _canonical, cube_constants
 
 
 class ConfigError(ValueError):
@@ -468,19 +475,19 @@ class Family:
             entries.append((cube, tuple(bounds), value))
         return StepFunction._raw(self.domain, tuple(entries), plan.dens, plan.vden)
 
-    def _odometer(self, plan: _Plan, g: int, prefix: tuple[int, ...], flat: int
-                  ) -> Iterator[tuple[tuple[int, ...], StepFunction]]:
-        """The formula terms under a checked prefix, shorter than an index,
-        of flat index `flat`.  The outer loop steps F_{g-1}, which runs
-        over consecutive values, and builds the boxes that read
-        F_0..F_{g-1} once; the inner loop steps ig and builds only the
-        boxes that read F_g or ig."""
-        ranges, dens, vden, domain = plan.ranges, plan.dens, plan.vden, self.domain
-        top = ranges[g]
+    def _outer_steps(self, plan: _Plan, g: int, prefix: tuple[int, ...], flat: int
+                     ) -> Iterator[tuple[tuple[int, ...], list]]:
+        """The outer loop over the formula terms under a checked prefix,
+        shorter than an index, of flat index `flat`.  It steps F_{g-1},
+        which runs over consecutive values, and yields for each one the
+        index components i0..i_{g-1} and, per piece of the plan, (cube,
+        before, inner, after, value): `inner` is the one cell that reads F_g
+        or ig, as (coordinate, first, scale) with F_g or ig = first + i at
+        the inner loop's i-th term, or None for a piece that reads neither,
+        and `before` and `after` are the bounds around it, which read
+        F_0..F_{g-1}.  No piece of a plan reads both F_g and ig."""
+        ranges = plan.ranges
         span = prod(ranges[len(prefix):g])
-        lasts = range(1, top + 1)
-        tails = [(i,) for i in lasts]
-        raw = StepFunction._raw
         for outer in range((flat - 1) * span + 1, flat * span + 1):
             # F_0..F_{g-1} of this outer flat index, and its index components
             reads, head = [outer] * g, [outer] * g
@@ -488,27 +495,87 @@ class Family:
                 up, i = divmod(reads[k] - 1, ranges[k])
                 head[k] = i + 1
                 reads[k - 1] = head[k - 1] = up + 1
-            base = (outer - 1) * top  # F_g = base + ig
-            columns = []
+            base = (outer - 1) * ranges[g]  # F_g = base + ig
+            pieces = []
             for cube, cells, value in plan.parts:
-                bounds, inner = [], False
+                before, inner, after = [], None, []
                 for coord, k, scale in cells:
                     if k < 0 or k == g:
-                        first = base if k == g else 0
-                        bounds.append([(coord, (first + i - 1) * scale, (first + i) * scale)
-                                       for i in lasts])
-                        inner = True
+                        inner = (coord, base if k == g else 0, scale)
                     else:
                         hi = reads[k] * scale
-                        bounds.append((coord, hi - scale, hi))
-                if inner:
-                    columns.append([(cube, bs, value) for bs in zip(
-                        *(b if type(b) is list else repeat(b) for b in bounds))])
+                        (before if inner is None else after).append((coord, hi - scale, hi))
+                pieces.append((cube, tuple(before), inner, tuple(after), value))
+            yield tuple(head), pieces
+
+    def _odometer(self, plan: _Plan, g: int, prefix: tuple[int, ...], flat: int
+                  ) -> Iterator[tuple[tuple[int, ...], StepFunction]]:
+        """The formula terms under a checked prefix, shorter than an index,
+        of flat index `flat`: the boxes that read only F_0..F_{g-1} are
+        built once per outer step, and the inner loop steps ig and builds
+        only the boxes that read F_g or ig."""
+        dens, vden, domain = plan.dens, plan.vden, self.domain
+        lasts = range(1, plan.ranges[g] + 1)
+        tails = [(i,) for i in lasts]
+        raw = StepFunction._raw
+        for head, pieces in self._outer_steps(plan, g, prefix, flat):
+            columns = []
+            for cube, before, inner, after, value in pieces:
+                if inner is None:
+                    columns.append(repeat((cube, before, value)))
                 else:
-                    columns.append(repeat((cube, tuple(bounds), value)))
-            head = tuple(head)
+                    coord, first, scale = inner
+                    columns.append([(cube, before + ((coord, (first + i - 1) * scale,
+                                                      (first + i) * scale),) + after, value)
+                                    for i in lasts])
             for tail, entries in zip(tails, zip(*columns)):
                 yield head + tail, raw(domain, entries, dens, vden)
+
+    def section_sum(self, g: int, n: int, prefix: tuple[int, ...] = ()
+                    ) -> tuple[StepFunction, int, tuple[int, ...]]:
+        """(sum, count, last index) of `section(g, n, prefix)`, checked at
+        the call as `section` is.
+
+        A term source's section is summed term by term in a `ChunkedSum`.
+        The formulas give the sum in closed form, one outer step of
+        `_outer_steps` at a time.  With F_{g-1} fixed, the inner loop's
+        `top` terms differ only in the cell that reads F_g = base + ig or
+        ig: cells base+1..base+top, or 1..top, of one partition, each of
+        `scale` lattice units.  So a piece that reads F_g is `top` disjoint
+        boxes with one value that tile the one box [base*scale,
+        (base+top)*scale) on that coordinate, a piece that reads ig tiles
+        [0, top*scale) the same way, and a piece that reads neither is one
+        box `top` times, which sums to value*top on that box.  These boxes
+        sum to the section almost everywhere.  `_canonical` sweeps them
+        cube by cube, and a canonical form depends only on the function, on
+        any lattice, so the sum is the very function that a `ChunkedSum` of
+        the terms gives, and every measurement of it is the same."""
+        if self._sourced(g, n, prefix):
+            total, count = ChunkedSum(self.domain), 0
+            for last, f in self.source.section(self, g, n, prefix):
+                total.add(f)
+                count += 1
+            return total.total(), count, last
+        plan, reads = self._prefix_reads(g, n, prefix)
+        if len(reads) > g:  # a whole index: one term
+            reads.append(prefix[-1])
+            return self._emit(plan, reads), 1, prefix
+        top = plan.ranges[g]
+        per_cube: dict[int, list] = {}
+        steps = 0
+        for head, pieces in self._outer_steps(plan, g, prefix, reads[-1] if reads else 1):
+            steps += 1
+            for cube, before, inner, after, value in pieces:
+                if inner is None:
+                    box = (before, value * top)
+                else:
+                    coord, first, scale = inner
+                    box = (before + ((coord, first * scale, (first + top) * scale),) + after,
+                           value)
+                per_cube.setdefault(cube, []).append(box)
+        total = StepFunction._raw(self.domain, _canonical(self.domain, per_cube, plan.dens),
+                                  plan.dens, plan.vden)
+        return total, steps * top, head + (top,)
 
     def fn(self, tid: TermId) -> StepFunction:
         """The step function of one term."""

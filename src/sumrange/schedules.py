@@ -16,7 +16,8 @@ point block is its head and column members, one run each, then every
 later generation under each last member as one prefix run; the ramp is
 whole (generation, level) runs.  `Block.ids` and `Schedule.term_ids`
 list the term ids the runs stand for.  Traces read the runs through
-`section` and build a `TermId` only for a row that is read or written.
+`Family.parts` (steps) or `Family.section_sum` (blocks) and build a
+`TermId` only for a row that is read or written.
 
 Traces record, per step or per block boundary, the exact per-cube
 moment of (partial sum - target) as a `Fraction`, plus the number of
@@ -29,12 +30,15 @@ formula term's part is one box, which `StepFunction.add` inserts into
 the deviation's span lists.  Only the cubes the term touches are
 measured again; every other cube carries its moment and box count over
 from the previous row, which is exact, since its deviation is the same
-function.  In blocks mode the block's terms go whole
+function.  In blocks mode each run comes summed from `section_sum`, with
+its term count and last index: a formula family sums a run in closed
+form from its plan, one outer index at a time, and builds none of its
+terms; a term source sums the run's terms one by one.  The runs' sums go
 into one `ChunkedSum` over the family's domain, together with the
 running deviation; its total is the deviation at the block's end.  The
-canonical form is computed cube by cube, so restricting that total to a
-cube (once per cube and block) gives the same per-cube function, moment
-and box count as steps mode at the block's last term.
+canonical form is computed cube by cube and depends only on the
+function, so the total's moment and box count on each cube are those
+of steps mode at the block's last term.
 
 A `Trace` is held by column, in both modes.  Each row keeps its step,
 the generation and level of its term in `array('q')`s, the index tuple
@@ -451,14 +455,13 @@ def run_trace(fam: Family, schedule: Schedule,
         for block in schedule.blocks():
             total = ChunkedSum(cubes)
             for g, n, prefix in block.runs:
-                for idx, fn in fam.section(g, n, prefix):
-                    step += 1
-                    total.add(fn)
+                run, count, idx = fam.section_sum(g, n, prefix)
+                step += count
+                total.add(run)
             total.add(dev)
             dev = total.total()
-            per_cube = [dev.restrict(c) for c in cubes]
-            trace._append(step, g, n, idx, [f.moment(p) for f in per_cube],
-                          [f.box_count() for f in per_cube])
+            trace._append(step, g, n, idx, [dev.moment(p, c) for c in cubes],
+                          [dev.box_count(c) for c in cubes])
             trace._close_block(block)
     if not trace._steps:
         raise ConfigError("schedule has no terms")

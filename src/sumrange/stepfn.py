@@ -685,9 +685,12 @@ class StepFunction:
         `box_count()` instead."""
         return self._entries
 
-    def box_count(self) -> int:
-        """Number of boxes in the canonical form."""
-        return len(self._entries)
+    def box_count(self, cube: int | None = None) -> int:
+        """Number of boxes in the canonical form, or in its part on one cube."""
+        if cube is None:
+            return len(self._entries)
+        self._require_cube(cube)
+        return sum(1 for e in self._entries if e[0] == cube)
 
     def support_cubes(self) -> frozenset[int]:
         """The cubes on which the function is not zero almost everywhere."""
@@ -973,12 +976,13 @@ def sum_functions(fns: Iterable[StepFunction], domain: Sequence[int] | None = No
 
 # ChunkedSum canonicalizes what waits every _CHUNK additions.  What waits
 # is bounds and values in lists, not functions, so the cyclic garbage
-# collector has little to scan: the blocks traces of multipoint(4, 3) set
-# off at most one collection at any chunk from 32 to 4096, where waiting
+# collector has little to scan: summing the 181,652 terms of the four
+# multipoint(4, 3) point schedules one by one, block by block, set off at
+# most one collection at any chunk from 32 to 4096, where waiting
 # functions set off 495 young collections at 128 and 2,785 at 4096.  The
 # boxes that formula sections repeat or continue keep the lists short, so
 # a compaction sweeps few boxes and fewer compactions win.  Best of six
-# runs of those traces on a 2-vCPU host, in CPU seconds: 0.53 at 32, 0.39
+# runs of those sums on a 2-vCPU host, in CPU seconds: 0.53 at 32, 0.39
 # at 128, 0.36 at 512, 0.35 at 1024 and 0.35 at 4096.
 _CHUNK = 1024
 

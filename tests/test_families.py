@@ -7,6 +7,7 @@ count) corrections) before the builder existed; the tests freeze them.
 
 import functools
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from sumrange.families import (
 )
 from sumrange.stepfn import (
     Box,
+    ChunkedSum,
     Interval,
     StepFunction,
     constant,
@@ -226,7 +228,8 @@ def test_term_budget_refuses_before_enumerating(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a term was enumerated")
 
-    for name in ("fn", "term_ids", "index_tuples", "section", "reference_section"):
+    for name in ("fn", "term_ids", "index_tuples", "section", "section_sum",
+                 "reference_section"):
         monkeypatch.setattr(Family, name, refuse)
     too_many = "has 2503268159 terms, more than max_terms 5000000"
     path = tmp_path / "fam.json"
@@ -387,9 +390,10 @@ def test_section_refuses_what_fn_refuses(tmp_path):
     }
     for family in families:
         for (g, n, prefix), text in cases.items():
-            with pytest.raises(KeyError) as caught:
-                family.section(g, n, prefix)  # refused at the call, before any term
-            assert caught.value.args == (text,), (family, g, n, prefix)
+            for call in (family.section, family.section_sum):
+                with pytest.raises(KeyError) as caught:
+                    call(g, n, prefix)  # refused at the call, before any term
+                assert caught.value.args == (text,), (family, call, g, n, prefix)
     # fn refuses the whole ids under those prefixes with the same text
     for family in families[:2]:
         for t, text in {tid("b", 2, 3, 1): "index of b^2(3,1) outside ranges (2, 3)",
@@ -408,6 +412,87 @@ def test_section_refuses_what_fn_refuses(tmp_path):
     with pytest.raises(KeyError) as caught:
         holed.fn(tid("b", 2, 1, 3))
     assert caught.value.args == ("term b^2(1,3) missing from the loaded table",)
+    with pytest.raises(KeyError) as caught:
+        holed.section_sum(1, 2, (1,))
+    assert caught.value.args == ("term b^2(1,3) missing from the loaded table",)
+    assert holed.section_sum(1, 2, (2,))[1:] == (3, (2, 3))
+
+
+def _folded(domain, terms):
+    """(sum, count, last index) of a section's (index, term) pairs, summed
+    term by term."""
+    total, count, last = ChunkedSum(domain), 0, None
+    for last, f in terms:
+        total.add(f)
+        count += 1
+    return total.total(), count, last
+
+
+def _sampled_prefixes(fam, g, n, rng, most):
+    """Every length of prefix of (g, n), whole indices too: the first and
+    last prefix of each length and a few drawn by `rng`, each over at most
+    `most` terms."""
+    ranges = fam.index_ranges(g, n)
+    for length in range(g + 2):
+        below = math.prod(ranges[length:])
+        if below > most:
+            continue
+        picks = {tuple(1 for _ in range(length)), ranges[:length]}
+        picks.update(tuple(rng.randint(1, top) for top in ranges[:length]) for _ in range(3))
+        yield from sorted(picks)
+
+
+SUM_FAMILIES = {
+    "kadets(4)": lambda: build_kadets(4),
+    "three-kadets(4)": lambda: build_three_kadets(4),
+    "multipoint(4, 2)": lambda: build_multipoint(4, 2),
+    "multipoint(5, 1, sizes)": lambda: build_multipoint(5, 1, sizes=(1, 2, 2, 2, 2)),
+    "Family(4, 2, primes)": lambda: Family(4, 2, [2, 3, 5, 7, 11, 13]),
+}
+
+
+@pytest.mark.parametrize("name", SUM_FAMILIES)
+def test_section_sum_is_the_sum_of_the_section(name):
+    # the closed-form sum of a formula section is the sum of its terms
+    # added one by one, with their count and the last index; a section
+    # over more than 50,000 terms is left to its longer prefixes
+    fam = SUM_FAMILIES[name]()
+    rng = random.Random(22)
+    compared = 0
+    for n in range(1, fam.depth + 1):
+        for g in range(fam.points):
+            for prefix in _sampled_prefixes(fam, g, n, rng, 50_000):
+                want = _folded(fam.domain, fam.reference_section(g, n, prefix))
+                assert fam.section_sum(g, n, prefix) == want, (g, n, prefix)
+                compared += 1
+    assert compared >= 5 * fam.points * fam.depth
+
+
+@pytest.mark.parametrize("source", ["apply_transform", "with_replaced", "sectioned_family"])
+def test_sourced_section_sum_folds_the_source(source, tmp_path):
+    # a term source's section is summed term by term, so a transform or a
+    # replaced term is in the sum
+    from sumrange.serialize import dump_family, sectioned_family
+
+    ref = build_three_kadets(3)
+    replaced = tid("g", 2, 1, 2)
+    if source == "apply_transform":
+        fam = apply_transform(ref, TransformSpec([[1, 2], [F(1, 3), -1]]))
+    elif source == "with_replaced":
+        fam = ref.with_replaced({replaced: cube_constants(ref.domain, {2: 1})})
+    else:
+        dump_family(ref, tmp_path / "fam.json")
+        fam = sectioned_family(tmp_path / "fam.json")
+    assert fam.source is not None
+    differs = 0
+    for n in range(1, fam.depth + 1):
+        for g in range(fam.points):
+            for prefix in _sampled_prefixes(fam, g, n, random.Random(n), 10_000):
+                got = fam.section_sum(g, n, prefix)
+                assert got == _folded(fam.domain, fam.section(g, n, prefix)), (g, n, prefix)
+                differs += got[0] != ref.section_sum(g, n, prefix)[0]
+    # the file holds the formula terms; the other two sources change them
+    assert (differs == 0) == (source == "sectioned_family")
 
 
 # --- term sources -----------------------------------------------------------
@@ -713,7 +798,8 @@ def test_with_replaced_refuses_over_the_term_budget(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a term was enumerated")
 
-    for name in ("fn", "term_ids", "index_tuples", "section", "reference_section"):
+    for name in ("fn", "term_ids", "index_tuples", "section", "section_sum",
+                 "reference_section"):
         monkeypatch.setattr(Family, name, refuse)
     with pytest.raises(ConfigError, match="has 14930799 terms, more than max_terms 5000000"):
         fam.with_replaced({})

@@ -229,6 +229,46 @@ def test_blocks_traces_are_pinned():
         assert digest(trace.to_csv_lines()) == want, (name, point)
 
 
+# sha256 of blocks traces of three-kadets(4) through the term sources whose
+# runs are summed term by term, pinned while every blocks trace still built
+# each term: the rank-deficient transform of criterion 9 and a
+# `with_replaced` copy.  Each block sums to zero, and so does its transform,
+# so the point traces are the formula family's (BLOCKS_GOLDEN).
+SOURCED_BLOCKS_GOLDEN = {
+    ("transformed", "p00"): "3e60f61679d949124af2f805f9e5bbb4db9eb017413a5171c1016f62057eea2b",
+    ("transformed", "p10"): "03b2976b01fe6d4bbcacae569ae005d2fbaaea684055cc7860509fbac41694ba",
+    ("transformed", "p11"): "dc2eaad2bc4384f58c1c1c9fda8d99eb705c1e0ec7a496bec9e6545f0c2c98b4",
+    ("with_replaced", "p00"): "3e60f61679d949124af2f805f9e5bbb4db9eb017413a5171c1016f62057eea2b",
+    ("with_replaced", "p10"): "03b2976b01fe6d4bbcacae569ae005d2fbaaea684055cc7860509fbac41694ba",
+    ("with_replaced", "p11"): "dc2eaad2bc4384f58c1c1c9fda8d99eb705c1e0ec7a496bec9e6545f0c2c98b4",
+    ("with_replaced", "divergent"):
+        "1f5f7e61739c0d45c90f92314b358a3cc7ace540773d43a58be8f6d1e79f5cf8",
+}
+
+
+def test_sourced_blocks_traces_are_pinned():
+    base = build_three_kadets(4)
+    families = {"transformed": apply_transform(base, TransformSpec([[-1, 0], [0, 0]])),
+                "with_replaced": base.with_replaced({})}
+    for (name, label), want in SOURCED_BLOCKS_GOLDEN.items():
+        fam = families[name]
+        sch = schedule_divergent(fam) if label == "divergent" else schedule_point(fam, label)
+        trace = run_trace(fam, sch, record="blocks")
+        assert digest(trace.to_csv_lines()) == want, (name, label)
+
+
+def test_blocks_trace_sees_a_single_term_fault():
+    # a table source sums its runs term by term, so one wrong term moves
+    # the marker of its block, and every marker after it
+    fam = build_three_kadets(4)
+    tid = TermId("g", 2, (1, 2))
+    faulty = fam.with_replaced({tid: fam.fn(tid).scale(2)})
+    clean = run_trace(fam, schedule_point(fam, "p00"), record="blocks")
+    got = run_trace(faulty, schedule_point(faulty, "p00"), record="blocks")
+    assert digest(got.to_csv_lines()) != digest(clean.to_csv_lines())
+    assert got.final_deviations != clean.final_deviations
+
+
 # sha256 of to_csv_lines() of steps traces, pinned while a trace still
 # kept one tuple of deviations and one of box counts per row.
 STEPS_GOLDEN = {

@@ -80,7 +80,6 @@ run_trace(fam, sch, record="blocks")
 after = layer_metrics(tracer, 0.0)
 print("blocks", "stepfn.restrict", after["stepfn.restrict.calls"] - metrics["stepfn.restrict.calls"])
 built("blocks", metrics, since_yields)
-print("blocks cubes*blocks", len(fam.domain) * sum(1 for _ in sch.blocks()))
 print("blocks terms", sch.term_count)
 
 # from here on, count the Intervals built: the constructor's input type,
@@ -179,13 +178,15 @@ def test_traced_run_records_the_kernel_spans(traced_run):
         assert count >= 1, span
 
 
-def test_blocks_trace_builds_each_term_once_and_slices_per_block(traced_run):
-    # blocks mode sums whole terms: no one-cube copy of each term, and
-    # each term built exactly once, by the sections of the block's runs
+def test_formula_blocks_trace_builds_no_term(traced_run):
+    # blocks mode sums each run of a formula family in closed form from
+    # its plan: no term is built, by sections, parts or fn, and no cube is
+    # cut out of the running sum
     got = traced_run["blocks"]
-    assert got["stepfn.restrict"] <= got["cubes*blocks"]
+    assert got["terms"] > 0
+    assert got["stepfn.restrict"] == 0
     assert got["families.fn"] == 0
-    assert got["section"] == got["section distinct"] == got["terms"]
+    assert got["section"] == got["section distinct"] == 0
 
 
 def test_loaded_family_verifies_without_fractions_per_term(traced_run):
