@@ -481,11 +481,12 @@ class Family:
         shorter than an index, of flat index `flat`.  It steps F_{g-1},
         which runs over consecutive values, and yields for each one the
         index components i0..i_{g-1} and, per piece of the plan, (cube,
-        before, inner, after, value): `inner` is the one cell that reads F_g
-        or ig, as (coordinate, first, scale) with F_g or ig = first + i at
-        the inner loop's i-th term, or None for a piece that reads neither,
-        and `before` and `after` are the bounds around it, which read
-        F_0..F_{g-1}.  No piece of a plan reads both F_g and ig."""
+        fixed, inner, value): `fixed` are the bounds that read
+        F_0..F_{g-1}, and `inner` is the cell that reads F_g or ig, as
+        (coordinate, first, scale) with F_g or ig = first + i at the inner
+        loop's i-th term, or None for a piece that reads neither.  That
+        cell is a piece's last: ig is read on coordinate n+1, after F_{g-1}
+        on n, and a piece that reads F_g reads nothing else."""
         ranges = plan.ranges
         span = prod(ranges[len(prefix):g])
         for outer in range((flat - 1) * span + 1, flat * span + 1):
@@ -498,14 +499,14 @@ class Family:
             base = (outer - 1) * ranges[g]  # F_g = base + ig
             pieces = []
             for cube, cells, value in plan.parts:
-                before, inner, after = [], None, []
+                fixed, inner = [], None
                 for coord, k, scale in cells:
                     if k < 0 or k == g:
                         inner = (coord, base if k == g else 0, scale)
                     else:
                         hi = reads[k] * scale
-                        (before if inner is None else after).append((coord, hi - scale, hi))
-                pieces.append((cube, tuple(before), inner, tuple(after), value))
+                        fixed.append((coord, hi - scale, hi))
+                pieces.append((cube, tuple(fixed), inner, value))
             yield tuple(head), pieces
 
     def _odometer(self, plan: _Plan, g: int, prefix: tuple[int, ...], flat: int
@@ -520,13 +521,13 @@ class Family:
         raw = StepFunction._raw
         for head, pieces in self._outer_steps(plan, g, prefix, flat):
             columns = []
-            for cube, before, inner, after, value in pieces:
+            for cube, fixed, inner, value in pieces:
                 if inner is None:
-                    columns.append(repeat((cube, before, value)))
+                    columns.append(repeat((cube, fixed, value)))
                 else:
                     coord, first, scale = inner
-                    columns.append([(cube, before + ((coord, (first + i - 1) * scale,
-                                                      (first + i) * scale),) + after, value)
+                    columns.append([(cube, fixed + ((coord, (first + i - 1) * scale,
+                                                     (first + i) * scale),), value)
                                     for i in lasts])
             for tail, entries in zip(tails, zip(*columns)):
                 yield head + tail, raw(domain, entries, dens, vden)
@@ -562,20 +563,17 @@ class Family:
             return self._emit(plan, reads), 1, prefix
         top = plan.ranges[g]
         per_cube: dict[int, list] = {}
-        steps = 0
         for head, pieces in self._outer_steps(plan, g, prefix, reads[-1] if reads else 1):
-            steps += 1
-            for cube, before, inner, after, value in pieces:
+            for cube, fixed, inner, value in pieces:
                 if inner is None:
-                    box = (before, value * top)
+                    box = (fixed, value * top)
                 else:
                     coord, first, scale = inner
-                    box = (before + ((coord, first * scale, (first + top) * scale),) + after,
-                           value)
+                    box = (fixed + ((coord, first * scale, (first + top) * scale),), value)
                 per_cube.setdefault(cube, []).append(box)
         total = StepFunction._raw(self.domain, _canonical(self.domain, per_cube, plan.dens),
                                   plan.dens, plan.vden)
-        return total, steps * top, head + (top,)
+        return total, prod(plan.ranges[len(prefix):]), head + (top,)
 
     def fn(self, tid: TermId) -> StepFunction:
         """The step function of one term."""

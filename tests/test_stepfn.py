@@ -95,6 +95,7 @@ def assert_matches_oracle(raw, fn):
         assert fn.integral(cube) == want_int
         want_supp = sum(m for pt, m in grid if oracle_value(raw, cube, pt) != 0)
         assert fn.support_measure(cube) == want_supp
+        assert fn.box_count(cube) == fn.restrict(cube).box_count()
     want_sup = max(
         (abs(oracle_value(raw, c, pt)) for c in fn.domain for pt, _ in oracle_grid(raw, fn, c)),
         default=F(0),
@@ -193,6 +194,8 @@ def test_domain_validation():
         f.add(g)
     with pytest.raises(DomainError):
         f.integral(3)
+    with pytest.raises(DomainError):
+        f.box_count(3)
     with pytest.raises(DomainError):
         indicator((1, 2), 5, {1: (0, F(1, 2))})
 
@@ -301,6 +304,7 @@ def test_multi_cube_accounting():
     assert f.integral(3) == 0
     assert f.moment(1) == F(3, 2)
     assert f.moment(1, cube=2) == F(1, 2)
+    assert [f.box_count(c) for c in dom] == [1, 1, 0] and f.box_count() == 2
     assert f.support_measure(3) == 0
     r = f.restrict(2)
     assert r.domain == (2,)
