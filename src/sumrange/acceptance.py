@@ -276,8 +276,8 @@ _CRITERIA = {
 # run slowed 2.5x fails in every phase seen, with a floor of 3 s that host
 # drift cannot trip.  The runs were taken on a 2-vCPU host with Python
 # 3.11.7 over the host's drift, alone and inside a full Tier-1 run.
-# Criterion 8 took 11.2-13.3 s in seven runs alone and 12.6 and 15.9 s in
-# Tier-1, so its budget is 28 s; criterion 11 took 2.56-3.23 s alone and
+# Criterion 8 took 11.2-13.3 s in seven runs alone and 12.6, 15.9 and
+# 17.5 s in Tier-1, so its budget is 28 s; criterion 11 took 2.56-3.23 s alone and
 # 3.5 and 4.0 s in Tier-1, so 6.4 s.  Criteria 1, 2 and 7 took
 # 0.006-0.011, 0.07-0.13 and 0.44-0.46 s in five runs each, so they sit
 # at the floor.
