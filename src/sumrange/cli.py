@@ -162,7 +162,14 @@ def _merge(args: argparse.Namespace) -> RunConfig:
 
 def _load_or_build(cfg: RunConfig):
     if cfg.family:
-        return load_family(cfg.family, max_terms=cfg.max_terms)
+        # only `verify` reports a table with a missing term; the other
+        # commands refuse it before any work, as they refuse a duplicate
+        fam = load_family(cfg.family, max_terms=cfg.max_terms)
+        held = fam.source.ids()
+        for tid in fam.term_ids():
+            if tid not in held:
+                raise ParseError(f"{cfg.family}: term {tid} missing")
+        return fam
     if cfg.flavor == "multipoint":
         return build_multipoint(cfg.r, cfg.levels, cfg.sizes)
     return Family(2 if cfg.flavor == "kadets" else 3, cfg.levels, cfg.sizes)

@@ -277,6 +277,12 @@ class _Reader:
         this reader."""
         return lattice_entries(domain, boxes, self._lattices)
 
+    def _parted(self, boxes: list, domain: tuple[int, ...]
+                ) -> tuple[dict[int, StepFunction], StepFunction]:
+        """The parts by cube and the function of validated boxes."""
+        f = StepFunction._raw(domain, *self.entries(boxes, domain))
+        return f.split(sorted(f.support_cubes())), f
+
     def record(self, line: str, lead: str, ids: str, domain: tuple[int, ...], where: str
                ) -> tuple[dict[int, StepFunction], StepFunction]:
         """The parts by cube and the function of one term line, led by
@@ -288,7 +294,7 @@ class _Reader:
             if got is not None:
                 return got
         _, boxes = _term(_record(line, lead), self, domain, where)
-        return _with_parts(domain, *self.entries(boxes, domain))
+        return self._parted(boxes, domain)
 
     def _read(self, text: str, domain: tuple[int, ...]
               ) -> tuple[dict[int, StepFunction], StepFunction] | None:
@@ -311,13 +317,14 @@ class _Reader:
                 last = got[0]
                 boxes.append(got)
         if not direct:
-            return _with_parts(domain, *self.entries(
-                [(cube, [b[1] for b in bounds], value) for cube, bounds, value, _ in boxes],
-                domain))
+            return self._parted(_plain(boxes), domain)
         # each box, rescaled onto the lattice of `lattice_entries` with its
         # full-span bounds dropped, is its cube's canonical entry
         key = tuple([box[3] for box in boxes])
-        lattice = self._term_lattices.get(key) or self._term_lattice(key, boxes)
+        lattice = self._term_lattices.get(key)
+        if lattice is None:
+            _, dens, vden = self.entries(_plain(boxes), domain)
+            lattice = self._term_lattices[key] = (dens, vden)
         dens, vden = lattice
         last_parts = self._last
         if len(last_parts) < len(boxes):
@@ -335,19 +342,6 @@ class _Reader:
             entries.append(got[2])
             parts[got[2][0]] = got[3]
         return parts, raw(domain, tuple(entries), dens, vden)
-
-    def _term_lattice(self, key: tuple, boxes: list) -> tuple[dict[int, int], int]:
-        """The lattice (dens, vden) `lattice_entries` gives boxes of non-zero
-        value, kept under `key`, the keys of their lattices."""
-        dens: dict[int, int] = {}
-        vden = 1
-        for _, bounds, (_, den), _ in boxes:
-            vden = lcm(vden, den)
-            for _, (k, _, lo_den, _, hi_den), _ in bounds:
-                dens[k] = lcm(dens.get(k, 1), lo_den, hi_den)
-        got = self._term_lattices[key] = (
-            self._lattices.setdefault(tuple(sorted(dens.items())), dens), vden)
-        return got
 
     def _piece(self, text: str, domain: tuple[int, ...]) -> tuple | None:
         """The box of one record's text, braces stripped, kept in the
@@ -416,16 +410,9 @@ class _Reader:
         return got
 
 
-def _with_parts(domain: tuple[int, ...], entries: tuple, dens: dict[int, int], vden: int
-            ) -> tuple[dict[int, StepFunction], StepFunction]:
-    """The parts by cube and the function of canonical entries, which
-    are in cube order."""
-    raw = StepFunction._raw
-    by: dict[int, list] = {}
-    for entry in entries:
-        by.setdefault(entry[0], []).append(entry)
-    return ({cube: raw((cube,), tuple(got), dens, vden) for cube, got in by.items()},
-            raw(domain, entries, dens, vden))
+def _plain(boxes: list) -> list:
+    """Boxes of the section reader's cache as `lattice_entries` takes them."""
+    return [(cube, [b[1] for b in bounds], value) for cube, bounds, value, _ in boxes]
 
 
 # --- families ---------------------------------------------------------------

@@ -31,15 +31,16 @@ lattice, and ``==`` is exact a.e. equality.
 
 The sweep (`_sweep`) canonicalizes any list of boxes: the raw boxes of
 the constructor, of `multiply` and of the loader, the n-ary sums of
-`sum_functions` and `ChunkedSum`, and every `add` of two multi-entry
-operands, whose entries it sweeps together.  When one operand of `add`
-is a single box on a one-cube domain, as each part of a formula term is,
-the box is inserted into the other's nested span lists (`_insert`)
-instead, which it walks by index ranges: spans the box does not reach
-are kept as the same entries, cells are re-joined only at the box's two
-edges, a box free on a coordinate is added under every span of it, and
-the sum keeps its own lattice when that refines the box's.  The insert
-gives the entries the sweep would.
+`sum_functions` and of `ChunkedSum` (the one streaming sum, which term
+sources, blocks traces and the verifier feed), and every `add` of two
+multi-entry operands, whose entries it sweeps together.  When one operand
+of `add` is a single box on a one-cube domain, as each part of a formula
+term is, the box is inserted into the other's nested span lists
+(`_insert`) instead, which it walks by index ranges: spans the box does
+not reach are kept as the same entries, cells are re-joined only at the
+box's two edges, a box free on a coordinate, or with no constraint left,
+is added under every span of it, and the sum keeps its own lattice when
+that refines the box's.  The insert gives the entries the sweep would.
 
 One box is canonical once its full-span constraints are dropped, so the
 sweep returns a single entry directly: a cube holding one box, as in most
@@ -256,40 +257,6 @@ def _span_end(entries: Sequence[Entry], s: int, j: int, d: int) -> int:
     return t
 
 
-def _shift(entries: Sequence[Entry], i: int, j: int, d: int, v: int, dens: Mapping[int, int],
-           prefix: LatticeBounds, keep: bool, out: list[Entry]) -> None:
-    """`_insert` of a box that constrains nothing more: the constant v is
-    added under every span and stands alone in the gaps, so no two cells
-    join, and a constant that cancels leaves a gap."""
-    cube, first, w = entries[i]
-    if len(first) == d:  # a constant
-        if w + v:
-            out.append((cube, prefix, w + v))
-        return
-    c = first[d][0]
-    gap = 0
-    s = i
-    while s < j:
-        e = entries[s]
-        b = e[1]
-        head = b[d]
-        if head[1] > gap:
-            out.append((cube, prefix + ((c, gap, head[1]),), v))
-        if len(b) == d + 1:  # a constant under this span
-            if e[2] + v:
-                out.append((cube, b if keep else prefix + (head,), e[2] + v))
-            s += 1
-        else:
-            t = s + 1
-            while t < j and entries[t][1][d] == head:
-                t += 1
-            _shift(entries, s, t, d + 1, v, dens, prefix + (head,), keep, out)
-            s = t
-        gap = head[2]
-    if gap < dens[c]:
-        out.append((cube, prefix + ((c, gap, dens[c]),), v))
-
-
 def _insert(entries: Sequence[Entry], i: int, j: int, d: int, box: LatticeBounds, k: int,
             v: int, dens: Mapping[int, int], prefix: LatticeBounds, keep: bool,
             out: list[Entry]) -> None:
@@ -306,6 +273,8 @@ def _insert(entries: Sequence[Entry], i: int, j: int, d: int, box: LatticeBounds
     - the box is free on c: it is added under every span of c, and in the
       gaps between them it stands alone.  No two cells join: adjacent
       spans differ, and still differ once the same box is added to both.
+      A box with no constraint left is free on every coordinate, and on a
+      constant it adds to the value; a sum of 0 leaves a gap.
     - the list is free on c: it is cut at the box's ends, and the box is
       added to the middle piece.  Neither outer piece can join it.
     - both constrain c: spans outside [lo, hi) are kept, those it cuts
@@ -313,12 +282,14 @@ def _insert(entries: Sequence[Entry], i: int, j: int, d: int, box: LatticeBounds
       hold the box alone.  A cell can join its neighbor only at lo or at
       hi, and c is dropped when one cell then spans [0, D).
     """
-    if k == len(box):
-        _shift(entries, i, j, d, v, dens, prefix, keep, out)
-        return
-    cube, first, _ = entries[i]
-    c, lo, hi = box[k]
-    if len(first) == d or c < first[d][0]:  # the list is free on c
+    cube, first, w = entries[i]
+    if k == len(box):  # the box constrains nothing more
+        if len(first) == d:  # a constant plus a constant
+            if w + v:
+                out.append((cube, prefix, w + v))
+            return
+    elif len(first) == d or box[k][0] < first[d][0]:  # the list is free on c
+        c, lo, hi = box[k]
         if lo:
             out.extend(_rebased(entries[i:j], d, prefix + ((c, 0, lo),)))
         _insert(entries, i, j, d, box, k + 1, v, dens, prefix + (box[k],), False, out)
@@ -326,7 +297,7 @@ def _insert(entries: Sequence[Entry], i: int, j: int, d: int, box: LatticeBounds
             out.extend(_rebased(entries[i:j], d, prefix + ((c, hi, dens[c]),)))
         return
     cs = first[d][0]
-    if c > cs:  # the box is free on cs
+    if k == len(box) or box[k][0] > cs:  # the box is free on cs
         rest = box[k:]
         gap = 0
         s = i
@@ -340,6 +311,7 @@ def _insert(entries: Sequence[Entry], i: int, j: int, d: int, box: LatticeBounds
         if gap < dens[cs]:
             out.append((cube, prefix + ((cs, gap, dens[cs]),) + rest, v))
         return
+    c, lo, hi = box[k]
     rest = box[k + 1:]
     kp = len(prefix) + 1  # where a new entry's residue starts
     # the spans before a end at or before lo
@@ -458,7 +430,7 @@ def lattice_entries(domain: tuple[int, ...], boxes: list, lattices: dict | None 
 
 
 def _join(fns: Iterable["StepFunction"]) -> tuple[dict[int, int], int]:
-    """The coarsest lattice refining the lattice of every function."""
+    """The coarsest lattice refining that of each function or `ChunkedSum`."""
     dens: dict[int, int] = {}
     vden = 1
     seen: set[int] = set()
@@ -974,60 +946,78 @@ def sum_functions(fns: Iterable[StepFunction], domain: Sequence[int] | None = No
     return StepFunction._summed(dom, fns)
 
 
-# ChunkedSum canonicalizes what waits every _CHUNK additions.  What waits
-# is bounds and values in lists, not functions, so the cyclic garbage
+# ChunkedSum canonicalizes what waits every _CHUNK puts.  What waits is
+# bounds and values in lists, not functions, so the cyclic garbage
 # collector has little to scan: summing the 181,652 terms of the four
-# multipoint(4, 3) point schedules one by one, block by block, set off at
-# most one collection at any chunk from 32 to 4096, where waiting
-# functions set off 495 young collections at 128 and 2,785 at 4096.  The
-# boxes that formula sections repeat or continue keep the lists short, so
-# a compaction sweeps few boxes and fewer compactions win.  Best of six
-# runs of those sums on a 2-vCPU host, in CPU seconds: 0.53 at 32, 0.39
-# at 128, 0.36 at 512, 0.35 at 1024 and 0.35 at 4096.
+# multipoint(4, 3) point schedules one by one, block by block, as a blocks
+# trace of that family's file does, set off at most one collection at any
+# chunk from 32 to 4096, where waiting functions set off 495 young
+# collections at 128 and 2,785 at 4096.  The boxes that sections repeat or
+# continue keep the lists short, so a compaction sweeps few boxes and
+# fewer compactions win.  Best of six runs of those sums on a 2-vCPU host,
+# in CPU seconds: 0.53 at 32, 0.39 at 128, 0.36 at 512, 0.35 at 1024 and
+# 0.35 at 4096.  The shortcuts that do this (see ChunkedSum) pay for
+# themselves: with a sum that keeps each distinct function and its count
+# instead, those four blocks traces took 1.12-1.21 s, not 0.45-0.50 s,
+# on the table `load_family` reads, and 2.58 s, not 1.43-1.56 s, through
+# `sectioned_family` (best of three, CPU seconds, same host).
 _CHUNK = 1024
 
 
 class ChunkedSum:
-    """Running sum of many functions, compacted every `_CHUNK` additions
-    so memory stays bounded while long streams are folded in.
+    """Running sum of many functions, compacted every `_CHUNK` puts so
+    memory stays bounded while long streams are folded in.  It sums the
+    sections of term sources (a `TermTable`, a family file's sections,
+    `Shifted`) term by term, the runs of a block, and the verifier's row,
+    level and coupling-group sums of bridge parts.
 
-    The terms added since the last compaction wait cube by cube as bounds
-    and values on one lattice, the join of the lattices of everything
-    added, and a compaction canonicalizes them together with the running
-    total (`_canonical`).  Two shortcuts keep the waiting lists short for
-    the sections of a formula family, whose terms come in index order:
-    an entry that is the very object added last on its cube, from a
-    function on the same lattice, adds its value to that one, and a box
-    with the same value that continues the last one on its last
-    coordinate is joined to it."""
+    A run of adds of the very same function object is counted, and when
+    it ends the function is put once, times its count: the verifier adds
+    one bridge part for many tails in a row.  What is put since the last
+    compaction waits cube by cube as bounds and values on one lattice, the
+    join of the lattices of everything added, and a compaction
+    canonicalizes it together with the running total (`_canonical`).  Two
+    shortcuts keep the waiting lists short for sections, whose terms come
+    in index order: an entry that is the very object put last on its
+    cube, from a function on the same lattice, adds its value to that
+    one, and a box with the same value that continues the last one on its
+    last coordinate is joined to it."""
 
     def __init__(self, domain: Sequence[int]):
         self._domain = tuple(int(c) for c in domain)
         self._dens: dict[int, int] = {}
         self._vden = 1
-        # the lattice of the function added last, and its factors to ours
+        # the lattice of the function put last, and its factors to ours
         self._source: tuple = (None, 0, {}, 1)
         self._total: StepFunction | None = None
+        self._last: StepFunction | None = None   # the function added last, not yet put
+        self._repeats = 0                        # and how many times in a row
         self._clear()
 
     def _clear(self) -> None:
         self._count = 0
-        # per cube: [bounds, values, the entry added last]
+        # per cube: [bounds, values, the entry put last]
         self._pending: dict[int, list] = {c: [[], [], None] for c in self._domain}
 
     def add(self, f: StepFunction) -> None:
+        if f is self._last:
+            self._repeats += 1
+            return
         if f._domain != self._domain:
             raise DomainError(f"domain mismatch in sum: {f._domain} vs {self._domain}")
-        self._put(f)
-        self._count += 1
-        if self._count >= _CHUNK:
-            self._compact()
+        if self._last is not None:  # the run before ends
+            self._put(self._last, self._repeats)
+            self._count += 1
+            if self._count >= _CHUNK:
+                self._compact()
+        self._last, self._repeats = f, 1
 
-    def _put(self, f: StepFunction) -> None:
-        """Let the entries of f wait, on the lattice."""
+    def _put(self, f: StepFunction, count: int = 1) -> None:
+        """Let the entries of count·f wait, on the lattice."""
         if f._dens is not self._source[0] or f._vden != self._source[1]:
             self._lattice(f)
         _, _, factors, vf = self._source
+        vf *= count
         pending = self._pending
         for e in f._entries:
             slot = pending[e[0]]
@@ -1052,10 +1042,7 @@ class ChunkedSum:
         """Take f's lattice in: join it to the lattice, rescaling what
         waits, and note f's factors to the result."""
         if not _refines(self._dens, f._dens) or self._vden % f._vden:
-            dens = dict(self._dens)
-            for c, d in f._dens.items():
-                dens[c] = lcm(dens.get(c, 1), d)
-            vden = lcm(self._vden, f._vden)
+            dens, vden = _join((self, f))
             factors, vf = _factors(self._dens, dens), vden // self._vden
             for slot in self._pending.values():
                 if factors:
@@ -1076,35 +1063,8 @@ class ChunkedSum:
         self._clear()
 
     def total(self) -> StepFunction:
+        if self._last is not None:
+            self._put(self._last, self._repeats)
+            self._last = None
         self._compact()
         return self._total
-
-
-class Tally:
-    """Sum of many functions kept as each distinct function and its count.
-
-    Σ f_j = Σ count·f, so `total` canonicalizes each distinct function
-    once, however often it was added: the sum of a stream whose functions
-    repeat costs its distinct functions, not its length."""
-
-    def __init__(self, domain: Sequence[int]):
-        self._domain = tuple(int(c) for c in domain)
-        self._counts: dict[tuple, list] = {}
-        self._last: list = [None, 0]   # the [function, count] added to last
-
-    def add(self, f: StepFunction) -> None:
-        if f is self._last[0]:  # the same function again
-            self._last[1] += 1
-            return
-        # equal entries on one lattice are one function; the lattice object
-        # is held by f, so its id names it while f is counted here
-        key = (id(f._dens), f._vden, f._entries)
-        got = self._counts.get(key)
-        if got is None:
-            got = self._counts[key] = [f, 0]
-        got[1] += 1
-        self._last = got
-
-    def total(self) -> StepFunction:
-        return sum_functions([f.scale(count) for f, count in self._counts.values()],
-                             self._domain)

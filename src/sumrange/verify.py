@@ -33,8 +33,8 @@ F^k the failing tails of row r and column k, and R the rows holding one,
 With no failing tail and H = G = 1 these are -h_r, -g_k and -1, and
 pass unbuilt; else just these sums are built.  A coupling group sums its
 columns: -Σ g_j if each passed.  Bridge sums stay canonical, but tails
-share pieces there, so a `Tally` adds each distinct part once, times its
-count.
+share pieces there, in runs: each is a `ChunkedSum`, which takes a run of
+one part in once, times its length.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .families import (
     cube_label,
     size_problem,
 )
-from .stepfn import StepFunction, Summary, Tally, cube_constants, sum_functions
+from .stepfn import ChunkedSum, StepFunction, Summary, cube_constants, sum_functions
 
 _FAIL_CAP = 25
 
@@ -434,12 +434,12 @@ def _verify_unit(u: _Unit, tails: Iterable[tuple], report: AxiomReport) -> None:
     next_sum = sum_functions([g[c] for g, _ in u.next_heads], (c,))
     next_sums = [g[c].summary() for g, _ in u.next_heads]
     g_one = next_sum == cube_constants((c,), {c: 1})
-    level = {b: Tally((b,)) for b in bridges}
+    level = {b: ChunkedSum((b,)) for b in bridges}
     # coupling group j' pairs the level-(n+1) heads whose last index is j'
     # with the level-n columns under them
     group_of = [idx[-1] for idx in fam.index_tuples(e, n + 1)]
     mid = u.roles.get(MID)
-    groups = {j: Tally((mid,)) for j in sorted(set(group_of))} if mid else {}
+    groups = {j: ChunkedSum((mid,)) for j in sorted(set(group_of))} if mid else {}
     s_next = len(u.next_heads)
     support = {}
     bad_rows: list = []                 # (head, row sum) of the rows with a failing tail
@@ -448,7 +448,7 @@ def _verify_unit(u: _Unit, tails: Iterable[tuple], report: AxiomReport) -> None:
         r, k = divmod(t, s_next)
         u.factors = (head_sums[r], next_sums[k])
         if k == 0:
-            rows, row_bad = {b: Tally((b,)) for b in bridges}, []
+            rows, row_bad = {b: ChunkedSum((b,)) for b in bridges}, []
         bad, sums = each(e + 1, TAIL, idx, parts, whole)
         if "product-structure" in bad:
             row_bad.append((u.next_heads[k][0][c], parts[c]))
@@ -478,9 +478,9 @@ def _verify_unit(u: _Unit, tails: Iterable[tuple], report: AxiomReport) -> None:
         columns.append(_through(heads_sum, h_one, g[c], bad_columns.get(k, [])))
         if not judge(COLUMN, f"column {u.tail}^{n}(*,{k + 1})", {c: (columns[k], g[c])}):
             failing.add(k)
-    for jp, tally in groups.items():
+    for jp, group in groups.items():
         ks = [k for k, j in enumerate(group_of) if j == jp]
-        items = {mid: (tally.total(),
+        items = {mid: (group.total(),
                        sum_functions([u.next_heads[k][0][mid] for k in ks], (mid,))),
                  c: None}
         if failing.intersection(ks):

@@ -27,7 +27,7 @@ from sumrange.families import (
     expected_sum_range,
 )
 from sumrange.schedules import run_trace, schedule_point
-from sumrange.serialize import dump_family, dump_matrix, load_family
+from sumrange.serialize import dump_family, dump_matrix, family_to_lines, load_family
 
 
 def run(capsys, *argv):
@@ -160,6 +160,23 @@ def test_verify_zero_denominator_is_a_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--family", str(path))
     assert code == 3
     assert "zero denominator in '1/00'" in err
+
+
+def test_commands_refuse_a_table_missing_a_term(tmp_path, capsys):
+    # `verify` reports the gap as table-complete rows; every other command
+    # that reads a family file refuses it before any work, as it refuses a
+    # duplicate term, and writes no --out file
+    lines = "".join(family_to_lines(build_kadets(2))).splitlines(keepends=True)
+    path = tmp_path / "holed.family"
+    path.write_text("".join(lines[:3] + lines[4:]))
+    matrix = tmp_path / "m.matrix"
+    dump_matrix(TransformSpec.identity(1), matrix)
+    out = tmp_path / "out"
+    for argv in (["trace", "--schedule", "sigma"], ["build"],
+                 ["transform", "--matrix", str(matrix)]):
+        code, stdout, err = run(capsys, *argv, "--family", str(path), "--out", str(out))
+        assert (code, stdout, err) == (3, "", f"error: {path}: term b^1(1,2) missing\n")
+        assert not out.exists()
 
 
 _SIGTERM_MID_WRITE = """

@@ -704,6 +704,32 @@ BOX_CASES = {
 }
 
 
+def exhausted_box_cases():
+    """Cases where the box runs out of constraints at depth 1, under
+    [0, 1/2) of coordinate 1, or at depth 2, under [0, 1/2) x [0, 1/2):
+    there the sum holds the constants 2 and 5 on [0, 1/3) and [2/3, 1)
+    of the next coordinate, with a gap between them.  The box's value
+    cancels the constant 2, leaving a gap, or cancels none, or the box
+    covers its span of the sum exactly (the `keep` path) and cancels 5."""
+    cases = {}
+    for depth, outer in ((1, {1: (F(0), F(1, 2))}),
+                         (2, {1: (F(0), F(1, 2)), 2: (F(0), F(1, 2))})):
+        c = depth + 1
+        spans = [(1, {**outer, c: (F(0), F(1, 3))}, F(2)),
+                 (1, {**outer, c: (F(2, 3), F(1))}, F(5)),
+                 (1, {**outer, depth: (F(1, 2), F(1))}, F(7))]
+        if depth == 2:
+            spans.append((1, {1: (F(1, 2), F(1))}, F(-1)))
+        for name, cut, v in (("cancels-a-constant", (F(1, 4), F(1, 2)), F(-2)),
+                             ("cancels-no-constant", (F(0), F(1, 4)), F(3)),
+                             ("covers-a-span", (F(0), F(1, 2)), F(-5))):
+            cases[f"exhausted-at-depth-{depth}-{name}"] = (spans, (1, {**outer, depth: cut}, v))
+    return cases
+
+
+BOX_CASES.update(exhausted_box_cases())
+
+
 def assert_add_matches_sweep(fa, fb):
     """fa + fb, for a one-box operand: the insert gives the sweep's entries
     on the same lattice."""
@@ -807,14 +833,38 @@ def section_runs(rng, dom):
     return stream
 
 
-@pytest.mark.parametrize("seed", range(10))
+def part_runs(rng, dom, seed):
+    """Runs of adds of one function object, as the verifier adds one
+    bridge part for each tail of a row: seed 10 adds one part k times in
+    a row; seed 11 interleaves runs of four parts, each coming back; seed
+    12 puts 127 functions, one short of a chunk of 128, before a run of
+    300 adds, whose put starts a compaction, then 127 more and a run of
+    another part, which starts the next; seed 13 follows runs of parts with runs of
+    their negations, `f.scale(-1)`, which cancel some of them."""
+    spec = dict(coords=(1, 2), dens=(2, 3, 4), values=(F(1), F(-1), F(1, 2)), max_boxes=3)
+    parts = [build(lattice_raw(rng, dom, **spec), dom) for _ in range(4)]
+    if seed == 10:
+        return [parts[0]] * rng.randint(2, 60)
+    if seed == 12:
+        fresh = [build(lattice_raw(rng, dom, **spec), dom) for _ in range(2 * 127)]
+        return fresh[:127] + [parts[0]] * 300 + fresh[127:] + [parts[1]] * 200 + [parts[0]]
+    stream: list = []
+    for _ in range(16):
+        f = rng.choice(parts)
+        stream += [f] * rng.randint(1, 40)
+        if seed == 13 and rng.random() < 0.5:
+            stream += [f.scale(-1)] * rng.randint(1, 40)
+    return stream
+
+
+@pytest.mark.parametrize("seed", range(14))
 def test_chunked_sum_matches_sum_functions(seed, monkeypatch):
     # compactions only decide when the pending functions are folded in:
     # streams of less than one chunk, of one chunk and one more, and of
     # several chunks, which fold the running total in again and again, at
     # a chunk of 128; seeds 6-9 stream section-shaped runs whose lattice
-    # changes in the middle of a chunk.  The sum is sum_functions', on
-    # the same lattice.
+    # changes in the middle of a chunk, and seeds 10-13 runs of one
+    # function object.  The sum is sum_functions', on the same lattice.
     monkeypatch.setattr(stepfn, "_CHUNK", 128)
     rng = random.Random(f"chunked-{seed}")
     dom = (1, 2, 3)
@@ -822,8 +872,10 @@ def test_chunked_sum_matches_sum_functions(seed, monkeypatch):
         spec = dict(coords=(1, 2), dens=(2, 3, 4), values=(F(1), F(-1), F(1, 2)), max_boxes=3)
         stream = [build(lattice_raw(rng, dom, **spec), dom)
                   for _ in range((1, 128, 129, 257, 400, 700)[seed])]
-    else:
+    elif seed < 10:
         stream = section_runs(rng, dom)
+    else:
+        stream = part_runs(rng, dom, seed)
     want = sum_functions(stream)
     total = ChunkedSum(dom)
     for f in stream:
