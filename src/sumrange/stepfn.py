@@ -274,7 +274,8 @@ def _insert(entries: Sequence[Entry], i: int, j: int, d: int, box: LatticeBounds
       gaps between them it stands alone.  No two cells join: adjacent
       spans differ, and still differ once the same box is added to both.
       A box with no constraint left is free on every coordinate, and on a
-      constant it adds to the value; a sum of 0 leaves a gap.
+      constant it adds to the value; a sum of 0 leaves a gap.  A constant
+      under a span takes such a box in place, with no recursion.
     - the list is free on c: it is cut at the box's ends, and the box is
       added to the middle piece.  Neither outer piece can join it.
     - both constrain c: spans outside [lo, hi) are kept, those it cuts
@@ -302,11 +303,17 @@ def _insert(entries: Sequence[Entry], i: int, j: int, d: int, box: LatticeBounds
         gap = 0
         s = i
         while s < j:
-            head = entries[s][1][d]
-            t = _span_end(entries, s, j, d)
+            b = entries[s][1]
+            head = b[d]
             if head[1] > gap:
                 out.append((cube, prefix + ((cs, gap, head[1]),) + rest, v))
-            _insert(entries, s, t, d + 1, box, k, v, dens, prefix + (head,), keep, out)
+            if not rest and len(b) == d + 1:  # a constant under this span, plus v
+                t = s + 1
+                if entries[s][2] + v:
+                    out.append((cube, b if keep else prefix + (head,), entries[s][2] + v))
+            else:
+                t = _span_end(entries, s, j, d)
+                _insert(entries, s, t, d + 1, box, k, v, dens, prefix + (head,), keep, out)
             gap, s = head[2], t
         if gap < dens[cs]:
             out.append((cube, prefix + ((cs, gap, dens[cs]),) + rest, v))
@@ -978,7 +985,7 @@ class ChunkedSum:
     join of the lattices of everything added, and a compaction
     canonicalizes it together with the running total (`_canonical`).  Two
     shortcuts keep the waiting lists short for sections, whose terms come
-    in index order: an entry that is the very object put last on its
+    in index order: an entry with the box of the entry put last on its
     cube, from a function on the same lattice, adds its value to that
     one, and a box with the same value that continues the last one on its
     last coordinate is joined to it."""
@@ -1022,7 +1029,7 @@ class ChunkedSum:
         for e in f._entries:
             slot = pending[e[0]]
             bounds, values, last = slot
-            if e is last:
+            if e is last or (last is not None and e[1] == last[1]):  # the same box again
                 values[-1] += e[2] * vf
                 continue
             b = _scaled(e[1], factors) if factors else e[1]
