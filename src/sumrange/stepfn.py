@@ -965,9 +965,10 @@ def sum_functions(fns: Iterable[StepFunction], domain: Sequence[int] | None = No
 # in CPU seconds: 0.53 at 32, 0.39 at 128, 0.36 at 512, 0.35 at 1024 and
 # 0.35 at 4096.  The shortcuts that do this (see ChunkedSum) pay for
 # themselves: with a sum that keeps each distinct function and its count
-# instead, those four blocks traces took 1.12-1.21 s, not 0.45-0.50 s,
-# on the table `load_family` reads, and 2.58 s, not 1.43-1.56 s, through
-# `sectioned_family` (best of three, CPU seconds, same host).
+# instead, those four blocks traces took 2.2-2.7 times as long on the
+# table `load_family` reads, and 1.7-1.8 times as long through
+# `sectioned_family` (best of three, CPU seconds, same host), before the
+# first shortcut matched boxes by value, which made the table's faster.
 _CHUNK = 1024
 
 
